@@ -17,8 +17,17 @@ unconditionally stable for alpha in (0, 1).
 
 ``direct_step`` solves the same linear system without splitting through a
 dense LU factorization; it exists as a cross-check oracle for small grids.
-Both paths keep the history of L u^k, so one step costs O(n) beyond the
-sweeps.
+
+Both paths keep the history of L u^k and share the memory term, a causal
+convolution S_n = sum_{m<=n} kappa_{n-m} L u^m with kappa_0 = lambda_1 and
+kappa_j = lambda_j + lambda_{j+1}.  It is evaluated exactly, only in a
+different summation order, by the blocked FFT scheme of Hairer, Lubich &
+Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): levels in the current leaf
+of ``_LEAF`` are summed directly, and each completed left dyadic block adds
+its contribution to the right sibling's levels at once, by a dense Toeplitz
+product for short blocks and by one FFT convolution for long ones.  A run
+of N steps costs O(N log^2 N) per grid node in the memory term, and no
+buffer beyond the history itself grows with N.
 
 States are advanced in place: step functions return the same object with
 ``current_level`` incremented.  A solve run is deterministic; identical
@@ -52,6 +61,14 @@ from .trisolve import TridiagOperator, build_sweep_operator, sweep_coefficients
 
 # history + a couple of work arrays must stay under ~2 GiB
 MAX_HISTORY_ENTRIES = 2**28
+
+# memory-term levels summed directly; older levels arrive in dyadic blocks
+_LEAF = 32
+# blocks up to this size are applied as a dense Toeplitz product, which is
+# faster than the FFT and its set-up there
+_TOEPLITZ_MAX_BLOCK = 256
+# cap on the scratch of one far-field column chunk
+_SCRATCH_BYTES = 2**20
 
 _DIVERGENCE_LIMIT = 1e100
 
@@ -98,7 +115,8 @@ class StepReport:
 
 
 class _Workspace:
-    """Per-run cached objects: sweep factors, sampled data, dense factor."""
+    """Per-run cached objects: sweep factors, sampled data, dense factor,
+    memory kernel and its transforms."""
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh,
                  options: SolverOptions, weights: WeightTable, mu: float) -> None:
@@ -124,6 +142,18 @@ class _Workspace:
                 "from caputo_forcing"
             )
         self._forcing = problem.forcing_f
+        lam = weights.lam
+        self.kappa = lam[:-1] + lam[1:]
+        self.kappa[0] = lam[1]
+        self._kappa_hat: dict[int, np.ndarray] = {}
+
+    def kappa_hat(self, b: int) -> np.ndarray:
+        """rfft of kappa_0..kappa_{2b-1} (zero past the run's last lag)."""
+        cached = self._kappa_hat.get(b)
+        if cached is None:
+            cached = np.fft.rfft(self.kappa[:2 * b], n=2 * b)
+            self._kappa_hat[b] = cached
+        return cached
 
     def f_at(self, level: int) -> np.ndarray:
         if self.f_levels is not None:
@@ -162,9 +192,11 @@ class SolverState:
     """Everything the scheme carries between levels.
 
     ``history_lambda_u[k]`` stores the compact Laplacian of the accepted
-    level-k solution (frame zeroed); rows above ``current_level`` are
-    unwritten zeros.  ``u_current`` always satisfies the prescribed boundary
-    values of its own time level exactly.
+    level-k solution (frame zeroed).  A row k above ``current_level`` holds
+    the pending far-field part of the memory sum S_{k-1}, the contributions
+    of completed dyadic blocks, until the step to level k overwrites it; rows
+    no block has reached yet are zero.  ``u_current`` always satisfies the
+    prescribed boundary values of its own time level exactly.
     """
 
     mesh: Mesh
@@ -223,12 +255,59 @@ def _lambda_raw(vals: np.ndarray, mesh: Mesh) -> np.ndarray:
     return _zero_frame(out)
 
 
-def _memory_coefficients(lam: np.ndarray, n: int) -> np.ndarray:
-    # coef[m] = lambda_{n+1-m} + lambda_{n-m}, the second term for m <= n-1
-    coef = lam[1:n + 2][::-1].copy()
-    if n >= 1:
-        coef[:n] += lam[1:n + 1][::-1]
-    return coef
+def _memory_sum(state: SolverState) -> np.ndarray:
+    """S_n for the current level n: the pending far field stored in row
+    n+1 plus the levels of n's own leaf, summed directly."""
+    n = state.current_level
+    history = state.history_lambda_u
+    lo = n - n % _LEAF
+    leaf = history[lo:n + 1].reshape(n - lo + 1, -1)
+    near = state.workspace.kappa[n - lo::-1] @ leaf
+    near += history[n + 1].ravel()
+    return near.reshape(history.shape[1:])
+
+
+def _fold_far_field(state: SolverState, s: int) -> None:
+    """Once level s is stored, add the block it completes to the pending rows.
+
+    When s+1 = b * odd with b = _LEAF * 2^j, level s closes the left dyadic
+    block [lo, lo+b) of the node [lo, lo+2b); its contribution to S_n for
+    n in [lo+b, lo+2b) is a Toeplitz product, or for long blocks the tail
+    of one length-2b circular convolution, where no term wraps around.
+    Every pair m < n outside a common leaf meets in exactly one such node,
+    so each term is added once.
+    """
+    q, r = divmod(s + 1, _LEAF)
+    if r or not q:
+        return
+    b = _LEAF * (q & -q)
+    history = state.history_lambda_u
+    # targets stop at S_{N-1}, stored in the last row
+    t = min(b, history.shape[0] - s - 2)
+    if t <= 0:
+        return
+    flat = history.reshape(history.shape[0], -1)
+    block = flat[s + 1 - b:s + 1]
+    pending = flat[s + 2:s + 2 + t]
+    ws = state.workspace
+    if b <= _TOEPLITZ_MAX_BLOCK:
+        # row r is target n = lo+b+r, column i is source m = lo+i
+        toeplitz = ws.kappa[b + np.arange(t)[:, None] - np.arange(b)]
+
+        def contribution(cols: np.ndarray) -> np.ndarray:
+            return toeplitz @ cols
+    else:
+        kappa_hat = ws.kappa_hat(b)[:, None]
+
+        def contribution(cols: np.ndarray) -> np.ndarray:
+            spec = np.fft.rfft(cols, n=2 * b, axis=0)
+            spec *= kappa_hat
+            return np.fft.irfft(spec, n=2 * b, axis=0)[b:b + t]
+
+    # FFT: padded input, rfft spectrum and irfft output, ~48*b bytes a column
+    chunk = max(1, _SCRATCH_BYTES // (48 * b))
+    for c in range(0, flat.shape[1], chunk):
+        pending[:, c:c + chunk] += contribution(block[:, c:c + chunk])
 
 
 def _rhs_raw(state: SolverState, problem: ProblemSpec) -> np.ndarray:
@@ -241,8 +320,7 @@ def _rhs_raw(state: SolverState, problem: ProblemSpec) -> np.ndarray:
     v = _avgy(u) + c * _d2y(u, mesh.h2)
     rhs = _avgx(v) + c * _d2x(v, mesh.h1)
 
-    coef = _memory_coefficients(state.weights.lam, n)
-    rhs += state.mu * np.tensordot(coef, state.history_lambda_u[: n + 1], axes=1)
+    rhs += state.mu * _memory_sum(state)
 
     fsum = ws.f_at(n) + ws.f_at(n + 1)
     rhs += mesh.tau * ws.h_phi + 0.5 * mesh.tau * _avgx(_avgy(fsum))
@@ -259,6 +337,8 @@ def assemble_rhs(state: SolverState, problem: ProblemSpec, n: int) -> GridFn:
         raise ValueError(
             f"state holds level {state.current_level}; cannot assemble for n={n}"
         )
+    if n >= state.mesh.N:
+        raise ValueError(f"state already at the final level {state.mesh.N}")
     vals = _rhs_raw(state, problem)
     return GridFn(state.mesh, _zero_frame(vals))
 
@@ -270,6 +350,7 @@ def _finish_step(state: SolverState, vals: np.ndarray, rhs: np.ndarray,
         raise SolverDivergenceError(n + 1)
     mesh = state.mesh
     state.history_lambda_u[n + 1] = _lambda_raw(vals, mesh)
+    _fold_far_field(state, n + 1)
     state.u_current = GridFn(mesh, vals)
     state.current_level = n + 1
     rhs_int = rhs[1:-1, 1:-1]

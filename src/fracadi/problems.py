@@ -419,13 +419,17 @@ _EXPR_UNARYOPS = (ast.UAdd, ast.USub)
 
 
 def compile_expression(source: str, *, alpha: float,
-                       variables: tuple[str, ...] = ("x", "y", "t")) -> Callable:
+                       variables: tuple[str, ...] = ("x", "y", "t"),
+                       label: str = "expression") -> Callable:
     """Compile an arithmetic expression string into a vectorized callable.
 
     Only literals, the listed variables, ``alpha``, ``pi``, arithmetic
     operators, and a small set of elementary functions are admitted; any
     other syntax raises ValueError.  The returned callable always takes
     (x, y, t) regardless of which variables the expression mentions.
+    Integer literals become floats, so a power such as ``9**9**9`` overflows
+    at once instead of growing a big integer; an arithmetic error during
+    evaluation is raised as a ValueError that starts with ``label``.
     """
     try:
         tree = ast.parse(source, mode="eval")
@@ -439,6 +443,10 @@ def compile_expression(source: str, *, alpha: float,
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise ValueError(f"disallowed literal {node.value!r} in {source!r}")
+            try:
+                node.value = float(node.value)
+            except OverflowError as exc:
+                raise ValueError(f"literal too large in {source!r}") from exc
         elif isinstance(node, ast.Name):
             if node.id not in allowed_names and node.id not in _EXPR_FUNCS:
                 raise ValueError(f"unknown name {node.id!r} in {source!r}")
@@ -464,7 +472,10 @@ def compile_expression(source: str, *, alpha: float,
     env = {"__builtins__": {}, **_EXPR_FUNCS, "pi": math.pi, "alpha": float(alpha)}
 
     def f(x, y, t):
-        return eval(code, env, {"x": x, "y": y, "t": t})
+        try:
+            return eval(code, env, {"x": x, "y": y, "t": t})
+        except ArithmeticError as exc:
+            raise ValueError(f"{label}: evaluating {source!r} failed: {exc}") from exc
 
     return f
 
@@ -510,7 +521,8 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
         if not isinstance(src, str):
             raise ValueError(f"problem file {path}: {key} must be a string")
         try:
-            return compile_expression(src, alpha=alpha, variables=variables)
+            return compile_expression(src, alpha=alpha, variables=variables,
+                                      label=f"problem file {path}, key {key!r}")
         except ValueError as exc:
             raise ValueError(f"problem file {path}, key {key!r}: {exc}") from exc
 

@@ -22,6 +22,7 @@ from fracadi import (
     split_product_apply,
     unsplit_product_apply,
 )
+from fracadi import adisolver
 from fracadi.problems import ProblemSpec, _zero_xy, _zero_xyt
 from fracadi.verify import equivalence_problem
 
@@ -95,16 +96,19 @@ class TestStepping:
             assert np.array_equal(state.history_lambda_u[k],
                                   lambda_op(u).values)
 
-    def test_rhs_from_scratch_recomputation(self):
+    # level 70 lies past the first far-field blocks [0, 32) and [0, 64)
+    @pytest.mark.parametrize("level, n_steps", [(3, 5), (70, 72)],
+                             ids=["level3", "level70"])
+    def test_rhs_from_scratch_recomputation(self, level, n_steps):
         p = equivalence_problem(0.3)
-        mesh = _mesh(p, 8, 7, 5)
+        mesh = _mesh(p, 8, 7, n_steps)
         state = init_state(p, mesh)
         fields = [state.u_current]
-        for _ in range(3):
+        for _ in range(level):
             adi_step(state, p)
             fields.append(state.u_current)
         n = state.current_level
-        assert n == 3
+        assert n == level
         got = assemble_rhs(state, p, n).values
 
         # independent reassembly from the stored levels
@@ -130,6 +134,13 @@ class TestStepping:
         adi_step(state, p)
         with pytest.raises(ValueError, match="level"):
             assemble_rhs(state, p, 0)
+
+    def test_rhs_past_end_rejected(self):
+        p = make_example1(0.5)
+        state = init_state(p, mesh_for(p, 6, n=1))
+        adi_step(state, p)
+        with pytest.raises(ValueError, match="final"):
+            assemble_rhs(state, p, 1)
 
     def test_step_past_end_rejected(self):
         p = make_example1(0.5)
@@ -162,6 +173,58 @@ class TestStepping:
         with np.errstate(over="ignore"), pytest.raises(SolverDivergenceError) as info:
             solve(huge, mesh_for(p, 6, n=4))
         assert info.value.level >= 1
+
+
+def _memory_coefficients(lam, n):
+    # coef[m] = lambda_{n+1-m} + lambda_{n-m}, the second term for m <= n-1
+    coef = lam[1:n + 2][::-1].copy()
+    if n >= 1:
+        coef[:n] += lam[1:n + 1][::-1]
+    return coef
+
+
+def _naive_memory_sum(state):
+    """The memory sum as one tensordot over the whole history."""
+    n = state.current_level
+    coef = _memory_coefficients(state.weights.lam, n)
+    return np.tensordot(coef, state.history_lambda_u[:n + 1], axes=1)
+
+
+class TestMemoryConvolution:
+    """The blocked memory sum against the naive full-history sum."""
+
+    @pytest.mark.parametrize("n_steps", [31, 32, 33, 65, 1000, 2000])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("method", ["adi", "direct"])
+    def test_trajectory_matches_naive_sum(self, monkeypatch, method, alpha,
+                                          n_steps):
+        p = equivalence_problem(alpha)
+        mesh = _mesh(p, 5, 4, n_steps)
+        options = SolverOptions(method=method, snapshot_every=1,
+                                collect_reports=False)
+        fast = solve(p, mesh, options)
+        with monkeypatch.context() as patched:
+            patched.setattr(adisolver, "_memory_sum", _naive_memory_sum)
+            naive = solve(p, mesh, options)
+        for k in range(n_steps + 1):
+            ref = naive.snapshots[k].values
+            err = np.max(np.abs(fast.snapshots[k].values - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref)), k
+
+        state = fast.state
+        stored = [lambda_op(fast.snapshots[k]).values
+                  for k in range(state.current_level + 1)]
+        assert np.array_equal(
+            state.history_lambda_u[:state.current_level + 1], stored)
+
+    def test_column_chunks_do_not_change_the_sum(self, monkeypatch):
+        # N = 600 reaches Toeplitz blocks 32..256 and one FFT block of 512
+        p = equivalence_problem(0.5)
+        mesh = _mesh(p, 5, 4, 600)
+        whole = solve(p, mesh).final.values
+        monkeypatch.setattr(adisolver, "_SCRATCH_BYTES", 1)
+        chunked = solve(p, mesh).final.values
+        assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
 
 
 class TestProductForms:

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -77,6 +78,28 @@ class TestSolveCommand:
         assert snap0[4, 4] == pytest.approx(1.0, abs=1e-12)
         grid = np.loadtxt(out / "final.csv", delimiter=",")
         assert np.max(np.abs(grid)) <= 1.5
+
+    def test_overflowing_literal_fails_fast(self, tmp_path, capsys):
+        # integer literals used to be evaluated as Python big ints
+        prob = {
+            "alpha": 0.5,
+            "domain": [1.0, 1.0],
+            "final_time": 1.0,
+            "phi": "0",
+            "psi": "0",
+            "boundary": "0",
+            "forcing": "x*0 + 9**9**9",
+        }
+        ppath = tmp_path / "huge.json"
+        ppath.write_text(json.dumps(prob))
+        start = time.perf_counter()
+        code = run_cli("solve", "--problem", str(ppath), "--m", "4",
+                       "--n", "2", "--out", str(tmp_path / "out"))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "'forcing'" in err["message"]
 
     def test_config_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -251,6 +251,15 @@ class TestCompileExpression:
         with pytest.raises(ValueError):
             compile_expression(src, alpha=0.5)
 
+    def test_integer_literals_are_floats(self):
+        f = compile_expression("x*0 + 9**9**9", alpha=0.5, label="forcing")
+        with pytest.raises(ValueError, match="^forcing: .*9\\*\\*9"):
+            f(np.zeros(3), 0.0, 0.0)
+        assert isinstance(compile_expression("2**3", alpha=0.5)(0, 0, 0),
+                          float)
+        with pytest.raises(ValueError, match="too large"):
+            compile_expression("1" + "0" * 400, alpha=0.5)
+
     def test_variable_subset(self):
         with pytest.raises(ValueError, match="t"):
             compile_expression("t + x", alpha=0.5, variables=("x", "y"))
