@@ -27,7 +27,7 @@ from .meshops import (
     write_csv,
     zeros_like,
 )
-from .trisolve import TridiagOperator, build_sweep_operator, multiply, solve_many
+from .trisolve import TridiagOperator, build_sweep_operator
 from .problems import (
     ManufacturedReport,
     ProblemSpec,
@@ -53,8 +53,6 @@ from .adisolver import (
     direct_step,
     init_state,
     solve,
-    split_product_apply,
-    unsplit_product_apply,
 )
 from .studies import (
     ConvergenceRow,
@@ -76,14 +74,14 @@ __all__ = [
     "Mesh", "GridFn", "zeros_like", "delta2_x", "delta2_y", "compact_h",
     "lambda_op", "delta2x_delta2y", "inner", "norm_l2", "norm_inf",
     "norm_grad_x", "norm_grad_y", "norm_grad_xy", "write_csv", "read_csv",
-    "TridiagOperator", "build_sweep_operator", "solve_many", "multiply",
+    "TridiagOperator", "build_sweep_operator",
     "ProblemSpec", "ManufacturedReport", "make_example1",
     "make_random_problem", "homogenize_initial", "verify_manufactured",
     "compile_expression", "load_problem", "get_problem", "mesh_for",
     "sample_xy", "sample_xyt",
     "SolverOptions", "SolverState", "StepReport", "SolveResult",
     "SolverDivergenceError", "init_state", "adi_step", "direct_step",
-    "assemble_rhs", "solve", "split_product_apply", "unsplit_product_apply",
+    "assemble_rhs", "solve",
     "StudyConfig", "StudyResult", "ConvergenceRow", "run_study",
     "emit_table", "emit_csv", "read_study_csv",
     "emit_heatmap",

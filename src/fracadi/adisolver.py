@@ -18,16 +18,18 @@ unconditionally stable for alpha in (0, 1).
 ``direct_step`` solves the same linear system without splitting through a
 dense LU factorization; it exists as a cross-check oracle for small grids.
 
-Both paths keep the history of L u^k and share the memory term, a causal
-convolution S_n = sum_{m<=n} kappa_{n-m} L u^m with kappa_0 = lambda_1 and
-kappa_j = lambda_j + lambda_{j+1}.  It is evaluated exactly, only in a
-different summation order, by the blocked FFT scheme of Hairer, Lubich &
-Schlichte (SIAM J. Sci. Stat. Comput. 6, 1985): levels in the current leaf
-of ``_LEAF`` are summed directly, and each completed left dyadic block adds
-its contribution to the right sibling's levels at once, by a dense Toeplitz
-product for short blocks and by one FFT convolution for long ones.  A run
-of N steps costs O(N log^2 N) per grid node in the memory term, and no
-buffer beyond the history itself grows with N.
+Both paths keep the trajectory u^0..u^n in one history array and share the
+memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
+convolution with kappa_0 = lambda_1 and kappa_j = lambda_j + lambda_{j+1};
+L is linear and fixed in time, so it is applied once per step to the sum.
+S_n is evaluated exactly, only in a different summation order, by the
+blocked FFT scheme of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat.
+Comput. 6, 1985): levels in the current leaf of ``_LEAF`` are summed
+directly, and each completed left dyadic block adds its contribution to the
+right sibling's levels at once, by a dense Toeplitz product for short
+blocks and by one FFT convolution for long ones.  A run of N steps costs
+O(N log^2 N) per grid node in the memory term, and no buffer beyond the
+history itself grows with N.  Snapshots of the run are rows of the history.
 
 States are advanced in place: step functions return the same object with
 ``current_level`` incremented.  A solve run is deterministic; identical
@@ -43,7 +45,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .fracweights import WeightTable, scheme_weights
+from .fracweights import WeightTable, scheme_weights, wsgd_integral
 from .meshops import (
     GridFn,
     Mesh,
@@ -51,10 +53,8 @@ from .meshops import (
     _avgy,
     _d2x,
     _d2y,
+    _lambda_vals,
     _zero_frame,
-    compact_h,
-    delta2x_delta2y,
-    lambda_op,
 )
 from .problems import ProblemSpec, sample_xy, sample_xyt
 from .trisolve import TridiagOperator, build_sweep_operator, sweep_coefficients
@@ -89,21 +89,17 @@ class SolverOptions:
     dense_cap         refuse the direct path beyond this many cells per axis
     wsgd_forcing      build f from the Caputo-form source by discrete
                       quadrature instead of sampling forcing_f
-    snapshot_every    keep a copy of the field every k levels (None: never)
     collect_reports   retain per-step timing/norm reports
     """
 
     method: str = "adi"
     dense_cap: int = 32
     wsgd_forcing: bool = False
-    snapshot_every: int | None = None
     collect_reports: bool = True
 
     def __post_init__(self) -> None:
         if self.method not in ("adi", "direct"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ class _Workspace:
         self.c = mu * weights.lam[0]
         self.sweep_x = build_sweep_operator(mesh.M1 - 1, mesh.h1, self.c)
         self.sweep_y = build_sweep_operator(mesh.M2 - 1, mesh.h2, self.c)
-        phi_vals = sample_xy(problem.phi, mesh)
+        phi_vals = sample_xy(problem.phi, mesh, field="phi")
         self.h_phi = _avgx(_avgy(phi_vals))
         self._mesh = mesh
         self._f_cache: dict[int, np.ndarray] = {}
@@ -135,7 +131,7 @@ class _Workspace:
                 raise ValueError(
                     "wsgd_forcing requires the problem's caputo_forcing"
                 )
-            self.f_levels = _wsgd_forcing_levels(problem, mesh, weights)
+            self.f_levels = _wsgd_forcing_levels(problem, mesh)
         elif problem.forcing_f is None:
             raise ValueError(
                 "problem has no forcing_f; enable wsgd_forcing to derive it "
@@ -160,43 +156,34 @@ class _Workspace:
             return self.f_levels[level]
         cached = self._f_cache.get(level)
         if cached is None:
-            cached = sample_xyt(self._forcing, self._mesh, level * self._mesh.tau)
+            cached = sample_xyt(self._forcing, self._mesh,
+                                level * self._mesh.tau, field="forcing")
             self._f_cache[level] = cached
             for k in [k for k in self._f_cache if k < level - 1]:
                 del self._f_cache[k]
         return cached
 
 
-def _wsgd_forcing_levels(problem: ProblemSpec, mesh: Mesh,
-                         weights: WeightTable) -> np.ndarray:
-    """Tabulate f^k = I^alpha g(t_k) for all levels by FFT convolution."""
-    from scipy.signal import fftconvolve
-
-    alpha = weights.alpha
-    n = mesh.N
-    g = np.empty((n + 1, *mesh.shape))
-    for k in range(n + 1):
-        g[k] = sample_xyt(problem.caputo_forcing, mesh, k * mesh.tau)
-    omega = weights.omega[: n + 1]
-    conv = fftconvolve(g, omega[:, None, None], axes=0)[: n + 1]
-    mu1 = 1.0 - alpha / 2.0
-    mu2 = alpha / 2.0
-    out = mu1 * conv
-    out[1:] += mu2 * conv[:-1]
-    out *= mesh.tau**alpha
-    return out
+def _wsgd_forcing_levels(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
+    """Tabulate f^k = I^alpha g(t_k) for all levels by the WSGD quadrature."""
+    g = np.empty((mesh.N + 1, *mesh.shape))
+    for k in range(mesh.N + 1):
+        g[k] = sample_xyt(problem.caputo_forcing, mesh, k * mesh.tau,
+                          field="caputo_forcing")
+    return wsgd_integral(g, problem.alpha, mesh.tau)
 
 
 @dataclass
 class SolverState:
     """Everything the scheme carries between levels.
 
-    ``history_lambda_u[k]`` stores the compact Laplacian of the accepted
-    level-k solution (frame zeroed).  A row k above ``current_level`` holds
-    the pending far-field part of the memory sum S_{k-1}, the contributions
-    of completed dyadic blocks, until the step to level k overwrites it; rows
-    no block has reached yet are zero.  ``u_current`` always satisfies the
-    prescribed boundary values of its own time level exactly.
+    ``history[k]`` is the accepted level-k solution for k <= current_level;
+    ``u_current`` is a view of row ``current_level`` and always satisfies the
+    prescribed boundary values of its own time level exactly.  A row k above
+    ``current_level`` holds the pending far-field part of the memory sum
+    S_{k-1} = sum_m kappa_{k-1-m} u^m, the contributions of completed dyadic
+    blocks, until the step to level k overwrites it; rows no block has
+    reached yet are zero.
     """
 
     mesh: Mesh
@@ -204,7 +191,7 @@ class SolverState:
     mu: float
     current_level: int
     u_current: GridFn
-    history_lambda_u: np.ndarray
+    history: np.ndarray
     workspace: _Workspace = field(repr=False)
     last_report: StepReport | None = None
 
@@ -215,7 +202,7 @@ def init_state(problem: ProblemSpec, mesh: Mesh,
     options = options or SolverOptions()
     _check_consistent(problem, mesh)
 
-    psi_vals = sample_xy(problem.psi, mesh)
+    psi_vals = sample_xy(problem.psi, mesh, field="psi")
     if np.max(np.abs(psi_vals)) > 1e-12:
         raise ValueError(
             "initial displacement psi is nonzero on the mesh; "
@@ -227,15 +214,14 @@ def init_state(problem: ProblemSpec, mesh: Mesh,
     weights = scheme_weights(problem.alpha, mesh.N + 1)
     mu = mesh.tau ** (problem.alpha + 1.0) / 2.0
     workspace = _Workspace(problem, mesh, options, weights, mu)
-    u0 = GridFn(mesh, np.zeros(mesh.shape))
     history = np.zeros((mesh.N + 1, *mesh.shape))
     return SolverState(
         mesh=mesh,
         weights=weights,
         mu=mu,
         current_level=0,
-        u_current=u0,
-        history_lambda_u=history,
+        u_current=GridFn(mesh, history[0]),
+        history=history,
         workspace=workspace,
     )
 
@@ -250,16 +236,11 @@ def _check_consistent(problem: ProblemSpec, mesh: Mesh) -> None:
             )
 
 
-def _lambda_raw(vals: np.ndarray, mesh: Mesh) -> np.ndarray:
-    out = _avgy(_d2x(vals, mesh.h1)) + _avgx(_d2y(vals, mesh.h2))
-    return _zero_frame(out)
-
-
 def _memory_sum(state: SolverState) -> np.ndarray:
     """S_n for the current level n: the pending far field stored in row
     n+1 plus the levels of n's own leaf, summed directly."""
     n = state.current_level
-    history = state.history_lambda_u
+    history = state.history
     lo = n - n % _LEAF
     leaf = history[lo:n + 1].reshape(n - lo + 1, -1)
     near = state.workspace.kappa[n - lo::-1] @ leaf
@@ -281,7 +262,7 @@ def _fold_far_field(state: SolverState, s: int) -> None:
     if r or not q:
         return
     b = _LEAF * (q & -q)
-    history = state.history_lambda_u
+    history = state.history
     # targets stop at S_{N-1}, stored in the last row
     t = min(b, history.shape[0] - s - 2)
     if t <= 0:
@@ -320,7 +301,7 @@ def _rhs_raw(state: SolverState, problem: ProblemSpec) -> np.ndarray:
     v = _avgy(u) + c * _d2y(u, mesh.h2)
     rhs = _avgx(v) + c * _d2x(v, mesh.h1)
 
-    rhs += state.mu * _memory_sum(state)
+    rhs += state.mu * _lambda_vals(_memory_sum(state), mesh)
 
     fsum = ws.f_at(n) + ws.f_at(n + 1)
     rhs += mesh.tau * ws.h_phi + 0.5 * mesh.tau * _avgx(_avgy(fsum))
@@ -330,8 +311,8 @@ def _rhs_raw(state: SolverState, problem: ProblemSpec) -> np.ndarray:
 def assemble_rhs(state: SolverState, problem: ProblemSpec, n: int) -> GridFn:
     """Right-hand side for the step n -> n+1, as a frame-zeroed field.
 
-    Only the state's own level is assemblable: the term involving u^n needs
-    the stored field, which the state keeps only for its current level.
+    Only the state's own level is assemblable: the history rows above it
+    hold the pending memory sums of the next step, not of earlier ones.
     """
     if n != state.current_level:
         raise ValueError(
@@ -349,9 +330,9 @@ def _finish_step(state: SolverState, vals: np.ndarray, rhs: np.ndarray,
     if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > _DIVERGENCE_LIMIT:
         raise SolverDivergenceError(n + 1)
     mesh = state.mesh
-    state.history_lambda_u[n + 1] = _lambda_raw(vals, mesh)
+    state.history[n + 1] = vals
     _fold_far_field(state, n + 1)
-    state.u_current = GridFn(mesh, vals)
+    state.u_current = GridFn(mesh, state.history[n + 1])
     state.current_level = n + 1
     rhs_int = rhs[1:-1, 1:-1]
     state.last_report = StepReport(
@@ -374,7 +355,8 @@ def adi_step(state: SolverState, problem: ProblemSpec) -> SolverState:
     c = ws.c
 
     rhs = _rhs_raw(state, problem)
-    bvals = sample_xyt(problem.boundary, mesh, (n + 1) * mesh.tau)
+    bvals = sample_xyt(problem.boundary, mesh, (n + 1) * mesh.tau,
+                       field="boundary")
 
     diag_y, off_y = sweep_coefficients(mesh.h2, c)
     _, off_x = sweep_coefficients(mesh.h1, c)
@@ -456,37 +438,13 @@ def direct_step(state: SolverState, problem: ProblemSpec) -> SolverState:
         ws.dense = _DenseOracle(mesh, ws.c)
 
     rhs = _rhs_raw(state, problem)
-    bvals = sample_xyt(problem.boundary, mesh, (n + 1) * mesh.tau)
+    bvals = sample_xyt(problem.boundary, mesh, (n + 1) * mesh.tau,
+                       field="boundary")
     interior = ws.dense.solve(rhs[1:-1, 1:-1].ravel(), bvals.ravel())
 
     vals = bvals
     vals[1:-1, 1:-1] = interior.reshape(mesh.M1 - 1, mesh.M2 - 1)
     return _finish_step(state, vals, rhs, t0)
-
-
-# ---------------------------------------------------------------------------
-# the two algebraic forms of the step operator, for equivalence checks
-
-def split_product_apply(u: GridFn, c: float, sign: int = -1) -> GridFn:
-    """(Hx + sign*c*d2x)(Hy + sign*c*d2y) u, frame zeroed."""
-    mesh = u.mesh
-    v = _avgy(u.values) + sign * c * _d2y(u.values, mesh.h2)
-    out = _avgx(v) + sign * c * _d2x(v, mesh.h1)
-    return GridFn(mesh, _zero_frame(out))
-
-
-def unsplit_product_apply(u: GridFn, c: float, sign: int = -1) -> GridFn:
-    """H u + sign*c*L u + c^2 d2x d2y u, frame zeroed.
-
-    Expanding the split product shows the two forms agree identically; in
-    floating point they differ only by rounding.
-    """
-    out = (
-        compact_h(u).values
-        + sign * c * lambda_op(u).values
-        + c * c * delta2x_delta2y(u).values
-    )
-    return GridFn(u.mesh, _zero_frame(out))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +458,6 @@ class SolveResult:
     e_inf: float | None
     final_error: float | None
     reports: list[StepReport]
-    snapshots: dict[int, GridFn]
     state: SolverState
 
 
@@ -509,21 +466,18 @@ _STEPPERS: dict[str, Callable] = {"adi": adi_step, "direct": direct_step}
 
 def solve(problem: ProblemSpec, mesh: Mesh,
           options: SolverOptions | None = None) -> SolveResult:
-    """Run the scheme from level 0 to N and gather errors and snapshots.
+    """Run the scheme from level 0 to N and gather errors.
 
     When the problem carries an exact solution, ``e_inf`` is the largest
     interior max-norm error over all levels 1..N and ``final_error`` the
-    error at the last level.
+    error at the last level.  Every level of the trajectory stays available
+    as ``result.state.history[k]``.
     """
     options = options or SolverOptions()
     stepper = _STEPPERS[options.method]
     state = init_state(problem, mesh, options)
 
     reports: list[StepReport] = []
-    snapshots: dict[int, GridFn] = {}
-    every = options.snapshot_every
-    if every is not None:
-        snapshots[0] = state.u_current
 
     e_inf: float | None = None
     final_error: float | None = None
@@ -536,10 +490,9 @@ def solve(problem: ProblemSpec, mesh: Mesh,
         if options.collect_reports and state.last_report is not None:
             reports.append(state.last_report)
         level = state.current_level
-        if every is not None and (level % every == 0 or level == mesh.N):
-            snapshots[level] = state.u_current
         if track_error:
-            exact_vals = sample_xyt(problem.exact, mesh, level * mesh.tau)
+            exact_vals = sample_xyt(problem.exact, mesh, level * mesh.tau,
+                                    field="exact")
             err = float(np.max(np.abs(
                 state.u_current.interior - exact_vals[1:-1, 1:-1]
             )))
@@ -553,6 +506,5 @@ def solve(problem: ProblemSpec, mesh: Mesh,
         e_inf=e_inf,
         final_error=final_error,
         reports=reports,
-        snapshots=snapshots,
         state=state,
     )

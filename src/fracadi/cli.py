@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--emit", default="",
                     help=f"comma list from {','.join(_SOLVE_EMIT)}")
     ps.add_argument("--snapshot-every", type=int, default=None,
-                    help="keep every k-th level for snapshot emission")
+                    help="emit every k-th level (and the last) as a snapshot")
     ps.add_argument("--config", default=None,
                     help="JSON config; entries override flags")
     ps.set_defaults(func=cmd_solve)
@@ -130,14 +130,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     reduced = problem
     if _max_abs_psi(problem) > 1e-12:
         reduced = homogenize_initial(problem)
-        psi_vals = sample_xy(problem.psi, mesh)
+        psi_vals = sample_xy(problem.psi, mesh, field="psi")
 
-    snapshot_every = args.snapshot_every
-    if "snapshots" in emit and snapshot_every is None:
+    every = args.snapshot_every
+    if every is not None:
+        every = int(every)
+        if every < 1:
+            raise ValueError(f"--snapshot-every must be a positive integer, "
+                             f"got {every}")
+    if "snapshots" in emit and every is None:
         raise ValueError("emitting snapshots requires --snapshot-every")
 
-    options = SolverOptions(method=args.method, snapshot_every=snapshot_every)
-    result = solve(reduced, mesh, options)
+    result = solve(reduced, mesh, SolverOptions(method=args.method))
     final = GridFn(mesh, result.final.values + psi_vals)
 
     print(f"problem {problem.name}  alpha={problem.alpha:g}  "
@@ -163,7 +167,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         written.append(path)
         if problem.exact is not None:
             from .problems import sample_xyt
-            exact_grid = GridFn(mesh, sample_xyt(problem.exact, mesh, mesh.T))
+            exact_grid = GridFn(mesh, sample_xyt(problem.exact, mesh, mesh.T,
+                                                 field="exact"))
             path = out / "exact.svg"
             emit_heatmap(exact_grid, path,
                          title=f"{problem.name} exact, t={mesh.T:g}")
@@ -180,10 +185,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
                                  repr(rep.solution_inf_norm)])
         written.append(path)
     if "snapshots" in emit:
-        for level in sorted(result.snapshots):
-            snap = result.snapshots[level]
+        history = result.state.history
+        for level in sorted({*range(0, mesh.N + 1, every), mesh.N}):
             path = out / f"snapshot_{level:05d}.csv"
-            write_csv(GridFn(mesh, snap.values + psi_vals), path)
+            write_csv(GridFn(mesh, history[level] + psi_vals), path)
             written.append(path)
     for path in written:
         print(f"wrote {path}")

@@ -13,9 +13,10 @@ The scheme weights ``lambda_k`` blend two shifted omega sequences,
 and are the time-memory coefficients used by the ADI solver.  Both families
 are positive for alpha in (0, 1).
 
-``wsgd_integral`` applies the weighted-shifted convolution quadrature to a
-sampled function; ``rl_integral_oracle`` is a slow adaptive-quadrature
-reference for the same Riemann-Liouville integral, used to validate it.
+``wsgd_integral`` applies the weighted-shifted Grunwald quadrature, which
+is the convolution with the lambda weights, to a sampled function;
+``rl_integral_oracle`` is a slow adaptive-quadrature reference for the same
+Riemann-Liouville integral, used to validate it.
 """
 
 from __future__ import annotations
@@ -99,60 +100,34 @@ def scheme_weights(alpha: float, count: int) -> WeightTable:
     return WeightTable(alpha=alpha, omega=omega, lam=lam)
 
 
-def _shift(conv: np.ndarray, r: int) -> np.ndarray:
-    # conv[k + r] with zero extension for negative indices; r <= 0 here.
-    if r == 0:
-        return conv
-    out = np.zeros_like(conv)
-    out[-r:] = conv[: len(conv) + r]
-    return out
-
-
-def wsgd_integral(
-    samples: np.ndarray,
-    alpha: float,
-    tau: float,
-    p: int = 0,
-    q: int = -1,
-) -> np.ndarray:
+def wsgd_integral(samples: np.ndarray, alpha: float, tau: float) -> np.ndarray:
     """Second-order convolution quadrature of the order-alpha integral.
 
-    ``samples[k]`` holds f(k*tau) for k = 0..n with f understood to vanish
-    for t <= 0.  Returns the approximate integral at the same time levels:
+    ``samples[k]`` holds f(k*tau) for k = 0..n along axis 0 (any trailing
+    shape, e.g. one grid per level), with f understood to vanish for t < 0.
+    Returns the approximate integral at the same time levels,
 
-        out[k] = tau**alpha * ( mu1 * sum_j omega_j * samples[k - (j - p)]
-                              + mu2 * sum_j omega_j * samples[k - (j - q)] )
+        out[k] = tau**alpha * sum_{j=0}^{k} lambda_j * samples[k - j],
 
-    with mu1 = (2q + alpha)/(2(q - p)), mu2 = (2p + alpha)/(2(p - q)) and
-    out-of-range sample indices treated as zero.  The default shift pair
-    (0, -1) gives mu1 = 1 - alpha/2, mu2 = alpha/2, which is the pair the
-    time-stepping scheme is built on.  Shift pairs with max(p, q) > 0 would
-    require samples beyond the final level and are rejected.
+    the weighted-shifted Grunwald quadrature with shift pair (0, -1): its
+    weights (1 - alpha/2) omega_j + (alpha/2) omega_{j-1} are exactly the
+    scheme weights lambda_j of ``scheme_weights``.
     """
     alpha = _check_alpha(alpha)
     tau = float(tau)
     if not (tau > 0.0) or not math.isfinite(tau):
         raise ValueError(f"tau must be positive and finite, got {tau}")
-    if not isinstance(p, (int, np.integer)) or not isinstance(q, (int, np.integer)):
-        raise ValueError("shift parameters p, q must be integers")
-    p, q = int(p), int(q)
-    if p == q:
-        raise ValueError(f"shift parameters must differ, got p = q = {p}")
-    if max(p, q) > 0:
-        raise ValueError(
-            f"shift pair ({p}, {q}) reaches past the final sample; "
-            "only shifts <= 0 are supported"
-        )
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 1 or samples.size == 0:
-        raise ValueError("samples must be a nonempty 1-D array")
+    if samples.ndim == 0 or samples.shape[0] == 0:
+        raise ValueError("samples must be a nonempty array of time levels")
 
-    n = samples.size - 1
-    mu1 = (2 * q + alpha) / (2.0 * (q - p))
-    mu2 = (2 * p + alpha) / (2.0 * (p - q))
-    omega = grunwald_weights(alpha, n)
-    conv = np.convolve(omega, samples)[: n + 1]
-    return tau**alpha * (mu1 * _shift(conv, p) + mu2 * _shift(conv, q))
+    # scipy.signal takes about a second to import; only callers pay for it
+    from scipy.signal import convolve
+
+    n = samples.shape[0] - 1
+    lam = scheme_weights(alpha, n).lam
+    kernel = lam.reshape(-1, *([1] * (samples.ndim - 1)))
+    return tau**alpha * convolve(kernel, samples)[: n + 1]
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)

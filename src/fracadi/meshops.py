@@ -138,6 +138,12 @@ def _zero_frame(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _lambda_vals(vals: np.ndarray, mesh: Mesh) -> np.ndarray:
+    """Compact Laplacian of ``lambda_op`` on a plain array, frame zeroed."""
+    out = _avgy(_d2x(vals, mesh.h1)) + _avgx(_d2y(vals, mesh.h2))
+    return _zero_frame(out)
+
+
 # ---------------------------------------------------------------------------
 # public operators, GridFn in / GridFn out
 
@@ -168,9 +174,7 @@ def lambda_op(u: GridFn) -> GridFn:
     Fourth-order consistent with H applied to the continuous Laplacian for
     smooth fields.
     """
-    vals = u.values
-    out = _avgy(_d2x(vals, u.mesh.h1)) + _avgx(_d2y(vals, u.mesh.h2))
-    return GridFn(u.mesh, _zero_frame(out))
+    return GridFn(u.mesh, _lambda_vals(u.values, u.mesh))
 
 
 def delta2x_delta2y(u: GridFn) -> GridFn:

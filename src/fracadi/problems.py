@@ -111,18 +111,37 @@ class ProblemSpec:
         return self.domain[1]
 
 
-def sample_xy(func: Callable, mesh: Mesh) -> np.ndarray:
+def sample_xy(func: Callable, mesh: Mesh, *, field: str = "data") -> np.ndarray:
     """Evaluate func(x, y) on all mesh nodes; scalars broadcast to the grid.
 
-    Always returns a fresh writable array.
+    Always returns a fresh writable array.  A non-finite value raises a
+    ValueError naming ``field`` and the first offending node, in place of
+    numpy's floating-point warnings.
     """
-    out = np.asarray(func(mesh.x[:, None], mesh.y[None, :]), dtype=float)
-    return np.broadcast_to(out, mesh.shape).astype(float, copy=True)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = np.asarray(func(mesh.x[:, None], mesh.y[None, :]), dtype=float)
+    return _finite_grid(out, mesh, field, None)
 
 
-def sample_xyt(func: Callable, mesh: Mesh, t: float) -> np.ndarray:
-    out = np.asarray(func(mesh.x[:, None], mesh.y[None, :], t), dtype=float)
-    return np.broadcast_to(out, mesh.shape).astype(float, copy=True)
+def sample_xyt(func: Callable, mesh: Mesh, t: float, *,
+               field: str = "data") -> np.ndarray:
+    """Evaluate func(x, y, t) on all mesh nodes, as ``sample_xy`` does."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = np.asarray(func(mesh.x[:, None], mesh.y[None, :], t), dtype=float)
+    return _finite_grid(out, mesh, field, t)
+
+
+def _finite_grid(out: np.ndarray, mesh: Mesh, field: str,
+                 t: float | None) -> np.ndarray:
+    out = np.broadcast_to(out, mesh.shape).astype(float, copy=True)
+    if not np.isfinite(out).all():
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        at = "" if t is None else f" at t={t:.17g}"
+        raise ValueError(
+            f"{field} is {out[i, j]}{at}, (x, y) = "
+            f"({mesh.x[i]:.17g}, {mesh.y[j]:.17g}); problem data must be finite"
+        )
+    return out
 
 
 def mesh_for(problem: ProblemSpec, m1: int, m2: int | None = None,

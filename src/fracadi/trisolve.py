@@ -101,15 +101,6 @@ class TridiagOperator:
         return a
 
 
-def multiply(op: TridiagOperator, x: np.ndarray) -> np.ndarray:
-    return op.matvec(x)
-
-
-def solve_many(op: TridiagOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve one system per column of rhs."""
-    return op.solve(rhs)
-
-
 def build_sweep_operator(m: int, h: float, mu_lambda0: float) -> TridiagOperator:
     """Interior-point sweep matrix (H - c*delta2) scaled by h**2 terms.
 

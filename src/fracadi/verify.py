@@ -5,8 +5,8 @@ Each check returns a CheckResult and can be run standalone with custom
 parameters; ``run_checks`` bundles them into a quick smoke level and a full
 level whose parameters match the package's acceptance gates.  The frozen
 reference errors below were produced by the convergence ladders of this
-scheme on the built-in benchmark (five significant digits); the scripts in
-scripts/ regenerate them.
+scheme on the built-in benchmark (five significant digits); ``fracadi
+study`` regenerates them (the commands are in README.md).
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from .meshops import (
     Mesh,
     _avgx,
     _avgy,
+    _d2x,
+    _d2y,
+    _zero_frame,
     compact_h,
     delta2_x,
     delta2_y,
@@ -37,8 +40,13 @@ from .meshops import (
     norm_grad_xy,
     norm_l2,
 )
-from .adisolver import split_product_apply, unsplit_product_apply
-from .problems import ProblemSpec, make_example1, make_random_problem, _zero_xy
+from .problems import (
+    ProblemSpec,
+    _zero_xy,
+    make_example1,
+    make_random_problem,
+    sample_xy,
+)
 from .studies import StudyConfig, run_study
 
 # Reference E_inf values for the built-in benchmark, frozen at five
@@ -181,6 +189,28 @@ def _random_zero_boundary(mesh: Mesh, rng: np.random.Generator) -> GridFn:
     vals = np.zeros(mesh.shape)
     vals[1:-1, 1:-1] = rng.standard_normal((mesh.M1 - 1, mesh.M2 - 1))
     return GridFn(mesh, vals)
+
+
+def split_product_apply(u: GridFn, c: float, sign: int = -1) -> GridFn:
+    """(Hx + sign*c*d2x)(Hy + sign*c*d2y) u, frame zeroed."""
+    mesh = u.mesh
+    v = _avgy(u.values) + sign * c * _d2y(u.values, mesh.h2)
+    out = _avgx(v) + sign * c * _d2x(v, mesh.h1)
+    return GridFn(mesh, _zero_frame(out))
+
+
+def unsplit_product_apply(u: GridFn, c: float, sign: int = -1) -> GridFn:
+    """H u + sign*c*L u + c^2 d2x d2y u, frame zeroed.
+
+    Expanding the split product shows the two forms agree identically; in
+    floating point they differ only by rounding.
+    """
+    out = (
+        compact_h(u).values
+        + sign * c * lambda_op(u).values
+        + c * c * delta2x_delta2y(u).values
+    )
+    return GridFn(u.mesh, _zero_frame(out))
 
 
 def _rel(a: float, b: float) -> float:
@@ -349,7 +379,7 @@ def check_stability(
             return math.sqrt(hh * float(np.sum(v * v)))
 
         hf = [_avgx(_avgy(ws.f_at(k))) for k in range(n + 1)]
-        data_norm = l2(_phi_vals(problem, mesh))
+        data_norm = l2(sample_xy(problem.phi, mesh))
         data_norm += max(l2(ws.f_at(k)) for k in range(n + 1))
 
         env_sum = 0.0
@@ -368,11 +398,6 @@ def check_stability(
         f"max norm/envelope {worst_env:.3f} (<= 1), "
         f"max norm/data {worst_data:.3f} (<= {data_factor:g})",
     )
-
-
-def _phi_vals(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
-    from .problems import sample_xy
-    return sample_xy(problem.phi, mesh)
 
 
 def check_manufactured(

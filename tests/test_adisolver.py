@@ -19,12 +19,14 @@ from fracadi import (
     sample_xy,
     sample_xyt,
     solve,
-    split_product_apply,
-    unsplit_product_apply,
 )
 from fracadi import adisolver
 from fracadi.problems import ProblemSpec, _zero_xy, _zero_xyt
-from fracadi.verify import equivalence_problem
+from fracadi.verify import (
+    equivalence_problem,
+    split_product_apply,
+    unsplit_product_apply,
+)
 
 
 def _mesh(problem, m1, m2, n):
@@ -38,8 +40,9 @@ class TestInitState:
         state = init_state(p, mesh)
         assert state.current_level == 0
         assert np.all(state.u_current.values == 0.0)
-        assert state.history_lambda_u.shape == (5, 7, 7)
-        assert np.all(state.history_lambda_u == 0.0)
+        assert state.history.shape == (5, 7, 7)
+        assert np.all(state.history == 0.0)
+        assert np.shares_memory(state.u_current.values, state.history[0])
         assert len(state.weights.lam) == mesh.N + 2
         assert state.mu == pytest.approx(mesh.tau ** 1.5 / 2.0)
 
@@ -85,16 +88,18 @@ class TestStepping:
         assert np.array_equal(u[:, -1], bvals[:, -1])
 
     def test_history_matches_operator(self):
+        # the history stores the accepted fields; u_current views the last
         p = equivalence_problem(0.3)
         mesh = _mesh(p, 8, 7, 5)
         state = init_state(p, mesh)
-        fields = [state.u_current]
+        fields = [state.u_current.values.copy()]
         for _ in range(4):
             adi_step(state, p)
-            fields.append(state.u_current)
+            assert np.shares_memory(state.u_current.values,
+                                    state.history[state.current_level])
+            fields.append(state.u_current.values.copy())
         for k, u in enumerate(fields):
-            assert np.array_equal(state.history_lambda_u[k],
-                                  lambda_op(u).values)
+            assert np.array_equal(state.history[k], u)
 
     # level 70 lies past the first far-field blocks [0, 32) and [0, 64)
     @pytest.mark.parametrize("level, n_steps", [(3, 5), (70, 72)],
@@ -184,10 +189,10 @@ def _memory_coefficients(lam, n):
 
 
 def _naive_memory_sum(state):
-    """The memory sum as one tensordot over the whole history."""
+    """The memory sum as one tensordot over the whole trajectory."""
     n = state.current_level
     coef = _memory_coefficients(state.weights.lam, n)
-    return np.tensordot(coef, state.history_lambda_u[:n + 1], axes=1)
+    return np.tensordot(coef, state.history[:n + 1], axes=1)
 
 
 class TestMemoryConvolution:
@@ -200,22 +205,17 @@ class TestMemoryConvolution:
                                           n_steps):
         p = equivalence_problem(alpha)
         mesh = _mesh(p, 5, 4, n_steps)
-        options = SolverOptions(method=method, snapshot_every=1,
-                                collect_reports=False)
+        options = SolverOptions(method=method, collect_reports=False)
         fast = solve(p, mesh, options)
         with monkeypatch.context() as patched:
             patched.setattr(adisolver, "_memory_sum", _naive_memory_sum)
             naive = solve(p, mesh, options)
+        assert fast.state.current_level == n_steps
         for k in range(n_steps + 1):
-            ref = naive.snapshots[k].values
-            err = np.max(np.abs(fast.snapshots[k].values - ref))
+            ref = naive.state.history[k]
+            err = np.max(np.abs(fast.state.history[k] - ref))
             assert err <= 1e-13 * np.max(np.abs(ref)), k
-
-        state = fast.state
-        stored = [lambda_op(fast.snapshots[k]).values
-                  for k in range(state.current_level + 1)]
-        assert np.array_equal(
-            state.history_lambda_u[:state.current_level + 1], stored)
+        assert np.array_equal(fast.final.values, fast.state.history[n_steps])
 
     def test_column_chunks_do_not_change_the_sum(self, monkeypatch):
         # N = 600 reaches Toeplitz blocks 32..256 and one FFT block of 512
@@ -270,11 +270,17 @@ class TestSolve:
         assert res.reports == []
 
     def test_snapshots(self):
+        # every level stays in the history; the final field is its last row
         p = make_example1(0.5)
-        res = solve(p, mesh_for(p, 6, n=6), SolverOptions(snapshot_every=2))
-        assert sorted(res.snapshots) == [0, 2, 4, 6]
-        res = solve(p, mesh_for(p, 6, n=5), SolverOptions(snapshot_every=2))
-        assert sorted(res.snapshots) == [0, 2, 4, 5]
+        mesh = mesh_for(p, 6, n=5)
+        res = solve(p, mesh)
+        history = res.state.history
+        assert history.shape == (6, 7, 7)
+        assert np.all(history[0] == 0.0)
+        assert np.shares_memory(res.final.values, history[5])
+        for k in range(1, 6):
+            exact_vals = sample_xyt(p.exact, mesh, k * mesh.tau)
+            assert np.max(np.abs(history[k] - exact_vals)) <= res.e_inf
 
     def test_solution_matches_exact_profile(self):
         # solution at the final time is close to the separable exact profile
@@ -310,5 +316,3 @@ class TestSolve:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SolverOptions(method="magic")
-        with pytest.raises(ValueError):
-            SolverOptions(snapshot_every=0)

@@ -40,6 +40,27 @@ class TestSolveCommand:
         assert names == ["snapshot_00000.csv", "snapshot_00002.csv",
                          "snapshot_00004.csv"]
 
+    def test_snapshots_include_final_level(self, tmp_path):
+        out = tmp_path / "snap"
+        code = run_cli("solve", "--m", "6", "--n", "5", "--out", str(out),
+                       "--emit", "csv,snapshots", "--snapshot-every", "2")
+        assert code == 0
+        names = sorted(p.name for p in out.glob("snapshot_*.csv"))
+        assert names == ["snapshot_00000.csv", "snapshot_00002.csv",
+                         "snapshot_00004.csv", "snapshot_00005.csv"]
+        last = np.loadtxt(out / "snapshot_00005.csv", delimiter=",")
+        assert np.array_equal(last, np.loadtxt(out / "final.csv",
+                                               delimiter=","))
+
+    @pytest.mark.parametrize("every", ["0", "-3"])
+    def test_snapshot_interval_must_be_positive(self, tmp_path, capsys, every):
+        code = run_cli("solve", "--m", "6", "--n", "4", "--out",
+                       str(tmp_path), "--snapshot-every", every)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "--snapshot-every" in err["message"]
+
     def test_snapshots_need_interval(self, tmp_path, capsys):
         code = run_cli("solve", "--m", "6", "--n", "4",
                        "--out", str(tmp_path), "--emit", "snapshots")
@@ -100,6 +121,34 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert "'forcing'" in err["message"]
+
+    @pytest.mark.parametrize("key, expr, point", [
+        ("forcing", "log(x - 0.5)", "at t=0, (x, y) = (0, 0)"),
+        ("phi", "sqrt(y - 0.3)", "(x, y) = (0, 0)"),
+    ], ids=["forcing", "phi"])
+    def test_non_finite_data_named(self, tmp_path, capsys, key, expr, point):
+        # NaN data used to surface as "solution diverged at level 1"
+        prob = {
+            "alpha": 0.5,
+            "domain": [1.0, 1.0],
+            "final_time": 1.0,
+            "phi": "0",
+            "psi": "0",
+            "boundary": "0",
+            "forcing": "0",
+            key: expr,
+        }
+        ppath = tmp_path / "nan.json"
+        ppath.write_text(json.dumps(prob))
+        code = run_cli("solve", "--problem", str(ppath), "--m", "4",
+                       "--n", "2", "--out", str(tmp_path / "out"))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{key} is nan")
+        assert point in err["message"]
 
     def test_config_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

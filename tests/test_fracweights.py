@@ -119,10 +119,25 @@ class TestWsgdIntegral:
         ref = rl_integral_oracle(lambda s: s**2 * np.sin(s), a, 1.0, panels=800)
         assert abs(out[-1] - ref) < 5e-5
 
-    def test_default_shift_pair_explicit(self):
+    def test_matches_shifted_grunwald_form(self):
+        # the (0, -1) shift pair blends two shifted omega convolutions
+        a, tau = 0.4, 1 / 32
         t = np.linspace(0.0, 1.0, 33) ** 3
-        assert np.array_equal(wsgd_integral(t, 0.4, 1 / 32),
-                              wsgd_integral(t, 0.4, 1 / 32, p=0, q=-1))
+        conv = np.convolve(grunwald_weights(a, 32), t)[:33]
+        shifted = np.r_[0.0, conv[:-1]]
+        ref = tau**a * ((1 - a / 2) * conv + (a / 2) * shifted)
+        assert np.max(np.abs(wsgd_integral(t, a, tau) - ref)) \
+            <= 1e-15 * np.max(np.abs(ref))
+
+    def test_levels_along_first_axis(self, rng):
+        # a grid per level is integrated column by column
+        samples = rng.standard_normal((21, 3, 4))
+        out = wsgd_integral(samples, 0.7, 0.05)
+        assert out.shape == samples.shape
+        for i in range(3):
+            for j in range(4):
+                col = wsgd_integral(samples[:, i, j], 0.7, 0.05)
+                assert np.allclose(out[:, i, j], col, rtol=1e-13, atol=1e-14)
 
     def test_level_zero_value(self):
         out = wsgd_integral(np.array([0.0, 1.0, 8.0]), 0.5, 0.1)
@@ -138,18 +153,6 @@ class TestWsgdIntegral:
         rhs = 2.0 * wsgd_integral(f, a, 0.1) - 3.0 * wsgd_integral(g, a, 0.1)
         assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-13)
 
-    def test_positive_shift_rejected(self):
-        with pytest.raises(ValueError, match="final sample"):
-            wsgd_integral(np.ones(5), 0.5, 0.1, p=1, q=0)
-
-    def test_equal_shifts_rejected(self):
-        with pytest.raises(ValueError, match="differ"):
-            wsgd_integral(np.ones(5), 0.5, 0.1, p=-1, q=-1)
-
-    def test_non_integer_shift_rejected(self):
-        with pytest.raises(ValueError):
-            wsgd_integral(np.ones(5), 0.5, 0.1, p=0.5, q=-1)
-
     @pytest.mark.parametrize("tau", [0.0, -1.0, float("inf")])
     def test_tau_validation(self, tau):
         with pytest.raises(ValueError):
@@ -159,7 +162,7 @@ class TestWsgdIntegral:
         with pytest.raises(ValueError):
             wsgd_integral(np.array([]), 0.5, 0.1)
         with pytest.raises(ValueError):
-            wsgd_integral(np.ones((3, 3)), 0.5, 0.1)
+            wsgd_integral(np.float64(1.0), 0.5, 0.1)
 
 
 class TestQuadratureOracle:

@@ -111,6 +111,16 @@ class TestSampling:
         vals = sample_xyt(lambda x, y, t: x + 10 * y + 100 * t, mesh, 0.5)
         assert vals[1, 2] == pytest.approx(0.5 + 10 * 1.0 + 50.0)
 
+    def test_non_finite_value_names_field_and_node(self):
+        mesh = Mesh(1.0, 2.0, 2, 4, 1.0, 1)
+        with pytest.raises(ValueError,
+                           match=r"^boundary is inf at t=0.25, \(x, y\) = "
+                                 r"\(0.5, 1\)"):
+            sample_xyt(lambda x, y, t: 1.0 / ((x - 0.5) ** 2 + (y - 1.0) ** 2),
+                       mesh, 0.25, field="boundary")
+        with pytest.raises(ValueError, match=r"^data is nan, \(x, y\) = \(0, 0"):
+            sample_xy(lambda x, y: np.log(x - 0.5), mesh)
+
 
 def _shifted_problem(alpha):
     """Exact solution sin(x) sin(y) (t**(alpha+3) + 1): the benchmark plus a

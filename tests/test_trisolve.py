@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracadi import TridiagOperator, build_sweep_operator, multiply, solve_many
+from fracadi import TridiagOperator, build_sweep_operator
 from fracadi.trisolve import sweep_coefficients
 
 
@@ -20,12 +20,12 @@ class TestTridiagOperator:
         op = TridiagOperator(np.array([1.0, 1.0]), np.array([2.0, 2.0, 2.0]),
                             np.array([1.0, 1.0]))
         b = np.array([0.3, -1.2, 2.5])
-        assert np.allclose(multiply(op, op.solve(b)), b, rtol=1e-13)
+        assert np.allclose(op.matvec(op.solve(b)), b, rtol=1e-13)
 
     def test_size_one(self):
         op = TridiagOperator(np.array([]), np.array([4.0]), np.array([]))
         assert op.solve(np.array([8.0]))[0] == 2.0
-        assert multiply(op, np.array([3.0]))[0] == 12.0
+        assert op.matvec(np.array([3.0]))[0] == 12.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(2, 40))
@@ -49,7 +49,7 @@ class TestTridiagOperator:
         diag = 3.0 + rng.uniform(0, 1, n)
         op = TridiagOperator(sub, diag, sup)
         rhs = rng.standard_normal((n, k))
-        block = solve_many(op, rhs)
+        block = op.solve(rhs)
         for j in range(k):
             assert np.array_equal(block[:, j], op.solve(rhs[:, j]))
 
