@@ -45,11 +45,9 @@ from .problems import (
 from .adisolver import (
     SolveResult,
     SolverDivergenceError,
-    SolverOptions,
     SolverState,
     StepReport,
     adi_step,
-    assemble_rhs,
     direct_step,
     init_state,
     solve,
@@ -79,9 +77,8 @@ __all__ = [
     "make_random_problem", "homogenize_initial", "verify_manufactured",
     "compile_expression", "load_problem", "get_problem", "mesh_for",
     "sample_xy", "sample_xyt",
-    "SolverOptions", "SolverState", "StepReport", "SolveResult",
-    "SolverDivergenceError", "init_state", "adi_step", "direct_step",
-    "assemble_rhs", "solve",
+    "SolverState", "StepReport", "SolveResult", "SolverDivergenceError",
+    "init_state", "adi_step", "direct_step", "solve",
     "StudyConfig", "StudyResult", "ConvergenceRow", "run_study",
     "emit_table", "emit_csv", "read_study_csv",
     "emit_heatmap",

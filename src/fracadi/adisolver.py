@@ -54,7 +54,7 @@ from .meshops import (
     _d2x,
     _d2y,
     _lambda_vals,
-    _zero_frame,
+    _zero_frame,  # unused here; bench/tracer.py times the stencils by name
 )
 from .problems import ProblemSpec, sample_xy, sample_xyt
 from .trisolve import TridiagOperator, build_sweep_operator, sweep_coefficients
@@ -72,6 +72,9 @@ _SCRATCH_BYTES = 2**20
 
 _DIVERGENCE_LIMIT = 1e100
 
+# the direct path refuses grids with more cells than this per axis
+_DENSE_CAP = 32
+
 
 class SolverDivergenceError(RuntimeError):
     """Raised when a step produces non-finite or absurdly large values."""
@@ -79,27 +82,6 @@ class SolverDivergenceError(RuntimeError):
     def __init__(self, level: int, message: str | None = None) -> None:
         self.level = level
         super().__init__(message or f"solution diverged at level {level}")
-
-
-@dataclass
-class SolverOptions:
-    """Knobs for a solve run.
-
-    method            "adi" (sweeps) or "direct" (dense reference solve)
-    dense_cap         refuse the direct path beyond this many cells per axis
-    wsgd_forcing      build f from the Caputo-form source by discrete
-                      quadrature instead of sampling forcing_f
-    collect_reports   retain per-step timing/norm reports
-    """
-
-    method: str = "adi"
-    dense_cap: int = 32
-    wsgd_forcing: bool = False
-    collect_reports: bool = True
-
-    def __post_init__(self) -> None:
-        if self.method not in ("adi", "direct"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -112,11 +94,15 @@ class StepReport:
 
 class _Workspace:
     """Per-run cached objects: sweep factors, sampled data, dense factor,
-    memory kernel and its transforms."""
+    memory kernel and its transforms.
+
+    The forcing comes from the problem: ``forcing_f`` is sampled level by
+    level when given; otherwise f = I^alpha g is tabulated once for all
+    levels from ``caputo_forcing`` by the WSGD quadrature.
+    """
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh,
-                 options: SolverOptions, weights: WeightTable, mu: float) -> None:
-        self.options = options
+                 weights: WeightTable, mu: float) -> None:
         self.c = mu * weights.lam[0]
         self.sweep_x = build_sweep_operator(mesh.M1 - 1, mesh.h1, self.c)
         self.sweep_y = build_sweep_operator(mesh.M2 - 1, mesh.h2, self.c)
@@ -126,18 +112,9 @@ class _Workspace:
         self._f_cache: dict[int, np.ndarray] = {}
         self.f_levels: np.ndarray | None = None
         self.dense = None
-        if options.wsgd_forcing:
-            if problem.caputo_forcing is None:
-                raise ValueError(
-                    "wsgd_forcing requires the problem's caputo_forcing"
-                )
-            self.f_levels = _wsgd_forcing_levels(problem, mesh)
-        elif problem.forcing_f is None:
-            raise ValueError(
-                "problem has no forcing_f; enable wsgd_forcing to derive it "
-                "from caputo_forcing"
-            )
         self._forcing = problem.forcing_f
+        if self._forcing is None:
+            self.f_levels = _wsgd_forcing_levels(problem, mesh)
         lam = weights.lam
         self.kappa = lam[:-1] + lam[1:]
         self.kappa[0] = lam[1]
@@ -196,10 +173,11 @@ class SolverState:
     last_report: StepReport | None = None
 
 
-def init_state(problem: ProblemSpec, mesh: Mesh,
-               options: SolverOptions | None = None) -> SolverState:
-    """Build the level-0 state; the problem must already have psi == 0."""
-    options = options or SolverOptions()
+def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
+    """Build the level-0 state; psi must vanish on the mesh nodes.
+
+    Apply ``homogenize_initial`` to a problem with a nonzero psi first.
+    """
     _check_consistent(problem, mesh)
 
     psi_vals = sample_xy(problem.psi, mesh, field="psi")
@@ -213,7 +191,7 @@ def init_state(problem: ProblemSpec, mesh: Mesh,
 
     weights = scheme_weights(problem.alpha, mesh.N + 1)
     mu = mesh.tau ** (problem.alpha + 1.0) / 2.0
-    workspace = _Workspace(problem, mesh, options, weights, mu)
+    workspace = _Workspace(problem, mesh, weights, mu)
     history = np.zeros((mesh.N + 1, *mesh.shape))
     return SolverState(
         mesh=mesh,
@@ -291,7 +269,8 @@ def _fold_far_field(state: SolverState, s: int) -> None:
         pending[:, c:c + chunk] += contribution(block[:, c:c + chunk])
 
 
-def _rhs_raw(state: SolverState, problem: ProblemSpec) -> np.ndarray:
+def _rhs_raw(state: SolverState) -> np.ndarray:
+    """Right-hand side of the step from the state's level, frame included."""
     mesh = state.mesh
     ws = state.workspace
     n = state.current_level
@@ -306,22 +285,6 @@ def _rhs_raw(state: SolverState, problem: ProblemSpec) -> np.ndarray:
     fsum = ws.f_at(n) + ws.f_at(n + 1)
     rhs += mesh.tau * ws.h_phi + 0.5 * mesh.tau * _avgx(_avgy(fsum))
     return rhs
-
-
-def assemble_rhs(state: SolverState, problem: ProblemSpec, n: int) -> GridFn:
-    """Right-hand side for the step n -> n+1, as a frame-zeroed field.
-
-    Only the state's own level is assemblable: the history rows above it
-    hold the pending memory sums of the next step, not of earlier ones.
-    """
-    if n != state.current_level:
-        raise ValueError(
-            f"state holds level {state.current_level}; cannot assemble for n={n}"
-        )
-    if n >= state.mesh.N:
-        raise ValueError(f"state already at the final level {state.mesh.N}")
-    vals = _rhs_raw(state, problem)
-    return GridFn(state.mesh, _zero_frame(vals))
 
 
 def _finish_step(state: SolverState, vals: np.ndarray, rhs: np.ndarray,
@@ -354,7 +317,7 @@ def adi_step(state: SolverState, problem: ProblemSpec) -> SolverState:
     ws = state.workspace
     c = ws.c
 
-    rhs = _rhs_raw(state, problem)
+    rhs = _rhs_raw(state)
     bvals = sample_xyt(problem.boundary, mesh, (n + 1) * mesh.tau,
                        field="boundary")
 
@@ -420,7 +383,8 @@ def direct_step(state: SolverState, problem: ProblemSpec) -> SolverState:
     """Advance one level by dense-solving the unsplit system (in place).
 
     Mathematically identical to ``adi_step``; exists to cross-check the
-    splitting on small grids.  Refuses grids beyond options.dense_cap.
+    splitting on small grids.  Refuses grids with more than ``_DENSE_CAP``
+    cells per axis.
     """
     t0 = time.perf_counter_ns()
     mesh = state.mesh
@@ -428,16 +392,15 @@ def direct_step(state: SolverState, problem: ProblemSpec) -> SolverState:
     if n >= mesh.N:
         raise ValueError(f"state already at the final level {mesh.N}")
     ws = state.workspace
-    cap = ws.options.dense_cap
-    if max(mesh.M1, mesh.M2) > cap:
+    if max(mesh.M1, mesh.M2) > _DENSE_CAP:
         raise ValueError(
-            f"grid {mesh.M1}x{mesh.M2} exceeds dense_cap={cap}; "
+            f"grid {mesh.M1}x{mesh.M2} exceeds dense_cap={_DENSE_CAP}; "
             "the direct path is a small-grid reference only"
         )
     if ws.dense is None:
         ws.dense = _DenseOracle(mesh, ws.c)
 
-    rhs = _rhs_raw(state, problem)
+    rhs = _rhs_raw(state)
     bvals = sample_xyt(problem.boundary, mesh, (n + 1) * mesh.tau,
                        field="boundary")
     interior = ws.dense.solve(rhs[1:-1, 1:-1].ravel(), bvals.ravel())
@@ -464,18 +427,23 @@ class SolveResult:
 _STEPPERS: dict[str, Callable] = {"adi": adi_step, "direct": direct_step}
 
 
-def solve(problem: ProblemSpec, mesh: Mesh,
-          options: SolverOptions | None = None) -> SolveResult:
-    """Run the scheme from level 0 to N and gather errors.
+def solve(problem: ProblemSpec, mesh: Mesh, method: str = "adi") -> SolveResult:
+    """Run the scheme from level 0 to N and gather errors and step reports.
 
-    When the problem carries an exact solution, ``e_inf`` is the largest
-    interior max-norm error over all levels 1..N and ``final_error`` the
-    error at the last level.  Every level of the trajectory stays available
-    as ``result.state.history[k]``.
+    ``method`` is "adi" (the two tridiagonal sweeps) or "direct" (the dense
+    unsplit solve, a small-grid cross-check); any other value is rejected
+    before any work.  The forcing source follows from the problem (see
+    ``_Workspace``).  When the problem carries an exact solution, ``e_inf``
+    is the largest interior max-norm error over all levels 1..N and
+    ``final_error`` the error at the last level.  ``reports`` holds one
+    ``StepReport`` per step, and every level of the trajectory stays
+    available as ``result.state.history[k]``.
     """
-    options = options or SolverOptions()
-    stepper = _STEPPERS[options.method]
-    state = init_state(problem, mesh, options)
+    if method not in _STEPPERS:
+        raise ValueError(f"unknown method {method!r}; choose from "
+                         f"{sorted(_STEPPERS)}")
+    stepper = _STEPPERS[method]
+    state = init_state(problem, mesh)
 
     reports: list[StepReport] = []
 
@@ -487,8 +455,7 @@ def solve(problem: ProblemSpec, mesh: Mesh,
 
     for n in range(mesh.N):
         stepper(state, problem)
-        if options.collect_reports and state.last_report is not None:
-            reports.append(state.last_report)
+        reports.append(state.last_report)
         level = state.current_level
         if track_error:
             exact_vals = sample_xyt(problem.exact, mesh, level * mesh.tau,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adisolver import SolverOptions, solve
+from .adisolver import solve
 from .heatmap import emit_heatmap
 from .meshops import GridFn, write_csv
 from .problems import (
@@ -128,8 +128,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # the solver wants zero initial displacement; reduce and add back
     psi_vals = np.zeros(mesh.shape)
     reduced = problem
-    if _max_abs_psi(problem) > 1e-12:
-        reduced = homogenize_initial(problem)
+    if _max_abs_psi(problem, mesh) > 1e-12:
+        reduced = homogenize_initial(problem, mesh)
         psi_vals = sample_xy(problem.psi, mesh, field="psi")
 
     every = args.snapshot_every
@@ -141,7 +141,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if "snapshots" in emit and every is None:
         raise ValueError("emitting snapshots requires --snapshot-every")
 
-    result = solve(reduced, mesh, SolverOptions(method=args.method))
+    result = solve(reduced, mesh, args.method)
     final = GridFn(mesh, result.final.values + psi_vals)
 
     print(f"problem {problem.name}  alpha={problem.alpha:g}  "

@@ -8,9 +8,9 @@ standard reduction of a diffusion-wave equation of temporal order
 gamma = alpha + 1; when the original source is g, the transformed forcing
 is f = I^alpha g.
 
-The solver requires psi == 0; ``homogenize_initial`` rewrites any problem
-into that form by subtracting psi, which adds Laplacian(psi) * t**alpha /
-Gamma(1 + alpha) to the forcing.
+The solver requires psi == 0 on its mesh; ``homogenize_initial`` rewrites
+any problem into that form by subtracting psi, which adds
+Laplacian(psi) * t**alpha / Gamma(1 + alpha) to the forcing.
 
 All callables must broadcast over numpy arrays.  Problems can be built-in
 (``make_example1``), loaded from JSON files with expression strings, or
@@ -48,8 +48,9 @@ class ProblemSpec:
     """One well-posed problem instance.
 
     ``forcing_f`` is the transformed source f = I^alpha g; ``caputo_forcing``
-    optionally stores the original g so the solver can reconstruct f by
-    discrete quadrature instead.  At least one of the two must be given.
+    optionally stores the original g.  At least one of the two must be
+    given.  The solver samples ``forcing_f`` when it exists and otherwise
+    tabulates f from ``caputo_forcing`` by discrete quadrature.
     ``exact``, ``exact_dt``, ``exact_laplacian`` are optional closed forms
     used for error measurement and residual verification.
     """
@@ -259,24 +260,33 @@ def make_random_problem(seed: int, modes: int = 3) -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # reduction to zero initial displacement
 
-def _max_abs_psi(spec: ProblemSpec, points: int = 33) -> float:
+def _max_abs_psi(spec: ProblemSpec, mesh: Mesh | None = None) -> float:
+    """Largest |psi| over a 33x33 probe of the domain and, when given, over
+    the nodes of ``mesh``: a psi can vanish on the probe and not on a mesh."""
     L1, L2 = spec.domain
-    xs = np.linspace(0.0, L1, points)[:, None]
-    ys = np.linspace(0.0, L2, points)[None, :]
-    vals = np.asarray(spec.psi(xs, ys), dtype=float)
-    return float(np.max(np.abs(vals)))
+    xs = np.linspace(0.0, L1, 33)[:, None]
+    ys = np.linspace(0.0, L2, 33)[None, :]
+    worst = float(np.max(np.abs(np.asarray(spec.psi(xs, ys), dtype=float))))
+    if mesh is not None:
+        on_mesh = sample_xy(spec.psi, mesh, field="psi")
+        worst = max(worst, float(np.max(np.abs(on_mesh))))
+    return worst
 
 
-def homogenize_initial(spec: ProblemSpec) -> ProblemSpec:
+def homogenize_initial(spec: ProblemSpec,
+                       mesh: Mesh | None = None) -> ProblemSpec:
     """Return an equivalent problem with psi == 0.
 
     Subtracting psi from the solution leaves phi alone, shifts the boundary
     data and any exact solution down by psi, and adds the memory term
     Laplacian(psi) * t**alpha / Gamma(1 + alpha) to the transformed forcing
-    (equivalently, adds Laplacian(psi) to the Caputo-form source).  Already
-    reduced problems are returned unchanged, so the map is idempotent.
+    (equivalently, adds Laplacian(psi) to the Caputo-form source).  A
+    problem whose psi vanishes on the probe grid of ``_max_abs_psi`` and,
+    when ``mesh`` is given, on the run's mesh nodes is returned unchanged,
+    so the map is idempotent.  Pass the mesh the problem will be solved on:
+    a psi such as sin(32 x) can vanish on the probe and not on the mesh.
     """
-    if _max_abs_psi(spec) <= _COMPAT_TOL:
+    if _max_abs_psi(spec, mesh) <= _COMPAT_TOL:
         return spec
     if spec.psi_laplacian is None:
         raise ValueError(

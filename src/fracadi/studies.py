@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .adisolver import SolverOptions, solve
+from .adisolver import solve
 from .meshops import GridFn
 from .problems import ProblemSpec, get_problem, mesh_for
 
@@ -98,7 +98,6 @@ def run_study(config: StudyConfig) -> StudyResult:
     """
     rows: list[ConvergenceRow] = []
     finals: dict[float, GridFn] = {}
-    opts = SolverOptions(collect_reports=False)
 
     for alpha in config.alphas:
         problem = get_problem(config.problem, alpha)
@@ -114,7 +113,7 @@ def run_study(config: StudyConfig) -> StudyResult:
             else:
                 m, n = int(entry), config.fixed
             mesh = mesh_for(problem, m, n=n)
-            result = solve(problem, mesh, opts)
+            result = solve(problem, mesh)
             e = _round_sig(result.e_inf)
             rate = None
             if prev is not None and e > 0.0:

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import gammaln
 
-from .adisolver import SolverOptions, adi_step, init_state, solve
+from .adisolver import adi_step, init_state, solve
 from .fracweights import grunwald_weights, scheme_weights, wsgd_integral
 from .meshops import (
     GridFn,
@@ -337,10 +337,8 @@ def check_adi_direct(
         for (m1, m2) in grids:
             for n in ns:
                 mesh = Mesh(problem.L1, problem.L2, m1, m2, problem.T, n)
-                r_adi = solve(problem, mesh,
-                              SolverOptions(method="adi", collect_reports=False))
-                r_dir = solve(problem, mesh,
-                              SolverOptions(method="direct", collect_reports=False))
+                r_adi = solve(problem, mesh, "adi")
+                r_dir = solve(problem, mesh, "direct")
                 diff = float(np.max(np.abs(
                     r_adi.final.values - r_dir.final.values
                 )))
@@ -369,8 +367,7 @@ def check_stability(
     for seed in seeds:
         problem = make_random_problem(seed)
         mesh = Mesh(1.0, 1.0, m, m, 1.0, n)
-        state = init_state(problem, mesh,
-                           SolverOptions(collect_reports=False))
+        state = init_state(problem, mesh)
         ws = state.workspace
         hh = mesh.h1 * mesh.h2
 

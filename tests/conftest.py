@@ -14,11 +14,5 @@ def small_mesh():
     return Mesh(L1=1.0, L2=1.5, M1=8, M2=10, T=1.0, N=4)
 
 
-def random_zero_boundary(mesh: Mesh, rng: np.random.Generator) -> GridFn:
-    vals = np.zeros(mesh.shape)
-    vals[1:-1, 1:-1] = rng.standard_normal((mesh.M1 - 1, mesh.M2 - 1))
-    return GridFn(mesh, vals)
-
-
 def random_field(mesh: Mesh, rng: np.random.Generator) -> GridFn:
     return GridFn(mesh, rng.standard_normal(mesh.shape))

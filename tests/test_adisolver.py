@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,7 @@ from fracadi import (
     GridFn,
     Mesh,
     SolverDivergenceError,
-    SolverOptions,
     adi_step,
-    assemble_rhs,
     compact_h,
     direct_step,
     init_state,
@@ -21,6 +20,7 @@ from fracadi import (
     solve,
 )
 from fracadi import adisolver
+from fracadi.meshops import _zero_frame
 from fracadi.problems import ProblemSpec, _zero_xy, _zero_xyt
 from fracadi.verify import (
     equivalence_problem,
@@ -60,16 +60,6 @@ class TestInitState:
         p = make_example1(0.5)
         with pytest.raises(ValueError, match="match"):
             init_state(p, Mesh(1.0, 1.0, 6, 6, 1.0, 2))
-
-    def test_wsgd_needs_caputo(self):
-        p = make_example1(0.5)
-        stripped = ProblemSpec(
-            name="s", alpha=0.5, domain=p.domain, T=p.T, phi=p.phi,
-            psi=p.psi, boundary=p.boundary, forcing_f=p.forcing_f,
-        )
-        with pytest.raises(ValueError, match="caputo"):
-            init_state(stripped, mesh_for(p, 6, n=2),
-                       SolverOptions(wsgd_forcing=True))
 
 
 class TestStepping:
@@ -114,7 +104,7 @@ class TestStepping:
             fields.append(state.u_current)
         n = state.current_level
         assert n == level
-        got = assemble_rhs(state, p, n).values
+        got = _zero_frame(adisolver._rhs_raw(state))
 
         # independent reassembly from the stored levels
         c = state.mu * state.weights.lam[0]
@@ -133,20 +123,6 @@ class TestStepping:
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, scale)
 
-    def test_rhs_wrong_level_rejected(self):
-        p = make_example1(0.5)
-        state = init_state(p, mesh_for(p, 6, n=4))
-        adi_step(state, p)
-        with pytest.raises(ValueError, match="level"):
-            assemble_rhs(state, p, 0)
-
-    def test_rhs_past_end_rejected(self):
-        p = make_example1(0.5)
-        state = init_state(p, mesh_for(p, 6, n=1))
-        adi_step(state, p)
-        with pytest.raises(ValueError, match="final"):
-            assemble_rhs(state, p, 1)
-
     def test_step_past_end_rejected(self):
         p = make_example1(0.5)
         state = init_state(p, mesh_for(p, 6, n=1))
@@ -157,14 +133,14 @@ class TestStepping:
     def test_adi_equals_direct(self):
         p = equivalence_problem(0.5)
         mesh = _mesh(p, 8, 10, 4)
-        r1 = solve(p, mesh, SolverOptions(method="adi"))
-        r2 = solve(p, mesh, SolverOptions(method="direct"))
+        r1 = solve(p, mesh, "adi")
+        r2 = solve(p, mesh, "direct")
         assert np.max(np.abs(r1.final.values - r2.final.values)) < 1e-12
 
     def test_direct_cap(self):
         p = make_example1(0.5)
         mesh = mesh_for(p, 40, n=2)
-        state = init_state(p, mesh, SolverOptions(method="direct"))
+        state = init_state(p, mesh)
         with pytest.raises(ValueError, match="dense_cap"):
             direct_step(state, p)
 
@@ -205,11 +181,10 @@ class TestMemoryConvolution:
                                           n_steps):
         p = equivalence_problem(alpha)
         mesh = _mesh(p, 5, 4, n_steps)
-        options = SolverOptions(method=method, collect_reports=False)
-        fast = solve(p, mesh, options)
+        fast = solve(p, mesh, method)
         with monkeypatch.context() as patched:
             patched.setattr(adisolver, "_memory_sum", _naive_memory_sum)
-            naive = solve(p, mesh, options)
+            naive = solve(p, mesh, method)
         assert fast.state.current_level == n_steps
         for k in range(n_steps + 1):
             ref = naive.state.history[k]
@@ -263,12 +238,6 @@ class TestSolve:
         assert all(r.wall_time_ns > 0 for r in res.reports)
         assert all(np.isfinite(r.rhs_norm) for r in res.reports)
 
-    def test_no_reports_when_disabled(self):
-        p = make_example1(0.5)
-        res = solve(p, mesh_for(p, 6, n=5),
-                    SolverOptions(collect_reports=False))
-        assert res.reports == []
-
     def test_snapshots(self):
         # every level stays in the history; the final field is its last row
         p = make_example1(0.5)
@@ -291,14 +260,15 @@ class TestSolve:
         assert np.max(np.abs(res.final.values - exact_vals)) < 5e-4
 
     def test_wsgd_forcing_second_order_against_analytic(self):
-        # replacing the analytic forcing with its discrete-integral
-        # approximation perturbs the solution by O(tau^2)
+        # without forcing_f the solver tabulates f from caputo_forcing by
+        # the discrete integral, which perturbs the solution by O(tau^2)
         p = make_example1(0.5)
+        caputo_only = dataclasses.replace(p, forcing_f=None)
         diffs = []
         for n in (20, 40, 80):
             mesh = mesh_for(p, 8, n=n)
             r_analytic = solve(p, mesh)
-            r_wsgd = solve(p, mesh, SolverOptions(wsgd_forcing=True))
+            r_wsgd = solve(caputo_only, mesh)
             diffs.append(float(np.max(np.abs(
                 r_wsgd.final.values - r_analytic.final.values))))
         for prev, cur in zip(diffs, diffs[1:]):
@@ -314,5 +284,6 @@ class TestSolve:
         assert last / first < 8.0
 
     def test_options_validation(self):
-        with pytest.raises(ValueError):
-            SolverOptions(method="magic")
+        p = make_example1(0.5)
+        with pytest.raises(ValueError, match="magic"):
+            solve(p, mesh_for(p, 6, n=2), method="magic")

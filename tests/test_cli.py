@@ -100,6 +100,54 @@ class TestSolveCommand:
         grid = np.loadtxt(out / "final.csv", delimiter=",")
         assert np.max(np.abs(grid)) <= 1.5
 
+    @pytest.mark.parametrize("m", [32, 64])
+    def test_psi_decided_on_the_mesh(self, tmp_path, m):
+        # psi vanishes on the nodes x = k pi/32 but not on the M=64 nodes;
+        # deciding on a fixed probe grid left the M=64 run unreduced
+        prob = {
+            "alpha": 0.5,
+            "domain": [math.pi, math.pi],
+            "final_time": 1.0,
+            "phi": "0",
+            "psi": "sin(32 * x) * sin(y)",
+            "psi_laplacian": "-1025 * sin(32 * x) * sin(y)",
+            "boundary": "sin(32 * x) * sin(y)",
+            "forcing": "0",
+        }
+        ppath = tmp_path / "fine_psi.json"
+        ppath.write_text(json.dumps(prob))
+        out = tmp_path / "out"
+        code = run_cli("solve", "--problem", str(ppath), "--m", str(m),
+                       "--n", "4", "--out", str(out), "--emit", "snapshots",
+                       "--snapshot-every", "4")
+        assert code == 0
+        snap0 = np.loadtxt(out / "snapshot_00000.csv", delimiter=",")
+        nodes = np.linspace(0.0, math.pi, m + 1)
+        psi = np.sin(32 * nodes)[:, None] * np.sin(nodes)[None, :]
+        assert np.max(np.abs(snap0 - psi)) <= 1e-12
+
+    def test_caputo_forcing_only(self, tmp_path, capsys):
+        # without a closed-form f the solver integrates g by quadrature
+        prob = {
+            "alpha": 0.5,
+            "domain": [math.pi, math.pi],
+            "final_time": 1.0,
+            "phi": "0",
+            "psi": "0",
+            "boundary": "0",
+            "caputo_forcing": "sin(x)*sin(y)*(gamma(alpha+4)/2*t**2"
+                              " + 2*t**(alpha+3))",
+            "exact": "sin(x)*sin(y)*t**(alpha+3)",
+        }
+        ppath = tmp_path / "caputo.json"
+        ppath.write_text(json.dumps(prob))
+        code = run_cli("solve", "--problem", str(ppath), "--m", "16",
+                       "--n", "40", "--out", str(tmp_path / "out"))
+        assert code == 0
+        text = capsys.readouterr().out
+        e_inf = float(text.split("E_inf = ")[1].split()[0])
+        assert e_inf < 1e-3
+
     def test_overflowing_literal_fails_fast(self, tmp_path, capsys):
         # integer literals used to be evaluated as Python big ints
         prob = {

@@ -23,7 +23,8 @@ from fracadi import (
     write_csv,
     zeros_like,
 )
-from conftest import random_field, random_zero_boundary
+from fracadi.verify import _random_zero_boundary
+from conftest import random_field
 
 
 class TestMesh:
@@ -175,8 +176,8 @@ class TestInnerProducts:
     def test_summation_by_parts_x(self, seed):
         mesh = Mesh(1.3, 0.9, 7, 9, 1.0, 1)
         rng = np.random.default_rng(seed)
-        u = random_zero_boundary(mesh, rng)
-        v = random_zero_boundary(mesh, rng)
+        u = _random_zero_boundary(mesh, rng)
+        v = _random_zero_boundary(mesh, rng)
         lhs = inner(delta2_x(u), v)
         gx_u = (u.values[1:, :] - u.values[:-1, :]) / mesh.h1
         gx_v = (v.values[1:, :] - v.values[:-1, :]) / mesh.h1
@@ -188,7 +189,7 @@ class TestInnerProducts:
     def test_identities_bundle(self, seed):
         mesh = Mesh(2.0, 1.0, 9, 6, 1.0, 1)
         rng = np.random.default_rng(seed)
-        u = random_zero_boundary(mesh, rng)
+        u = _random_zero_boundary(mesh, rng)
         nsq = norm_l2(u) ** 2
 
         # inverse inequality for the difference quotient

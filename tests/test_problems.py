@@ -186,6 +186,26 @@ class TestHomogenize:
         ref = sample_xyt(base.caputo_forcing, mesh, 0.7)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
 
+    def test_psi_decided_on_the_mesh(self):
+        # psi vanishes on the 33x33 probe of (0, pi)^2, not on M=64 nodes
+        base = make_example1(0.5)
+
+        def psi(x, y):
+            return np.sin(32.0 * x) * np.sin(y)
+
+        p = ProblemSpec(
+            name="fine", alpha=0.5, domain=base.domain, T=base.T,
+            phi=_zero_xy, psi=psi,
+            boundary=lambda x, y, t: psi(x, y) + 0.0 * t,
+            forcing_f=_zero_xyt,
+            psi_laplacian=lambda x, y: -1025.0 * psi(x, y),
+        )
+        assert homogenize_initial(p) is p
+        assert homogenize_initial(p, mesh_for(p, 32, n=1)) is p
+        reduced = homogenize_initial(p, mesh_for(p, 64, n=1))
+        assert reduced is not p
+        assert np.max(np.abs(sample_xy(reduced.psi, mesh_for(p, 64)))) == 0.0
+
     def test_missing_laplacian_rejected(self):
         p = _shifted_problem(0.5)
         stripped = ProblemSpec(
@@ -347,6 +367,14 @@ class TestLoadProblem:
         path = tmp_path / "prob.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
+            load_problem(path)
+
+    def test_no_forcing_rejected(self, tmp_path):
+        data = {k: v for k, v in EXAMPLE_JSON.items() if k != "forcing"}
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError,
+                           match="either forcing_f or caputo_forcing"):
             load_problem(path)
 
     def test_name_defaults_to_stem(self, tmp_path):
