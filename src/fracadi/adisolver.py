@@ -17,6 +17,11 @@ unconditionally stable for alpha in (0, 1).
 
 ``direct_step`` solves the same linear system without splitting through a
 dense LU factorization; it exists as a cross-check oracle for small grids.
+Both steppers take only the run's ``SolverState`` and share one step
+skeleton (``_step``): the level guard, the right-hand side, the boundary
+sample, and the finish are written once, and only the interior solve
+differs.  Problem data are sampled once per level and never cached: the
+step keeps f^n from the previous level and fetches f^{n+1}.
 
 Both paths keep the trajectory u^0..u^n in one history array and share the
 memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
@@ -56,7 +61,7 @@ from .meshops import (
     _lambda_vals,
     _zero_frame,  # unused here; bench/tracer.py times the stencils by name
 )
-from .problems import ProblemSpec, sample_xy, sample_xyt
+from .problems import _COMPAT_TOL, ProblemSpec, sample_xy, sample_xyt
 from .trisolve import TridiagOperator, build_sweep_operator, sweep_coefficients
 
 # history + a couple of work arrays must stay under ~2 GiB
@@ -92,55 +97,6 @@ class StepReport:
     solution_inf_norm: float
 
 
-class _Workspace:
-    """Per-run cached objects: sweep factors, sampled data, dense factor,
-    memory kernel and its transforms.
-
-    The forcing comes from the problem: ``forcing_f`` is sampled level by
-    level when given; otherwise f = I^alpha g is tabulated once for all
-    levels from ``caputo_forcing`` by the WSGD quadrature.
-    """
-
-    def __init__(self, problem: ProblemSpec, mesh: Mesh,
-                 weights: WeightTable, mu: float) -> None:
-        self.c = mu * weights.lam[0]
-        self.sweep_x = build_sweep_operator(mesh.M1 - 1, mesh.h1, self.c)
-        self.sweep_y = build_sweep_operator(mesh.M2 - 1, mesh.h2, self.c)
-        phi_vals = sample_xy(problem.phi, mesh, field="phi")
-        self.h_phi = _avgx(_avgy(phi_vals))
-        self._mesh = mesh
-        self._f_cache: dict[int, np.ndarray] = {}
-        self.f_levels: np.ndarray | None = None
-        self.dense = None
-        self._forcing = problem.forcing_f
-        if self._forcing is None:
-            self.f_levels = _wsgd_forcing_levels(problem, mesh)
-        lam = weights.lam
-        self.kappa = lam[:-1] + lam[1:]
-        self.kappa[0] = lam[1]
-        self._kappa_hat: dict[int, np.ndarray] = {}
-
-    def kappa_hat(self, b: int) -> np.ndarray:
-        """rfft of kappa_0..kappa_{2b-1} (zero past the run's last lag)."""
-        cached = self._kappa_hat.get(b)
-        if cached is None:
-            cached = np.fft.rfft(self.kappa[:2 * b], n=2 * b)
-            self._kappa_hat[b] = cached
-        return cached
-
-    def f_at(self, level: int) -> np.ndarray:
-        if self.f_levels is not None:
-            return self.f_levels[level]
-        cached = self._f_cache.get(level)
-        if cached is None:
-            cached = sample_xyt(self._forcing, self._mesh,
-                                level * self._mesh.tau, field="forcing")
-            self._f_cache[level] = cached
-            for k in [k for k in self._f_cache if k < level - 1]:
-                del self._f_cache[k]
-        return cached
-
-
 def _wsgd_forcing_levels(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
     """Tabulate f^k = I^alpha g(t_k) for all levels by the WSGD quadrature."""
     g = np.empty((mesh.N + 1, *mesh.shape))
@@ -150,9 +106,27 @@ def _wsgd_forcing_levels(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
     return wsgd_integral(g, problem.alpha, mesh.tau)
 
 
+def _forcing_source(problem: ProblemSpec,
+                    mesh: Mesh) -> Callable[[int], np.ndarray]:
+    """level -> f on the mesh: ``forcing_f`` sampled at t_k when given,
+    otherwise a row of the table f = I^alpha g built from
+    ``caputo_forcing``."""
+    if problem.forcing_f is None:
+        return _wsgd_forcing_levels(problem, mesh).__getitem__
+    forcing = problem.forcing_f
+    return lambda k: sample_xyt(forcing, mesh, k * mesh.tau, field="forcing")
+
+
+def _h_phi(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
+    # bench/tracer.py labels a sample taken directly in init_state as psi,
+    # and phi and psi can be one function, so phi is sampled here
+    return _avgx(_avgy(sample_xy(problem.phi, mesh, field="phi")))
+
+
 @dataclass
 class SolverState:
-    """Everything the scheme carries between levels.
+    """One run: its problem and mesh, the trajectory, and the per-run
+    operators every step reuses.
 
     ``history[k]`` is the accepted level-k solution for k <= current_level;
     ``u_current`` is a view of row ``current_level`` and always satisfies the
@@ -161,16 +135,35 @@ class SolverState:
     S_{k-1} = sum_m kappa_{k-1-m} u^m, the contributions of completed dyadic
     blocks, until the step to level k overwrites it; rows no block has
     reached yet are zero.
+
+    ``forcing(k)`` gives f at level k (see ``_forcing_source``) and
+    ``f_current`` is f at ``current_level``.  The x and y sweep factors,
+    H phi, the memory kernel kappa (kappa_0 = lambda_1, kappa_j = lambda_j +
+    lambda_{j+1}) with its spectra per block size, and the dense factor of
+    the direct path (built on first use) live here too; ``c`` is
+    mu * lambda_0.
     """
 
+    problem: ProblemSpec
     mesh: Mesh
     weights: WeightTable
     mu: float
-    current_level: int
-    u_current: GridFn
+    c: float
     history: np.ndarray
-    workspace: _Workspace = field(repr=False)
+    forcing: Callable[[int], np.ndarray] = field(repr=False)
+    f_current: np.ndarray = field(repr=False)
+    h_phi: np.ndarray = field(repr=False)
+    sweep_x: TridiagOperator = field(repr=False)
+    sweep_y: TridiagOperator = field(repr=False)
+    kappa: np.ndarray = field(repr=False)
+    kappa_hat: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    dense: _DenseOracle | None = field(default=None, repr=False)
+    current_level: int = 0
     last_report: StepReport | None = None
+
+    @property
+    def u_current(self) -> GridFn:
+        return GridFn(self.mesh, self.history[self.current_level])
 
 
 def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
@@ -181,7 +174,7 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
     _check_consistent(problem, mesh)
 
     psi_vals = sample_xy(problem.psi, mesh, field="psi")
-    if np.max(np.abs(psi_vals)) > 1e-12:
+    if np.max(np.abs(psi_vals)) > _COMPAT_TOL:
         raise ValueError(
             "initial displacement psi is nonzero on the mesh; "
             "apply homogenize_initial to the problem first"
@@ -191,16 +184,24 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
 
     weights = scheme_weights(problem.alpha, mesh.N + 1)
     mu = mesh.tau ** (problem.alpha + 1.0) / 2.0
-    workspace = _Workspace(problem, mesh, weights, mu)
-    history = np.zeros((mesh.N + 1, *mesh.shape))
+    lam = weights.lam
+    c = mu * lam[0]
+    kappa = lam[:-1] + lam[1:]
+    kappa[0] = lam[1]
+    forcing = _forcing_source(problem, mesh)
     return SolverState(
+        problem=problem,
         mesh=mesh,
         weights=weights,
         mu=mu,
-        current_level=0,
-        u_current=GridFn(mesh, history[0]),
-        history=history,
-        workspace=workspace,
+        c=c,
+        history=np.zeros((mesh.N + 1, *mesh.shape)),
+        forcing=forcing,
+        f_current=forcing(0),
+        h_phi=_h_phi(problem, mesh),
+        sweep_x=build_sweep_operator(mesh.M1 - 1, mesh.h1, c),
+        sweep_y=build_sweep_operator(mesh.M2 - 1, mesh.h2, c),
+        kappa=kappa,
     )
 
 
@@ -221,7 +222,7 @@ def _memory_sum(state: SolverState) -> np.ndarray:
     history = state.history
     lo = n - n % _LEAF
     leaf = history[lo:n + 1].reshape(n - lo + 1, -1)
-    near = state.workspace.kappa[n - lo::-1] @ leaf
+    near = state.kappa[n - lo::-1] @ leaf
     near += history[n + 1].ravel()
     return near.reshape(history.shape[1:])
 
@@ -248,15 +249,19 @@ def _fold_far_field(state: SolverState, s: int) -> None:
     flat = history.reshape(history.shape[0], -1)
     block = flat[s + 1 - b:s + 1]
     pending = flat[s + 2:s + 2 + t]
-    ws = state.workspace
+    kappa = state.kappa
     if b <= _TOEPLITZ_MAX_BLOCK:
         # row r is target n = lo+b+r, column i is source m = lo+i
-        toeplitz = ws.kappa[b + np.arange(t)[:, None] - np.arange(b)]
+        toeplitz = kappa[b + np.arange(t)[:, None] - np.arange(b)]
 
         def contribution(cols: np.ndarray) -> np.ndarray:
             return toeplitz @ cols
     else:
-        kappa_hat = ws.kappa_hat(b)[:, None]
+        # rfft of kappa_0..kappa_{2b-1} (zero past the run's last lag)
+        kappa_hat = state.kappa_hat.get(b)
+        if kappa_hat is None:
+            kappa_hat = np.fft.rfft(kappa[:2 * b], n=2 * b)[:, None]
+            state.kappa_hat[b] = kappa_hat
 
         def contribution(cols: np.ndarray) -> np.ndarray:
             spec = np.fft.rfft(cols, n=2 * b, axis=0)
@@ -269,33 +274,50 @@ def _fold_far_field(state: SolverState, s: int) -> None:
         pending[:, c:c + chunk] += contribution(block[:, c:c + chunk])
 
 
-def _rhs_raw(state: SolverState) -> np.ndarray:
-    """Right-hand side of the step from the state's level, frame included."""
+def _rhs_raw(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side of the step from the state's level, frame included,
+    and f at the level after it, fetched here once the explicit terms are
+    summed."""
     mesh = state.mesh
-    ws = state.workspace
     n = state.current_level
-    u = state.u_current.values
-    c = ws.c
+    u = state.history[n]
+    c = state.c
 
     v = _avgy(u) + c * _d2y(u, mesh.h2)
     rhs = _avgx(v) + c * _d2x(v, mesh.h1)
 
     rhs += state.mu * _lambda_vals(_memory_sum(state), mesh)
 
-    fsum = ws.f_at(n) + ws.f_at(n + 1)
-    rhs += mesh.tau * ws.h_phi + 0.5 * mesh.tau * _avgx(_avgy(fsum))
-    return rhs
+    f_next = state.forcing(n + 1)
+    fsum = state.f_current + f_next
+    rhs += mesh.tau * state.h_phi + 0.5 * mesh.tau * _avgx(_avgy(fsum))
+    return rhs, f_next
 
 
-def _finish_step(state: SolverState, vals: np.ndarray, rhs: np.ndarray,
-                 t0: int) -> SolverState:
+def _step(state: SolverState,
+          interior: Callable[..., np.ndarray]) -> SolverState:
+    """Advance one level in place; ``interior(state, rhs, bvals)`` solves
+    for the interior nodes of the next level from the right-hand side and
+    that level's boundary samples."""
+    t0 = time.perf_counter_ns()
+    mesh = state.mesh
     n = state.current_level
+    if n >= mesh.N:
+        raise ValueError(f"state already at the final level {mesh.N}")
+
+    # boundary first and f^{n+1} late: with f^{n+1} sampled before the
+    # explicit terms, a step at M=256 takes about twice the page faults
+    # (heap trimming of the large temporaries) and ~25% more time
+    vals = sample_xyt(state.problem.boundary, mesh, (n + 1) * mesh.tau,
+                      field="boundary")
+    rhs, f_next = _rhs_raw(state)
+    vals[1:-1, 1:-1] = interior(state, rhs, vals)
+
     if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > _DIVERGENCE_LIMIT:
         raise SolverDivergenceError(n + 1)
-    mesh = state.mesh
     state.history[n + 1] = vals
     _fold_far_field(state, n + 1)
-    state.u_current = GridFn(mesh, state.history[n + 1])
+    state.f_current = f_next
     state.current_level = n + 1
     rhs_int = rhs[1:-1, 1:-1]
     state.last_report = StepReport(
@@ -307,22 +329,12 @@ def _finish_step(state: SolverState, vals: np.ndarray, rhs: np.ndarray,
     return state
 
 
-def adi_step(state: SolverState, problem: ProblemSpec) -> SolverState:
-    """Advance one level with the two tridiagonal sweeps (in place)."""
-    t0 = time.perf_counter_ns()
+def _sweeps(state: SolverState, rhs: np.ndarray,
+            bvals: np.ndarray) -> np.ndarray:
+    """Interior of the next level by the x sweep, then the y sweep."""
     mesh = state.mesh
-    n = state.current_level
-    if n >= mesh.N:
-        raise ValueError(f"state already at the final level {mesh.N}")
-    ws = state.workspace
-    c = ws.c
-
-    rhs = _rhs_raw(state)
-    bvals = sample_xyt(problem.boundary, mesh, (n + 1) * mesh.tau,
-                       field="boundary")
-
-    diag_y, off_y = sweep_coefficients(mesh.h2, c)
-    _, off_x = sweep_coefficients(mesh.h1, c)
+    diag_y, off_y = sweep_coefficients(mesh.h2, state.c)
+    _, off_x = sweep_coefficients(mesh.h1, state.c)
 
     # boundary traces of the intermediate unknown u* = (Hy - c d2y) u^{n+1}
     star_lo = diag_y * bvals[0, 1:-1] + off_y * (bvals[0, :-2] + bvals[0, 2:])
@@ -331,15 +343,16 @@ def adi_step(state: SolverState, problem: ProblemSpec) -> SolverState:
     r = rhs[1:-1, 1:-1].copy()
     r[0, :] -= off_x * star_lo
     r[-1, :] -= off_x * star_hi
-    ustar = ws.sweep_x.solve(r)
+    ustar = state.sweep_x.solve(r)
 
     ustar[:, 0] -= off_y * bvals[1:-1, 0]
     ustar[:, -1] -= off_y * bvals[1:-1, -1]
-    interior = ws.sweep_y.solve(ustar.T).T
+    return state.sweep_y.solve(ustar.T).T
 
-    vals = bvals
-    vals[1:-1, 1:-1] = interior
-    return _finish_step(state, vals, rhs, t0)
+
+def adi_step(state: SolverState) -> SolverState:
+    """Advance one level with the two tridiagonal sweeps (in place)."""
+    return _step(state, _sweeps)
 
 
 class _DenseOracle:
@@ -379,35 +392,29 @@ def _dense_1d(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return avg, d2
 
 
-def direct_step(state: SolverState, problem: ProblemSpec) -> SolverState:
+def _dense_solve(state: SolverState, rhs: np.ndarray,
+                 bvals: np.ndarray) -> np.ndarray:
+    """Interior of the next level by the dense LU of the unsplit system."""
+    mesh = state.mesh
+    if max(mesh.M1, mesh.M2) > _DENSE_CAP:
+        raise ValueError(
+            f"grid {mesh.M1}x{mesh.M2} exceeds dense_cap={_DENSE_CAP}; "
+            "the direct path is a small-grid reference only"
+        )
+    if state.dense is None:
+        state.dense = _DenseOracle(mesh, state.c)
+    interior = state.dense.solve(rhs[1:-1, 1:-1].ravel(), bvals.ravel())
+    return interior.reshape(mesh.M1 - 1, mesh.M2 - 1)
+
+
+def direct_step(state: SolverState) -> SolverState:
     """Advance one level by dense-solving the unsplit system (in place).
 
     Mathematically identical to ``adi_step``; exists to cross-check the
     splitting on small grids.  Refuses grids with more than ``_DENSE_CAP``
     cells per axis.
     """
-    t0 = time.perf_counter_ns()
-    mesh = state.mesh
-    n = state.current_level
-    if n >= mesh.N:
-        raise ValueError(f"state already at the final level {mesh.N}")
-    ws = state.workspace
-    if max(mesh.M1, mesh.M2) > _DENSE_CAP:
-        raise ValueError(
-            f"grid {mesh.M1}x{mesh.M2} exceeds dense_cap={_DENSE_CAP}; "
-            "the direct path is a small-grid reference only"
-        )
-    if ws.dense is None:
-        ws.dense = _DenseOracle(mesh, ws.c)
-
-    rhs = _rhs_raw(state)
-    bvals = sample_xyt(problem.boundary, mesh, (n + 1) * mesh.tau,
-                       field="boundary")
-    interior = ws.dense.solve(rhs[1:-1, 1:-1].ravel(), bvals.ravel())
-
-    vals = bvals
-    vals[1:-1, 1:-1] = interior.reshape(mesh.M1 - 1, mesh.M2 - 1)
-    return _finish_step(state, vals, rhs, t0)
+    return _step(state, _dense_solve)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +422,6 @@ def direct_step(state: SolverState, problem: ProblemSpec) -> SolverState:
 
 @dataclass
 class SolveResult:
-    problem: ProblemSpec
-    mesh: Mesh
     final: GridFn
     e_inf: float | None
     final_error: float | None
@@ -433,9 +438,9 @@ def solve(problem: ProblemSpec, mesh: Mesh, method: str = "adi") -> SolveResult:
     ``method`` is "adi" (the two tridiagonal sweeps) or "direct" (the dense
     unsplit solve, a small-grid cross-check); any other value is rejected
     before any work.  The forcing source follows from the problem (see
-    ``_Workspace``).  When the problem carries an exact solution, ``e_inf``
-    is the largest interior max-norm error over all levels 1..N and
-    ``final_error`` the error at the last level.  ``reports`` holds one
+    ``_forcing_source``).  When the problem carries an exact solution,
+    ``e_inf`` is the largest interior max-norm error over all levels 1..N
+    and ``final_error`` the error at the last level.  ``reports`` holds one
     ``StepReport`` per step, and every level of the trajectory stays
     available as ``result.state.history[k]``.
     """
@@ -446,29 +451,21 @@ def solve(problem: ProblemSpec, mesh: Mesh, method: str = "adi") -> SolveResult:
     state = init_state(problem, mesh)
 
     reports: list[StepReport] = []
-
     e_inf: float | None = None
     final_error: float | None = None
-    track_error = problem.exact is not None
-    if track_error:
-        e_inf = 0.0
-
-    for n in range(mesh.N):
-        stepper(state, problem)
+    for _ in range(mesh.N):
+        stepper(state)
         reports.append(state.last_report)
-        level = state.current_level
-        if track_error:
+        if problem.exact is not None:
+            level = state.current_level
             exact_vals = sample_xyt(problem.exact, mesh, level * mesh.tau,
                                     field="exact")
-            err = float(np.max(np.abs(
-                state.u_current.interior - exact_vals[1:-1, 1:-1]
+            final_error = float(np.max(np.abs(
+                state.history[level, 1:-1, 1:-1] - exact_vals[1:-1, 1:-1]
             )))
-            e_inf = max(e_inf, err)
-            final_error = err
+            e_inf = max(e_inf or 0.0, final_error)
 
     return SolveResult(
-        problem=problem,
-        mesh=mesh,
         final=state.u_current,
         e_inf=e_inf,
         final_error=final_error,

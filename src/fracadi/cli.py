@@ -26,7 +26,7 @@ from .adisolver import solve
 from .heatmap import emit_heatmap
 from .meshops import GridFn, write_csv
 from .problems import (
-    _max_abs_psi,
+    _max_abs_psi,  # unused here; bench/tracer.py wraps it by name
     get_problem,
     homogenize_initial,
     mesh_for,
@@ -126,10 +126,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     mesh = mesh_for(problem, int(args.m), n=int(args.n))
 
     # the solver wants zero initial displacement; reduce and add back
+    reduced = homogenize_initial(problem, mesh)
     psi_vals = np.zeros(mesh.shape)
-    reduced = problem
-    if _max_abs_psi(problem, mesh) > 1e-12:
-        reduced = homogenize_initial(problem, mesh)
+    if reduced is not problem:
         psi_vals = sample_xy(problem.psi, mesh, field="psi")
 
     every = args.snapshot_every

@@ -32,6 +32,8 @@ from scipy.special import gamma as _gamma_fn
 from .fracweights import rl_integral_oracle
 from .meshops import Mesh
 
+# initial-data tolerance: the boundary at t=0 must match psi, and psi counts
+# as zero (``homogenize_initial``, ``adisolver.init_state``), within it
 _COMPAT_TOL = 1e-12
 
 
@@ -282,8 +284,8 @@ def homogenize_initial(spec: ProblemSpec,
     Laplacian(psi) * t**alpha / Gamma(1 + alpha) to the transformed forcing
     (equivalently, adds Laplacian(psi) to the Caputo-form source).  A
     problem whose psi vanishes on the probe grid of ``_max_abs_psi`` and,
-    when ``mesh`` is given, on the run's mesh nodes is returned unchanged,
-    so the map is idempotent.  Pass the mesh the problem will be solved on:
+    when ``mesh`` is given, on the run's mesh nodes is returned itself (the
+    same object), so the map is idempotent.  Pass the mesh the problem will be solved on:
     a psi such as sin(32 x) can vanish on the probe and not on the mesh.
     """
     if _max_abs_psi(spec, mesh) <= _COMPAT_TOL:

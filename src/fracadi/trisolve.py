@@ -118,9 +118,7 @@ def build_sweep_operator(m: int, h: float, mu_lambda0: float) -> TridiagOperator
     if mu_lambda0 < 0.0 or not np.isfinite(mu_lambda0):
         raise ValueError(f"mu_lambda0 must be nonnegative, got {mu_lambda0}")
 
-    c = mu_lambda0 / h**2
-    diag_val = 10.0 / 12.0 + 2.0 * c
-    off_val = 1.0 / 12.0 - c
+    diag_val, off_val = sweep_coefficients(h, mu_lambda0)
     op = TridiagOperator(
         np.full(m - 1, off_val), np.full(m, diag_val), np.full(m - 1, off_val)
     )

@@ -368,23 +368,22 @@ def check_stability(
         problem = make_random_problem(seed)
         mesh = Mesh(1.0, 1.0, m, m, 1.0, n)
         state = init_state(problem, mesh)
-        ws = state.workspace
         hh = mesh.h1 * mesh.h2
 
         def l2(vals):
             v = vals[1:-1, 1:-1]
             return math.sqrt(hh * float(np.sum(v * v)))
 
-        hf = [_avgx(_avgy(ws.f_at(k))) for k in range(n + 1)]
+        hf = [_avgx(_avgy(state.forcing(k))) for k in range(n + 1)]
         data_norm = l2(sample_xy(problem.phi, mesh))
-        data_norm += max(l2(ws.f_at(k)) for k in range(n + 1))
+        data_norm += max(l2(state.forcing(k)) for k in range(n + 1))
 
         env_sum = 0.0
         growth = math.exp(6.0 * mesh.T)
         for k in range(n):
-            term = ws.h_phi + 0.5 * (hf[k] + hf[k + 1])
+            term = state.h_phi + 0.5 * (hf[k] + hf[k + 1])
             env_sum += l2(term) ** 2
-            adi_step(state, problem)
+            adi_step(state)
             un = l2(state.u_current.values)
             bound = math.sqrt(growth * 25.0 * mesh.tau * env_sum)
             worst_env = max(worst_env, un / bound if bound > 0 else math.inf)

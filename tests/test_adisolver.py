@@ -1,8 +1,11 @@
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracadi import (
     GridFn,
@@ -68,7 +71,7 @@ class TestStepping:
         mesh = _mesh(p, 7, 9, 4)
         state = init_state(p, mesh)
         for _ in range(3):
-            adi_step(state, p)
+            adi_step(state)
         t = state.current_level * mesh.tau
         bvals = sample_xyt(p.boundary, mesh, t)
         u = state.u_current.values
@@ -84,7 +87,7 @@ class TestStepping:
         state = init_state(p, mesh)
         fields = [state.u_current.values.copy()]
         for _ in range(4):
-            adi_step(state, p)
+            adi_step(state)
             assert np.shares_memory(state.u_current.values,
                                     state.history[state.current_level])
             fields.append(state.u_current.values.copy())
@@ -100,11 +103,11 @@ class TestStepping:
         state = init_state(p, mesh)
         fields = [state.u_current]
         for _ in range(level):
-            adi_step(state, p)
+            adi_step(state)
             fields.append(state.u_current)
         n = state.current_level
         assert n == level
-        got = _zero_frame(adisolver._rhs_raw(state))
+        got = _zero_frame(adisolver._rhs_raw(state)[0])
 
         # independent reassembly from the stored levels
         c = state.mu * state.weights.lam[0]
@@ -126,9 +129,9 @@ class TestStepping:
     def test_step_past_end_rejected(self):
         p = make_example1(0.5)
         state = init_state(p, mesh_for(p, 6, n=1))
-        adi_step(state, p)
+        adi_step(state)
         with pytest.raises(ValueError, match="final"):
-            adi_step(state, p)
+            adi_step(state)
 
     def test_adi_equals_direct(self):
         p = equivalence_problem(0.5)
@@ -137,12 +140,23 @@ class TestStepping:
         r2 = solve(p, mesh, "direct")
         assert np.max(np.abs(r1.final.values - r2.final.values)) < 1e-12
 
+    # criterion 3's tolerance, on every level of random non-square runs
+    @settings(max_examples=40, deadline=None)
+    @given(alpha=st.floats(0.05, 0.95), m1=st.integers(2, 12),
+           m2=st.integers(2, 12), n=st.integers(1, 6))
+    def test_adi_equals_direct_on_random_meshes(self, alpha, m1, m2, n):
+        p = equivalence_problem(alpha)
+        mesh = _mesh(p, m1, m2, n)
+        adi = solve(p, mesh, "adi").state.history
+        dense = solve(p, mesh, "direct").state.history
+        assert np.max(np.abs(adi - dense)) <= 1e-11
+
     def test_direct_cap(self):
         p = make_example1(0.5)
         mesh = mesh_for(p, 40, n=2)
         state = init_state(p, mesh)
         with pytest.raises(ValueError, match="dense_cap"):
-            direct_step(state, p)
+            direct_step(state)
 
     def test_divergence_detected(self):
         p = make_example1(0.5)
@@ -154,6 +168,36 @@ class TestStepping:
         with np.errstate(over="ignore"), pytest.raises(SolverDivergenceError) as info:
             solve(huge, mesh_for(p, 6, n=4))
         assert info.value.level >= 1
+
+
+def _count_samples(monkeypatch):
+    """Count the solver's problem-data samples by field."""
+    counts = collections.Counter()
+    for name in ("sample_xy", "sample_xyt"):
+        def counted(*args, _sample=getattr(adisolver, name), **kwargs):
+            counts[kwargs["field"]] += 1
+            return _sample(*args, **kwargs)
+        monkeypatch.setattr(adisolver, name, counted)
+    return counts
+
+
+class TestSamplingCounts:
+    """Each level's data is sampled once: the forcing at all N+1 levels,
+    the boundary and exact solution at levels 1..N, phi and psi once."""
+
+    def test_forcing_given(self, monkeypatch):
+        p = make_example1(0.5)
+        counts = _count_samples(monkeypatch)
+        solve(p, mesh_for(p, 6, n=40))
+        assert counts == {"forcing": 41, "boundary": 40, "exact": 40,
+                          "phi": 1, "psi": 1}
+
+    def test_caputo_forcing_only(self, monkeypatch):
+        p = dataclasses.replace(make_example1(0.5), forcing_f=None)
+        counts = _count_samples(monkeypatch)
+        solve(p, mesh_for(p, 6, n=40))
+        assert counts == {"caputo_forcing": 41, "boundary": 40, "exact": 40,
+                          "phi": 1, "psi": 1}
 
 
 def _memory_coefficients(lam, n):
