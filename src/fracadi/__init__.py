@@ -27,7 +27,7 @@ from .meshops import (
     write_csv,
     zeros_like,
 )
-from .trisolve import TridiagOperator, build_sweep_operator
+from .trisolve import build_sweep_operator
 from .problems import (
     ManufacturedReport,
     ProblemSpec,
@@ -72,7 +72,7 @@ __all__ = [
     "Mesh", "GridFn", "zeros_like", "delta2_x", "delta2_y", "compact_h",
     "lambda_op", "delta2x_delta2y", "inner", "norm_l2", "norm_inf",
     "norm_grad_x", "norm_grad_y", "norm_grad_xy", "write_csv", "read_csv",
-    "TridiagOperator", "build_sweep_operator",
+    "build_sweep_operator",
     "ProblemSpec", "ManufacturedReport", "make_example1",
     "make_random_problem", "homogenize_initial", "verify_manufactured",
     "compile_expression", "load_problem", "get_problem", "mesh_for",

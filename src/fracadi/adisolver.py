@@ -62,7 +62,7 @@ from .meshops import (
     _zero_frame,  # unused here; bench/tracer.py times the stencils by name
 )
 from .problems import _COMPAT_TOL, ProblemSpec, sample_xy, sample_xyt
-from .trisolve import TridiagOperator, build_sweep_operator, sweep_coefficients
+from .trisolve import TridiagOperator, build_sweep_operator
 
 # history + a couple of work arrays must stay under ~2 GiB
 MAX_HISTORY_ENTRIES = 2**28
@@ -332,22 +332,23 @@ def _step(state: SolverState,
 def _sweeps(state: SolverState, rhs: np.ndarray,
             bvals: np.ndarray) -> np.ndarray:
     """Interior of the next level by the x sweep, then the y sweep."""
-    mesh = state.mesh
-    diag_y, off_y = sweep_coefficients(mesh.h2, state.c)
-    _, off_x = sweep_coefficients(mesh.h1, state.c)
+    sx, sy = state.sweep_x, state.sweep_y
 
     # boundary traces of the intermediate unknown u* = (Hy - c d2y) u^{n+1}
-    star_lo = diag_y * bvals[0, 1:-1] + off_y * (bvals[0, :-2] + bvals[0, 2:])
-    star_hi = diag_y * bvals[-1, 1:-1] + off_y * (bvals[-1, :-2] + bvals[-1, 2:])
+    star_lo = sy.diag * bvals[0, 1:-1] + sy.off * (bvals[0, :-2] + bvals[0, 2:])
+    star_hi = sy.diag * bvals[-1, 1:-1] + sy.off * (bvals[-1, :-2] + bvals[-1, 2:])
 
-    r = rhs[1:-1, 1:-1].copy()
-    r[0, :] -= off_x * star_lo
-    r[-1, :] -= off_x * star_hi
-    ustar = state.sweep_x.solve(r)
+    # F order: the x sweep solves its columns in place, without a copy
+    r = np.array(rhs[1:-1, 1:-1], order="F")
+    r[0, :] -= sx.off * star_lo
+    r[-1, :] -= sx.off * star_hi
+    ustar = sx.solve(r)
 
-    ustar[:, 0] -= off_y * bvals[1:-1, 0]
-    ustar[:, -1] -= off_y * bvals[1:-1, -1]
-    return state.sweep_y.solve(ustar.T).T
+    ustar[:, 0] -= sy.off * bvals[1:-1, 0]
+    ustar[:, -1] -= sy.off * bvals[1:-1, -1]
+    # ustar.T is C-ordered, so pttrs copies it to F order: the step's one
+    # transpose
+    return sy.solve(ustar.T).T
 
 
 def adi_step(state: SolverState) -> SolverState:

@@ -3,82 +3,105 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracadi import TridiagOperator, build_sweep_operator
-from fracadi.trisolve import sweep_coefficients
+from fracadi import build_sweep_operator
+from fracadi import trisolve
+
+
+def thomas(diag, off, rhs):
+    """Reference solve: the Thomas algorithm (LU without pivoting) for the
+    constant symmetric tridiagonal (diag, off); rhs is (m,) or (m, k)."""
+    m = rhs.shape[0]
+    x = np.array(rhs, dtype=float)
+    piv = np.empty(m)
+    piv[0] = diag
+    for i in range(1, m):
+        mult = off / piv[i - 1]
+        piv[i] = diag - mult * off
+        x[i] -= mult * x[i - 1]
+    x[m - 1] /= piv[m - 1]
+    for i in range(m - 2, -1, -1):
+        x[i] = (x[i] - off * x[i + 1]) / piv[i]
+    return x
+
+
+def _rel(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
 
 
 class TestTridiagOperator:
-    def test_small_system(self):
-        op = TridiagOperator(np.array([1.0, 1.0]), np.array([2.0, 2.0, 2.0]),
-                            np.array([1.0, 1.0]))
-        b = np.array([1.0, 0.0, 1.0])
-        x = op.solve(b)
-        ref = np.linalg.solve(op.to_dense(), b)
-        assert np.allclose(x, ref, rtol=1e-14)
+    # c/h**2 reaches 900, past the runs' range (grid_wide 12, an N=5 M=64
+    # rung 120); the dense LU's forward error grows with the condition beyond
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 300), st.floats(1.0 / 300.0, 1.0),
+           st.floats(0.0, 0.01), st.integers(1, 6), st.integers(0, 10**6))
+    def test_random_dominant_vs_dense(self, m, h, c, k, seed):
+        op = build_sweep_operator(m, h, c)
+        dense = op.to_dense()
+        rng = np.random.default_rng(seed)
+        for rhs in (rng.standard_normal(m), rng.standard_normal((m, k)),
+                    np.asfortranarray(rng.standard_normal((m, k)))):
+            ref_thomas = thomas(op.diag, op.off, rhs)
+            ref_dense = np.linalg.solve(dense, rhs)
+            x = op.solve(rhs.copy(order="K"))
+            assert x.shape == rhs.shape
+            assert _rel(x, ref_thomas) <= 1e-13
+            assert _rel(x, ref_dense) <= 1e-13
 
-    def test_solve_then_multiply(self):
-        op = TridiagOperator(np.array([1.0, 1.0]), np.array([2.0, 2.0, 2.0]),
-                            np.array([1.0, 1.0]))
-        b = np.array([0.3, -1.2, 2.5])
-        assert np.allclose(op.matvec(op.solve(b)), b, rtol=1e-13)
+    def test_small_system(self):
+        op = build_sweep_operator(3, 0.5, 0.1)
+        b = np.array([1.0, 0.0, 1.0])
+        ref = np.linalg.solve(op.to_dense(), b)
+        assert np.allclose(op.solve(b.copy()), ref, rtol=1e-14)
+
+    def test_solve_then_multiply(self, rng):
+        # a C-ordered rhs is read, not overwritten
+        op = build_sweep_operator(9, 0.1, 1e-3)
+        rhs = rng.standard_normal((9, 4))
+        before = rhs.copy()
+        x = op.solve(rhs)
+        assert np.array_equal(rhs, before)
+        assert np.allclose(op.to_dense() @ x, rhs, rtol=1e-13, atol=1e-13)
 
     def test_size_one(self):
-        op = TridiagOperator(np.array([]), np.array([4.0]), np.array([]))
-        assert op.solve(np.array([8.0]))[0] == 2.0
-        assert op.matvec(np.array([3.0]))[0] == 12.0
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(2, 40))
-    def test_random_dominant_vs_dense(self, seed, n):
-        rng = np.random.default_rng(seed)
-        sub = rng.uniform(-1, 1, n - 1)
-        sup = rng.uniform(-1, 1, n - 1)
-        diag = 2.5 + rng.uniform(0, 1, n)
-        op = TridiagOperator(sub, diag, sup)
-        b = rng.standard_normal(n)
-        assert np.allclose(op.solve(b), np.linalg.solve(op.to_dense(), b),
-                           rtol=1e-10, atol=1e-12)
-        x = rng.standard_normal(n)
-        assert np.allclose(op.matvec(x), op.to_dense() @ x, rtol=1e-13,
-                           atol=1e-13)
+        op = build_sweep_operator(1, 0.5, 0.0)
+        assert op.to_dense().shape == (1, 1)
+        assert op.solve(np.array([2.0 * op.diag]))[0] == 2.0
 
     def test_multi_rhs_matches_columns(self, rng):
-        n, k = 12, 7
-        sub = rng.uniform(-1, 1, n - 1)
-        sup = rng.uniform(-1, 1, n - 1)
-        diag = 3.0 + rng.uniform(0, 1, n)
-        op = TridiagOperator(sub, diag, sup)
-        rhs = rng.standard_normal((n, k))
+        m, k = 12, 7
+        op = build_sweep_operator(m, 0.05, 2e-3)
+        rhs = rng.standard_normal((m, k))
         block = op.solve(rhs)
         for j in range(k):
-            assert np.array_equal(block[:, j], op.solve(rhs[:, j]))
+            assert np.array_equal(block[:, j], op.solve(rhs[:, j].copy()))
 
-    def test_zero_pivot_rejected(self):
-        with pytest.raises(ValueError, match="pivot"):
-            TridiagOperator(np.array([1.0]), np.array([0.0, 1.0]),
-                            np.array([1.0]))
-        # singular after elimination: second pivot becomes zero
-        with pytest.raises(ValueError, match="pivot"):
-            TridiagOperator(np.array([1.0]), np.array([1.0, 1.0]),
-                            np.array([1.0]))
+    def test_zero_pivot_rejected(self, monkeypatch):
+        # hand LAPACK the negated diagonal: pttrf reports a nonpositive pivot
+        real = trisolve.dpttrf
+        monkeypatch.setattr(trisolve, "dpttrf", lambda d, e: real(-d, e))
+        with pytest.raises(ValueError,
+                           match=r"m=5, h=0\.25, mu_lambda0=0\.001.*info=1"):
+            build_sweep_operator(5, 0.25, 1e-3)
 
-    def test_band_length_validation(self):
-        with pytest.raises(ValueError, match="band"):
-            TridiagOperator(np.array([1.0]), np.array([2.0, 2.0, 2.0]),
-                            np.array([1.0, 1.0]))
+    def test_solve_failure_raises(self, monkeypatch):
+        # a right-hand side one row short is an illegal leading dimension
+        real = trisolve.dpttrs
+        monkeypatch.setattr(trisolve, "dpttrs",
+                            lambda d, e, b, overwrite_b: real(d, e, b[:-1]))
+        op = build_sweep_operator(5, 0.25, 1e-3)
+        with pytest.raises(ValueError, match="pttrs.*info=-6"):
+            op.solve(np.ones((5, 2)))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            TridiagOperator(np.array([np.nan]), np.array([2.0, 2.0]),
-                            np.array([1.0]))
+        with pytest.raises(ValueError, match="overflows"):
+            build_sweep_operator(4, 1e-160, 1.0)
 
     def test_rhs_shape_validation(self):
-        op = TridiagOperator(np.array([1.0]), np.array([2.0, 2.0]),
-                             np.array([1.0]))
+        op = build_sweep_operator(2, 0.5, 0.0)
         with pytest.raises(ValueError, match="first dimension"):
             op.solve(np.ones(3))
         with pytest.raises(ValueError, match="first dimension"):
-            op.matvec(np.ones(5))
+            op.solve(np.ones((1, 2)))
 
 
 class TestSweepOperator:
@@ -88,28 +111,28 @@ class TestSweepOperator:
     ])
     def test_dominance_margin(self, m, h, c):
         op = build_sweep_operator(m, h, c)
-        assert op.dominance_margin() >= 2.0 / 3.0 - 1e-12
+        assert op.diag - 2.0 * abs(op.off) >= 2.0 / 3.0 - 1e-12
 
     def test_margin_formula(self):
         # margin = 2/3 + 4c/h^2 while c/h^2 <= 1/12, then exactly 1
         h = 0.5
         for c_over_h2 in (0.0, 0.05, 1.0 / 12.0):
             op = build_sweep_operator(9, h, c_over_h2 * h * h)
-            assert op.dominance_margin() == pytest.approx(
+            assert op.diag - 2.0 * abs(op.off) == pytest.approx(
                 2.0 / 3.0 + 4.0 * c_over_h2, rel=1e-13)
         for c_over_h2 in (0.2, 3.0):
             op = build_sweep_operator(9, h, c_over_h2 * h * h)
-            assert op.dominance_margin() == pytest.approx(1.0, rel=1e-13)
+            assert op.diag - 2.0 * abs(op.off) == pytest.approx(1.0, rel=1e-13)
 
     def test_stencil_values(self):
         h, c = 0.25, 1e-3
-        diag, off = sweep_coefficients(h, c)
-        assert diag == pytest.approx(10.0 / 12.0 + 2.0 * c / h**2)
-        assert off == pytest.approx(1.0 / 12.0 - c / h**2)
         op = build_sweep_operator(4, h, c)
+        assert op.diag == pytest.approx(10.0 / 12.0 + 2.0 * c / h**2)
+        assert op.off == pytest.approx(1.0 / 12.0 - c / h**2)
         dense = op.to_dense()
-        assert dense[1, 1] == pytest.approx(diag)
-        assert dense[1, 2] == pytest.approx(off)
+        assert dense[1, 1] == op.diag
+        assert dense[1, 2] == dense[2, 1] == op.off
+        assert dense[0, 2] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
