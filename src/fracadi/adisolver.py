@@ -28,13 +28,13 @@ memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
 convolution with kappa_0 = lambda_1 and kappa_j = lambda_j + lambda_{j+1};
 L is linear and fixed in time, so it is applied once per step to the sum.
 S_n is evaluated exactly, only in a different summation order, by the
-blocked FFT scheme of Hairer, Lubich & Schlichte (SIAM J. Sci. Stat.
-Comput. 6, 1985): levels in the current leaf of ``_LEAF`` are summed
-directly, and each completed left dyadic block adds its contribution to the
-right sibling's levels at once, by a dense Toeplitz product for short
-blocks and by one FFT convolution for long ones.  A run of N steps costs
-O(N log^2 N) per grid node in the memory term, and no buffer beyond the
-history itself grows with N.  Snapshots of the run are rows of the history.
+blocked causal convolution of ``fracweights`` (Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6, 1985), run online: levels in the current leaf
+of ``_LEAF`` are summed directly, and the step that completes a left dyadic
+block folds it into the pending sums of the levels after it
+(``fold_block``).  A run of N steps costs O(N log^2 N) per grid node in the
+memory term, and no buffer beyond the history itself grows with N.
+Snapshots of the run are rows of the history.
 
 States are advanced in place: step functions return the same object with
 ``current_level`` incremented.  A solve run is deterministic; identical
@@ -50,7 +50,14 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .fracweights import WeightTable, scheme_weights, wsgd_integral
+from .fracweights import (
+    _LEAF,
+    WeightTable,
+    completed_block,
+    fold_block,
+    scheme_weights,
+    wsgd_integral,
+)
 from .meshops import (
     GridFn,
     Mesh,
@@ -66,14 +73,6 @@ from .trisolve import TridiagOperator, build_sweep_operator
 
 # history + a couple of work arrays must stay under ~2 GiB
 MAX_HISTORY_ENTRIES = 2**28
-
-# memory-term levels summed directly; older levels arrive in dyadic blocks
-_LEAF = 32
-# blocks up to this size are applied as a dense Toeplitz product, which is
-# faster than the FFT and its set-up there
-_TOEPLITZ_MAX_BLOCK = 256
-# cap on the scratch of one far-field column chunk
-_SCRATCH_BYTES = 2**20
 
 _DIVERGENCE_LIMIT = 1e100
 
@@ -139,9 +138,8 @@ class SolverState:
     ``forcing(k)`` gives f at level k (see ``_forcing_source``) and
     ``f_current`` is f at ``current_level``.  The x and y sweep factors,
     H phi, the memory kernel kappa (kappa_0 = lambda_1, kappa_j = lambda_j +
-    lambda_{j+1}) with its spectra per block size, and the dense factor of
-    the direct path (built on first use) live here too; ``c`` is
-    mu * lambda_0.
+    lambda_{j+1}), and the dense factor of the direct path (built on first
+    use) live here too; ``c`` is mu * lambda_0.
     """
 
     problem: ProblemSpec
@@ -156,7 +154,6 @@ class SolverState:
     sweep_x: TridiagOperator = field(repr=False)
     sweep_y: TridiagOperator = field(repr=False)
     kappa: np.ndarray = field(repr=False)
-    kappa_hat: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
     dense: _DenseOracle | None = field(default=None, repr=False)
     current_level: int = 0
     last_report: StepReport | None = None
@@ -228,50 +225,16 @@ def _memory_sum(state: SolverState) -> np.ndarray:
 
 
 def _fold_far_field(state: SolverState, s: int) -> None:
-    """Once level s is stored, add the block it completes to the pending rows.
-
-    When s+1 = b * odd with b = _LEAF * 2^j, level s closes the left dyadic
-    block [lo, lo+b) of the node [lo, lo+2b); its contribution to S_n for
-    n in [lo+b, lo+2b) is a Toeplitz product, or for long blocks the tail
-    of one length-2b circular convolution, where no term wraps around.
-    Every pair m < n outside a common leaf meets in exactly one such node,
-    so each term is added once.
-    """
-    q, r = divmod(s + 1, _LEAF)
-    if r or not q:
-        return
-    b = _LEAF * (q & -q)
+    """Once level s is stored, fold the block it completes (if any) into
+    the pending rows of S_n for the levels n after it."""
+    b = completed_block(s)
     history = state.history
     # targets stop at S_{N-1}, stored in the last row
     t = min(b, history.shape[0] - s - 2)
     if t <= 0:
         return
     flat = history.reshape(history.shape[0], -1)
-    block = flat[s + 1 - b:s + 1]
-    pending = flat[s + 2:s + 2 + t]
-    kappa = state.kappa
-    if b <= _TOEPLITZ_MAX_BLOCK:
-        # row r is target n = lo+b+r, column i is source m = lo+i
-        toeplitz = kappa[b + np.arange(t)[:, None] - np.arange(b)]
-
-        def contribution(cols: np.ndarray) -> np.ndarray:
-            return toeplitz @ cols
-    else:
-        # rfft of kappa_0..kappa_{2b-1} (zero past the run's last lag)
-        kappa_hat = state.kappa_hat.get(b)
-        if kappa_hat is None:
-            kappa_hat = np.fft.rfft(kappa[:2 * b], n=2 * b)[:, None]
-            state.kappa_hat[b] = kappa_hat
-
-        def contribution(cols: np.ndarray) -> np.ndarray:
-            spec = np.fft.rfft(cols, n=2 * b, axis=0)
-            spec *= kappa_hat
-            return np.fft.irfft(spec, n=2 * b, axis=0)[b:b + t]
-
-    # FFT: padded input, rfft spectrum and irfft output, ~48*b bytes a column
-    chunk = max(1, _SCRATCH_BYTES // (48 * b))
-    for c in range(0, flat.shape[1], chunk):
-        pending[:, c:c + chunk] += contribution(block[:, c:c + chunk])
+    fold_block(state.kappa, flat[s + 1 - b:s + 1], flat[s + 2:s + 2 + t])
 
 
 def _rhs_raw(state: SolverState) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ from .adisolver import solve
 from .heatmap import emit_heatmap
 from .meshops import GridFn, write_csv
 from .problems import (
+    BUILTIN_PROBLEMS,
     _max_abs_psi,  # unused here; bench/tracer.py wraps it by name
     get_problem,
     homogenize_initial,
@@ -36,6 +37,8 @@ from .studies import StudyConfig, emit_outputs, emit_table, run_study
 from .verify import format_results, run_checks
 
 _SOLVE_EMIT = ("csv", "svg", "reports", "snapshots")
+# alpha of a builtin problem when neither --alpha nor --config sets one
+_BUILTIN_ALPHA = 0.5
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="run one problem at one resolution")
     ps.add_argument("--problem", default="example1",
                     help="builtin name or JSON problem file (default: example1)")
-    ps.add_argument("--alpha", type=float, default=0.5,
-                    help="fractional order in (0, 1) (default: 0.5)")
+    ps.add_argument("--alpha", type=float, default=None,
+                    help="fractional order in (0, 1) (default: the problem "
+                         f"file's alpha; {_BUILTIN_ALPHA} for a builtin)")
     ps.add_argument("--m", type=int, default=16,
                     help="cells per spatial axis (default: 16)")
     ps.add_argument("--n", type=int, default=10,
@@ -122,7 +126,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown emit flags {sorted(bad)}; "
                          f"choose from {_SOLVE_EMIT}")
 
-    problem = get_problem(args.problem, args.alpha)
+    alpha = args.alpha
+    if alpha is None and args.problem in BUILTIN_PROBLEMS:
+        alpha = _BUILTIN_ALPHA
+    problem = get_problem(args.problem, alpha)
     mesh = mesh_for(problem, int(args.m), n=int(args.n))
 
     # the solver wants zero initial displacement; reduce and add back

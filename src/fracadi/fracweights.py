@@ -13,8 +13,14 @@ The scheme weights ``lambda_k`` blend two shifted omega sequences,
 and are the time-memory coefficients used by the ADI solver.  Both families
 are positive for alpha in (0, 1).
 
+Causal convolutions out[k] = sum_{j<=k} kernel[j] * samples[k-j] have one
+engine here, the blocked scheme of Hairer, Lubich & Schlichte (SIAM J. Sci.
+Stat. Comput. 6, 1985): exact up to summation order, O(n log^2 n) per
+column.  ``causal_convolve`` runs it over a whole array; the ADI solver's
+memory term runs it online through ``completed_block`` and ``fold_block``.
+
 ``wsgd_integral`` applies the weighted-shifted Grunwald quadrature, which
-is the convolution with the lambda weights, to a sampled function;
+is the causal convolution with the lambda weights, to a sampled function;
 ``rl_integral_oracle`` is a slow adaptive-quadrature reference for the same
 Riemann-Liouville integral, used to validate it.
 """
@@ -29,6 +35,15 @@ import numpy as np
 
 # Hard cap on weight-table length; 2**27 doubles is about 1 GiB per array.
 MAX_WEIGHT_COUNT = 2**27
+
+# levels of a causal convolution summed directly; older ones arrive in
+# dyadic blocks
+_LEAF = 32
+# blocks up to this size are applied as a dense Toeplitz product, which is
+# faster than the FFT and its set-up there
+_TOEPLITZ_MAX_BLOCK = 256
+# cap on the scratch of one block's column chunk
+_SCRATCH_BYTES = 2**20
 
 
 def _check_alpha(alpha: float) -> float:
@@ -54,9 +69,10 @@ def _check_count(count: int) -> int:
 def grunwald_weights(alpha: float, count: int) -> np.ndarray:
     """Return ``omega_0 .. omega_count`` for order ``alpha`` (length count+1).
 
-    Computed by the stable ratio recurrence; all entries are positive and
-    the sequence is monotonically relevant for convolution quadrature of
-    the fractional integral of order alpha.
+    Computed by the stable ratio recurrence.  For alpha in (0, 1) every
+    entry is positive and the sequence is strictly decreasing; these are
+    the convolution-quadrature weights of the fractional integral of
+    order alpha.
     """
     alpha = _check_alpha(alpha)
     count = _check_count(count)
@@ -100,6 +116,80 @@ def scheme_weights(alpha: float, count: int) -> WeightTable:
     return WeightTable(alpha=alpha, omega=omega, lam=lam)
 
 
+def completed_block(s: int) -> int:
+    """Size b of the left dyadic block that level s completes, else 0.
+
+    When s+1 = b * odd with b = _LEAF * 2^j, level s closes the block
+    [s+1-b, s+1), the left child of the node [s+1-b, s+1+b).  Every pair of
+    levels m < n outside a common leaf meets in exactly one such node, so
+    folding each completed block into the b levels after it adds each term
+    of the convolution once.
+    """
+    q, r = divmod(s + 1, _LEAF)
+    return 0 if r or not q else _LEAF * (q & -q)
+
+
+def fold_block(kernel: np.ndarray, block: np.ndarray,
+               targets: np.ndarray) -> None:
+    """Add a block of b source levels to the t <= b target levels after it.
+
+    ``block`` is (b, columns) and ``targets`` (t, columns); in place,
+    targets[r] += sum_{i<b} kernel[b + r - i] * block[i].  Short blocks
+    use a dense Toeplitz product; long ones the tail of one length-2b
+    circular convolution, where no term wraps around.  Both run over column
+    chunks whose scratch stays near ``_SCRATCH_BYTES``.
+    """
+    b, t = block.shape[0], targets.shape[0]
+    if b <= _TOEPLITZ_MAX_BLOCK:
+        # row r is target level b+r, column i is source level i
+        toeplitz = kernel[b + np.arange(t)[:, None] - np.arange(b)]
+
+        def contribution(cols: np.ndarray) -> np.ndarray:
+            return toeplitz @ cols
+    else:
+        # rfft of kernel_0..kernel_{2b-1} (zero past its last lag)
+        kernel_hat = np.fft.rfft(kernel[:2 * b], n=2 * b)[:, None]
+
+        def contribution(cols: np.ndarray) -> np.ndarray:
+            spec = np.fft.rfft(cols, n=2 * b, axis=0)
+            spec *= kernel_hat
+            return np.fft.irfft(spec, n=2 * b, axis=0)[b:b + t]
+
+    # FFT: padded input, rfft spectrum and irfft output, ~48*b bytes a column
+    chunk = max(1, _SCRATCH_BYTES // (48 * b))
+    for c in range(0, block.shape[1], chunk):
+        targets[:, c:c + chunk] += contribution(block[:, c:c + chunk])
+
+
+def causal_convolve(kernel: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """out[k] = sum_{j<=k} kernel[j] * samples[k - j] along axis 0.
+
+    ``samples`` has n >= 1 levels along axis 0 and any trailing shape;
+    ``kernel`` is 1-D and covers the lags 0..n-1.  Each leaf is summed
+    directly, so out[k] for k < ``_LEAF`` is a plain dot product and out[0]
+    is exactly kernel[0] * samples[0].
+    """
+    kernel = np.asarray(kernel, dtype=float)
+    samples = np.asarray(samples, dtype=float)
+    if samples.ndim == 0 or samples.shape[0] == 0:
+        raise ValueError("samples must be a nonempty array of time levels")
+    n = samples.shape[0]
+    if kernel.ndim != 1 or kernel.shape[0] < n:
+        raise ValueError(f"kernel must be 1-D with at least {n} lags, "
+                         f"got shape {kernel.shape}")
+    flat = samples.reshape(n, -1)
+    out = np.empty_like(flat)
+    lags = np.arange(min(n, _LEAF))
+    near = np.tril(kernel[np.abs(lags[:, None] - lags)])
+    for lo in range(0, n, _LEAF):
+        h = min(_LEAF, n - lo)
+        out[lo:lo + h] = near[:h, :h] @ flat[lo:lo + h]
+    for s in range(_LEAF - 1, n - 1, _LEAF):
+        b = completed_block(s)
+        fold_block(kernel, flat[s + 1 - b:s + 1], out[s + 1:s + 1 + b])
+    return out.reshape(samples.shape)
+
+
 def wsgd_integral(samples: np.ndarray, alpha: float, tau: float) -> np.ndarray:
     """Second-order convolution quadrature of the order-alpha integral.
 
@@ -111,7 +201,8 @@ def wsgd_integral(samples: np.ndarray, alpha: float, tau: float) -> np.ndarray:
 
     the weighted-shifted Grunwald quadrature with shift pair (0, -1): its
     weights (1 - alpha/2) omega_j + (alpha/2) omega_{j-1} are exactly the
-    scheme weights lambda_j of ``scheme_weights``.
+    scheme weights lambda_j of ``scheme_weights``.  The sum is the
+    ``causal_convolve`` of lambda with the samples.
     """
     alpha = _check_alpha(alpha)
     tau = float(tau)
@@ -120,14 +211,8 @@ def wsgd_integral(samples: np.ndarray, alpha: float, tau: float) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 0 or samples.shape[0] == 0:
         raise ValueError("samples must be a nonempty array of time levels")
-
-    # scipy.signal takes about a second to import; only callers pay for it
-    from scipy.signal import convolve
-
-    n = samples.shape[0] - 1
-    lam = scheme_weights(alpha, n).lam
-    kernel = lam.reshape(-1, *([1] * (samples.ndim - 1)))
-    return tau**alpha * convolve(kernel, samples)[: n + 1]
+    lam = scheme_weights(alpha, samples.shape[0] - 1).lam
+    return tau**alpha * causal_convolve(lam, samples)
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)

@@ -532,10 +532,17 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
     if not isinstance(data, dict):
         raise ValueError(f"problem file {path} must contain a JSON object")
 
+    def number(key, value):
+        try:
+            return float(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"problem file {path}, key {key!r}: "
+                             f"{value!r} is not a number") from exc
+
     if alpha is None:
         if "alpha" not in data:
             raise ValueError(f"problem file {path} has no alpha and none was given")
-        alpha = data["alpha"]
+        alpha = number("alpha", data["alpha"])
     alpha = float(alpha)
 
     for key in ("domain", "final_time", "phi", "psi", "boundary"):
@@ -570,8 +577,8 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
     return ProblemSpec(
         name=str(data.get("name", path.stem)),
         alpha=alpha,
-        domain=(float(domain[0]), float(domain[1])),
-        T=float(data["final_time"]),
+        domain=(number("domain", domain[0]), number("domain", domain[1])),
+        T=number("final_time", data["final_time"]),
         phi=fields.get("phi", _zero_xy),
         psi=fields.get("psi", _zero_xy),
         boundary=fields.get("boundary", _zero_xyt),

@@ -22,7 +22,7 @@ from fracadi import (
     sample_xyt,
     solve,
 )
-from fracadi import adisolver
+from fracadi import adisolver, fracweights
 from fracadi.meshops import _zero_frame
 from fracadi.problems import ProblemSpec, _zero_xy, _zero_xyt
 from fracadi.verify import (
@@ -241,7 +241,7 @@ class TestMemoryConvolution:
         p = equivalence_problem(0.5)
         mesh = _mesh(p, 5, 4, 600)
         whole = solve(p, mesh).final.values
-        monkeypatch.setattr(adisolver, "_SCRATCH_BYTES", 1)
+        monkeypatch.setattr(fracweights, "_SCRATCH_BYTES", 1)
         chunked = solve(p, mesh).final.values
         assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
 

@@ -198,6 +198,53 @@ class TestSolveCommand:
         assert err["message"].startswith(f"{key} is nan")
         assert point in err["message"]
 
+    @pytest.mark.parametrize("flags, shown", [
+        ((), "alpha=0.3"),
+        (("--alpha", "0.7"), "alpha=0.7"),
+    ], ids=["file", "flag"])
+    def test_problem_file_alpha(self, tmp_path, capsys, flags, shown):
+        # the file's alpha holds unless --alpha overrides it
+        prob = {
+            "alpha": 0.3,
+            "domain": [1.0, 1.0],
+            "final_time": 1.0,
+            "phi": "0",
+            "psi": "0",
+            "boundary": "0",
+            "forcing": "x * y * t",
+        }
+        ppath = tmp_path / "alpha.json"
+        ppath.write_text(json.dumps(prob))
+        code = run_cli("solve", "--problem", str(ppath), "--m", "4",
+                       "--n", "2", *flags)
+        assert code == 0
+        assert shown in capsys.readouterr().out
+
+    def test_builtin_alpha_default(self, capsys):
+        assert run_cli("solve", "--m", "4", "--n", "2") == 0
+        assert "alpha=0.5" in capsys.readouterr().out
+
+    def test_non_numeric_final_time(self, tmp_path, capsys):
+        prob = {
+            "alpha": 0.5,
+            "domain": [1.0, 1.0],
+            "final_time": None,
+            "phi": "0",
+            "psi": "0",
+            "boundary": "0",
+            "forcing": "0",
+        }
+        ppath = tmp_path / "no_time.json"
+        ppath.write_text(json.dumps(prob))
+        code = run_cli("solve", "--problem", str(ppath), "--m", "4",
+                       "--n", "2")
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert "'final_time'" in err["message"]
+
     def test_config_overrides_flags(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": 0.25, "n": 3}))

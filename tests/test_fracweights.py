@@ -1,17 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import convolve
 
+import fracadi
 from fracadi import (
     grunwald_weights,
     rl_integral_oracle,
     scheme_weights,
     wsgd_integral,
 )
-from fracadi.fracweights import MAX_WEIGHT_COUNT
+from fracadi.fracweights import MAX_WEIGHT_COUNT, causal_convolve
 
 ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -163,6 +169,70 @@ class TestWsgdIntegral:
             wsgd_integral(np.array([]), 0.5, 0.1)
         with pytest.raises(ValueError):
             wsgd_integral(np.float64(1.0), 0.5, 0.1)
+
+
+# n <= 32 stays in the first leaf; 33 and 65 fold blocks of 32; 600 and
+# 1100 reach Toeplitz blocks up to 256 and an FFT block of 512
+ENGINE_LENGTHS = (1, 31, 32, 33, 65, 600, 1100)
+
+
+def _scipy_causal(kernel, samples):
+    """The causal convolution by scipy.signal, the engine's oracle."""
+    shaped = kernel.reshape(-1, *([1] * (samples.ndim - 1)))
+    return convolve(shaped, samples)[:samples.shape[0]]
+
+
+def _max_rel(out, ref):
+    return np.max(np.abs(out - ref)) / np.max(np.abs(ref))
+
+
+class TestCausalConvolve:
+    @pytest.mark.parametrize("trailing", [(), (3, 4)], ids=["1d", "3x4"])
+    @pytest.mark.parametrize("n", ENGINE_LENGTHS)
+    def test_matches_scipy(self, n, trailing):
+        rng = np.random.default_rng(n)
+        kernel = rng.standard_normal(n)
+        samples = rng.standard_normal((n, *trailing))
+        out = causal_convolve(kernel, samples)
+        assert out.shape == samples.shape
+        assert _max_rel(out, _scipy_causal(kernel, samples)) <= 1e-14
+
+    @pytest.mark.parametrize("trailing", [(), (3, 4)], ids=["1d", "3x4"])
+    @pytest.mark.parametrize("n", ENGINE_LENGTHS)
+    def test_wsgd_matches_scipy(self, n, trailing):
+        rng = np.random.default_rng(n + 1)
+        samples = rng.standard_normal((n, *trailing))
+        a, tau = 0.3, 0.01
+        ref = tau**a * _scipy_causal(scheme_weights(a, n - 1).lam, samples)
+        assert _max_rel(wsgd_integral(samples, a, tau), ref) <= 1e-14
+
+    def test_first_level_exact(self):
+        out = causal_convolve(np.array([0.3, 2.0, 5.0]), np.array([0.7, 1.0, 1.0]))
+        assert out[0] == 0.3 * 0.7
+
+    def test_kernel_must_cover_the_lags(self):
+        with pytest.raises(ValueError, match="lags"):
+            causal_convolve(np.ones(3), np.ones(4))
+        with pytest.raises(ValueError):
+            causal_convolve(np.ones(3), np.array([]))
+
+    def test_scipy_signal_not_imported(self):
+        # the quadrature and a caputo_forcing-only solve run on numpy alone
+        code = (
+            "import dataclasses, sys\n"
+            "import numpy as np\n"
+            "from fracadi import make_example1, mesh_for, solve, wsgd_integral\n"
+            "wsgd_integral(np.ones(700), 0.5, 0.1)\n"
+            "p = dataclasses.replace(make_example1(0.5), forcing_f=None)\n"
+            "solve(p, mesh_for(p, 4, n=40))\n"
+            "print('scipy.signal' in sys.modules)\n"
+        )
+        src = str(Path(fracadi.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": path})
+        assert run.stdout.strip() == "False"
 
 
 class TestQuadratureOracle:

@@ -377,6 +377,23 @@ class TestLoadProblem:
                            match="either forcing_f or caputo_forcing"):
             load_problem(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("domain", ["a", 1]),
+        ("domain", [1.0, None]),
+        ("final_time", None),
+        ("final_time", "soon"),
+        ("alpha", [0.5]),
+    ])
+    def test_non_numeric_value_names_key(self, tmp_path, key, value):
+        data = dict(EXAMPLE_JSON)
+        data[key] = value
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as info:
+            load_problem(path)
+        assert str(path) in str(info.value)
+        assert f"key {key!r}" in str(info.value)
+
     def test_name_defaults_to_stem(self, tmp_path):
         data = dict(EXAMPLE_JSON)
         del data["name"]
