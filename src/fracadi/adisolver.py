@@ -52,7 +52,6 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .fracweights import (
     _LEAF,
-    WeightTable,
     completed_block,
     fold_block,
     scheme_weights,
@@ -144,7 +143,6 @@ class SolverState:
 
     problem: ProblemSpec
     mesh: Mesh
-    weights: WeightTable
     mu: float
     c: float
     history: np.ndarray
@@ -179,9 +177,8 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
     if (mesh.N + 1) * (mesh.M1 + 1) * (mesh.M2 + 1) > MAX_HISTORY_ENTRIES:
         raise ValueError("history array would exceed the capacity limit")
 
-    weights = scheme_weights(problem.alpha, mesh.N + 1)
+    lam = scheme_weights(problem.alpha, mesh.N + 1)
     mu = mesh.tau ** (problem.alpha + 1.0) / 2.0
-    lam = weights.lam
     c = mu * lam[0]
     kappa = lam[:-1] + lam[1:]
     kappa[0] = lam[1]
@@ -189,7 +186,6 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
     return SolverState(
         problem=problem,
         mesh=mesh,
-        weights=weights,
         mu=mu,
         c=c,
         history=np.zeros((mesh.N + 1, *mesh.shape)),

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from .heatmap import emit_heatmap
 from .meshops import GridFn, write_csv
 from .problems import (
     BUILTIN_PROBLEMS,
+    ProblemSpec,
     _max_abs_psi,  # unused here; bench/tracer.py wraps it by name
     get_problem,
     homogenize_initial,
@@ -39,6 +41,9 @@ from .verify import format_results, run_checks
 _SOLVE_EMIT = ("csv", "svg", "reports", "snapshots")
 # alpha of a builtin problem when neither --alpha nor --config sets one
 _BUILTIN_ALPHA = 0.5
+# exit status when stdout's reader has gone: 128 + SIGPIPE, as a shell
+# reports a process that signal ended
+_SIGPIPE_EXIT = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,8 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("study", help="run a refinement ladder")
     pt.add_argument("--problem", default="example1")
-    pt.add_argument("--alpha", default="0.5",
-                    help="comma list of fractional orders (default: 0.5)")
+    pt.add_argument("--alpha", default=None,
+                    help="comma list of fractional orders (default: the "
+                         f"problem file's alpha; {_BUILTIN_ALPHA} for a "
+                         "builtin)")
     pt.add_argument("--axis", default="temporal",
                     choices=("temporal", "spatial"))
     pt.add_argument("--ladder", default="5,10,20,40,80",
@@ -119,6 +126,19 @@ def _parse_list(value, cast):
     return tuple(cast(v) for v in value.split(","))
 
 
+def _problems(args: argparse.Namespace) -> list[ProblemSpec]:
+    """The run's problem at each of its alphas.  --alpha (or the config's
+    alpha) wins; otherwise a problem file's own alpha, otherwise
+    ``_BUILTIN_ALPHA`` for a builtin problem."""
+    if args.alpha is not None:
+        alphas = _parse_list(args.alpha, float)
+    elif args.problem in BUILTIN_PROBLEMS:
+        alphas = (_BUILTIN_ALPHA,)
+    else:
+        alphas = (None,)  # get_problem reads the file's alpha
+    return [get_problem(args.problem, alpha) for alpha in alphas]
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     emit = _parse_list(args.emit, str)
     bad = set(emit) - set(_SOLVE_EMIT)
@@ -126,10 +146,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError(f"unknown emit flags {sorted(bad)}; "
                          f"choose from {_SOLVE_EMIT}")
 
-    alpha = args.alpha
-    if alpha is None and args.problem in BUILTIN_PROBLEMS:
-        alpha = _BUILTIN_ALPHA
-    problem = get_problem(args.problem, alpha)
+    problems = _problems(args)
+    if len(problems) != 1:
+        raise ValueError(f"solve takes one alpha, got {len(problems)}")
+    problem = problems[0]
     mesh = mesh_for(problem, int(args.m), n=int(args.n))
 
     # the solver wants zero initial displacement; reduce and add back
@@ -202,7 +222,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    alphas = _parse_list(args.alpha, float)
+    alphas = tuple(problem.alpha for problem in _problems(args))
     ladder = _parse_list(args.ladder, int)
     fixed = args.fixed
     if fixed is None:
@@ -237,7 +257,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. `| head`); silence the final flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _SIGPIPE_EXIT
     except Exception as exc:  # surface everything as one stderr JSON line
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -28,7 +28,6 @@ Riemann-Liouville integral, used to validate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -83,37 +82,19 @@ def grunwald_weights(alpha: float, count: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class WeightTable:
-    """Immutable bundle of the two weight sequences for one alpha.
+def scheme_weights(alpha: float, count: int) -> np.ndarray:
+    """Return ``lambda_0 .. lambda_count`` (length count+1), read-only.
 
-    ``omega`` and ``lam`` have equal length count+1; ``lam`` holds the
-    lambda coefficients (the name avoids the Python keyword).  The arrays
-    are marked read-only so a table can be shared across threads.
+    Built from ``grunwald_weights``; the array is marked read-only so one
+    table can be shared.
     """
-
-    alpha: float
-    omega: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.omega.flags.writeable = False
-        self.lam.flags.writeable = False
-
-    def __len__(self) -> int:
-        return len(self.omega)
-
-
-def scheme_weights(alpha: float, count: int) -> WeightTable:
-    """Build the lambda coefficients alongside omega, indices 0..count."""
     alpha = _check_alpha(alpha)
-    count = _check_count(count)
     omega = grunwald_weights(alpha, count)
-    lam = np.empty(count + 1)
+    lam = np.empty_like(omega)
     lam[0] = 1.0 - alpha / 2.0
-    if count >= 1:
-        lam[1:] = (1.0 - alpha / 2.0) * omega[1:] + (alpha / 2.0) * omega[:-1]
-    return WeightTable(alpha=alpha, omega=omega, lam=lam)
+    lam[1:] = (1.0 - alpha / 2.0) * omega[1:] + (alpha / 2.0) * omega[:-1]
+    lam.flags.writeable = False
+    return lam
 
 
 def completed_block(s: int) -> int:
@@ -211,7 +192,7 @@ def wsgd_integral(samples: np.ndarray, alpha: float, tau: float) -> np.ndarray:
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 0 or samples.shape[0] == 0:
         raise ValueError("samples must be a nonempty array of time levels")
-    lam = scheme_weights(alpha, samples.shape[0] - 1).lam
+    lam = scheme_weights(alpha, samples.shape[0] - 1)
     return tau**alpha * causal_convolve(lam, samples)
 
 

@@ -99,10 +99,6 @@ class GridFn:
         return self.values[1:-1, 1:-1]
 
 
-def zeros_like(mesh: Mesh) -> GridFn:
-    return GridFn(mesh, np.zeros(mesh.shape))
-
-
 # ---------------------------------------------------------------------------
 # raw stencil kernels on plain arrays (full width, no frame zeroing)
 
@@ -200,11 +196,6 @@ def norm_l2(u: GridFn) -> float:
     return float(np.sqrt(inner(u, u)))
 
 
-def norm_inf(u: GridFn) -> float:
-    """Max absolute value over interior nodes."""
-    return float(np.max(np.abs(u.interior)))
-
-
 def grad_x(u: GridFn) -> np.ndarray:
     """Backward differences (u[i,j] - u[i-1,j]) / h1, shape (M1, M2+1)."""
     return (u.values[1:, :] - u.values[:-1, :]) / u.mesh.h1
@@ -221,18 +212,6 @@ def grad_xy(u: GridFn) -> np.ndarray:
     return (v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]) / (
         u.mesh.h1 * u.mesh.h2
     )
-
-
-def norm_grad_x(u: GridFn) -> float:
-    """||delta_x u||: fluxes i = 1..M1, interior j only."""
-    g = grad_x(u)[:, 1:-1]
-    return float(np.sqrt(u.mesh.h1 * u.mesh.h2 * np.sum(g * g)))
-
-
-def norm_grad_y(u: GridFn) -> float:
-    """||delta_y u||: fluxes j = 1..M2, interior i only."""
-    g = grad_y(u)[1:-1, :]
-    return float(np.sqrt(u.mesh.h1 * u.mesh.h2 * np.sum(g * g)))
 
 
 def norm_grad_xy(u: GridFn) -> float:

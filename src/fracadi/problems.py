@@ -459,13 +459,18 @@ def compile_expression(source: str, *, alpha: float,
     other syntax raises ValueError.  The returned callable always takes
     (x, y, t) regardless of which variables the expression mentions.
     Integer literals become floats, so a power such as ``9**9**9`` overflows
-    at once instead of growing a big integer; an arithmetic error during
-    evaluation is raised as a ValueError that starts with ``label``.
+    at once instead of growing a big integer; an arithmetic error or a
+    complex value during evaluation is raised as a ValueError that starts
+    with ``label``.  An expression nested too deeply for the parser or the
+    compiler raises ValueError too.
     """
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression {source!r}: {exc}") from exc
+    except (RecursionError, MemoryError) as exc:
+        raise ValueError(f"expression of {len(source)} characters is nested "
+                         f"too deeply to parse") from exc
 
     allowed_names = set(variables) | {"alpha", "pi"}
     for node in ast.walk(tree):
@@ -492,6 +497,9 @@ def compile_expression(source: str, *, alpha: float,
                     or node.func.id not in _EXPR_FUNCS
                     or node.keywords):
                 raise ValueError(f"disallowed function call in {source!r}")
+            if len(node.args) != 1:
+                raise ValueError(f"{node.func.id} takes one argument, got "
+                                 f"{len(node.args)} in {source!r}")
         elif isinstance(node, (ast.Load, *_EXPR_BINOPS, *_EXPR_UNARYOPS)):
             continue
         else:
@@ -499,14 +507,22 @@ def compile_expression(source: str, *, alpha: float,
                 f"disallowed syntax {type(node).__name__} in {source!r}"
             )
 
-    code = compile(tree, "<problem-expression>", "eval")
+    try:
+        code = compile(tree, "<problem-expression>", "eval")
+    except (RecursionError, MemoryError) as exc:
+        raise ValueError(f"expression of {len(source)} characters is nested "
+                         f"too deeply to compile") from exc
     env = {"__builtins__": {}, **_EXPR_FUNCS, "pi": math.pi, "alpha": float(alpha)}
 
     def f(x, y, t):
         try:
-            return eval(code, env, {"x": x, "y": y, "t": t})
+            value = eval(code, env, {"x": x, "y": y, "t": t})
         except ArithmeticError as exc:
             raise ValueError(f"{label}: evaluating {source!r} failed: {exc}") from exc
+        if np.iscomplexobj(value):
+            # e.g. (0-2)**alpha: a negative float to a fractional power
+            raise ValueError(f"{label}: {source!r} has a complex value")
+        return value
 
     return f
 

@@ -104,7 +104,7 @@ def check_weights_oracle(
                            8.0 * eps * sum(np.abs(t) for t in terms))
         worst_ratio = max(worst_ratio,
                           float(np.max(np.abs(w - ref) / ref / bound)))
-        min_lam = min(min_lam, float(np.min(scheme_weights(a, kmax).lam)))
+        min_lam = min(min_lam, float(np.min(scheme_weights(a, kmax))))
     passed = worst_ratio <= 1.0 and min_lam > 0.0
     return CheckResult(
         "weights-oracle", passed,
@@ -131,7 +131,7 @@ def check_lambda_form(
     min_ratio = math.inf
     min_eig = math.inf
     for a in alphas:
-        lam = scheme_weights(a, max_len).lam
+        lam = scheme_weights(a, max_len)
         tmat = toeplitz(lam, np.r_[lam[0], np.zeros(max_len)])
         rng = np.random.default_rng(seed)
         for _ in range(vectors):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -12,19 +13,21 @@ from fracadi import (
     Mesh,
     SolverDivergenceError,
     adi_step,
-    compact_h,
     direct_step,
     init_state,
-    lambda_op,
     make_example1,
     mesh_for,
-    sample_xy,
-    sample_xyt,
     solve,
 )
 from fracadi import adisolver, fracweights
-from fracadi.meshops import _zero_frame
-from fracadi.problems import ProblemSpec, _zero_xy, _zero_xyt
+from fracadi.meshops import _zero_frame, compact_h, lambda_op
+from fracadi.problems import (
+    ProblemSpec,
+    _zero_xy,
+    _zero_xyt,
+    sample_xy,
+    sample_xyt,
+)
 from fracadi.verify import (
     equivalence_problem,
     split_product_apply,
@@ -46,7 +49,7 @@ class TestInitState:
         assert state.history.shape == (5, 7, 7)
         assert np.all(state.history == 0.0)
         assert np.shares_memory(state.u_current.values, state.history[0])
-        assert len(state.weights.lam) == mesh.N + 2
+        assert len(state.kappa) == mesh.N + 1
         assert state.mu == pytest.approx(mesh.tau ** 1.5 / 2.0)
 
     def test_nonzero_psi_rejected(self):
@@ -110,8 +113,9 @@ class TestStepping:
         got = _zero_frame(adisolver._rhs_raw(state)[0])
 
         # independent reassembly from the stored levels
-        c = state.mu * state.weights.lam[0]
-        lam = state.weights.lam
+        lam = fracweights.scheme_weights(p.alpha, n_steps + 1)
+        c = state.mu * lam[0]
+        assert state.c == c
         ref = split_product_apply(fields[n], c, sign=+1).values.copy()
         for m in range(n + 1):
             coef = lam[n + 1 - m] + (lam[n - m] if m <= n - 1 else 0.0)
@@ -208,10 +212,15 @@ def _memory_coefficients(lam, n):
     return coef
 
 
+# the oracle runs every step; build each read-only lambda table once
+_lambda_table = functools.lru_cache(fracweights.scheme_weights)
+
+
 def _naive_memory_sum(state):
     """The memory sum as one tensordot over the whole trajectory."""
     n = state.current_level
-    coef = _memory_coefficients(state.weights.lam, n)
+    lam = _lambda_table(state.problem.alpha, state.mesh.N + 1)
+    coef = _memory_coefficients(lam, n)
     return np.tensordot(coef, state.history[:n + 1], axes=1)
 
 

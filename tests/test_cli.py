@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +202,38 @@ class TestSolveCommand:
         assert err["message"].startswith(f"{key} is nan")
         assert point in err["message"]
 
+    @pytest.mark.parametrize("key, expr", [
+        ("forcing", "x*0 + (0-2)**alpha"),
+        ("phi", "(0-2)**alpha"),
+        ("forcing", "+".join(["x"] * 100_000)),
+        ("forcing", "-" * 200_000 + "x"),
+    ], ids=["complex-forcing", "complex-phi", "long-sum", "deep-unary"])
+    def test_bad_expression_names_key(self, tmp_path, capsys, key, expr):
+        # a complex value was cast to its real part (or raised TypeError);
+        # a deep expression raised RecursionError or MemoryError
+        prob = {
+            "alpha": 0.5,
+            "domain": [1.0, 1.0],
+            "final_time": 1.0,
+            "phi": "0",
+            "psi": "0",
+            "boundary": "0",
+            "forcing": "0",
+            key: expr,
+        }
+        ppath = tmp_path / "bad.json"
+        ppath.write_text(json.dumps(prob))
+        start = time.perf_counter()
+        code = run_cli("solve", "--problem", str(ppath), "--m", "4",
+                       "--n", "2", "--out", str(tmp_path / "out"))
+        assert time.perf_counter() - start < 2.0
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert f"key {key!r}" in err["message"]
+
     @pytest.mark.parametrize("flags, shown", [
         ((), "alpha=0.3"),
         (("--alpha", "0.7"), "alpha=0.7"),
@@ -255,6 +291,14 @@ class TestSolveCommand:
         assert "alpha=0.25" in text
         assert "steps 3" in text
 
+    def test_config_takes_one_alpha(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": [0.25, 0.75]}))
+        code = run_cli("solve", "--m", "4", "--n", "2", "--config", str(cfg))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == "solve takes one alpha, got 2"
+
     def test_config_unknown_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))
@@ -296,11 +340,66 @@ class TestStudyCommand:
         assert code == 0
         assert (tmp_path / "o" / "study.csv").exists()
 
+    @pytest.mark.parametrize("flags, shown", [
+        ((), "0.300"),
+        (("--alpha", "0.7"), "0.700"),
+    ], ids=["file", "flag"])
+    def test_problem_file_alpha(self, tmp_path, capsys, flags, shown):
+        # the file's alpha holds unless --alpha overrides it
+        prob = {
+            "alpha": 0.3,
+            "domain": [1.0, 1.0],
+            "final_time": 1.0,
+            "phi": "0",
+            "psi": "0",
+            "boundary": "0",
+            "forcing": "x * y",
+            "exact": "x * y * t",
+        }
+        ppath = tmp_path / "alpha.json"
+        ppath.write_text(json.dumps(prob))
+        code = run_cli("study", "--problem", str(ppath), "--ladder", "2,4",
+                       "--fixed", "4", "--emit", "table",
+                       "--out", str(tmp_path / "out"), *flags)
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:3]
+        assert [row.split()[0] for row in rows] == [shown, shown]
+
+    def test_builtin_alpha_default(self, tmp_path, capsys):
+        code = run_cli("study", "--ladder", "2,4", "--fixed", "4",
+                       "--emit", "table", "--out", str(tmp_path))
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[0] == "0.500"
+
     def test_bad_ladder(self, capsys):
         code = run_cli("study", "--ladder", "8,4", "--fixed", "6")
         assert code == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True],
+                             ids=["buffered", "unbuffered"])
+    def test_exit_141_and_quiet(self, unbuffered):
+        # a reader that has gone (`fracadi solve | head -1`) is not an error:
+        # unbuffered, the first print fails; buffered, the final flush does
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "fracadi.cli", "solve", "--m", "4",
+                 "--n", "2"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert run.stderr == b""
+        assert run.returncode == 141
 
 
 class TestVerifyCommand:

@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 from scipy.signal import convolve
 
 import fracadi
-from fracadi import (
+from fracadi.fracweights import (
+    MAX_WEIGHT_COUNT,
+    causal_convolve,
     grunwald_weights,
     rl_integral_oracle,
     scheme_weights,
     wsgd_integral,
 )
-from fracadi.fracweights import MAX_WEIGHT_COUNT, causal_convolve
 
 ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -67,36 +68,34 @@ class TestGrunwaldWeights:
 
 class TestSchemeWeights:
     def test_known_values_alpha_half(self):
-        table = scheme_weights(0.5, 2)
-        assert np.allclose(table.lam, [0.75, 0.625, 0.40625], rtol=0, atol=0)
+        lam = scheme_weights(0.5, 2)
+        assert np.allclose(lam, [0.75, 0.625, 0.40625], rtol=0, atol=0)
 
     def test_known_values_alpha_quarter(self):
-        table = scheme_weights(0.25, 1)
-        assert table.lam[0] == 0.875
-        assert table.lam[1] == 0.34375
+        lam = scheme_weights(0.25, 1)
+        assert lam[0] == 0.875
+        assert lam[1] == 0.34375
 
     def test_lambda_zero(self):
         for a in ALPHAS:
-            assert scheme_weights(a, 0).lam[0] == 1.0 - a / 2.0
+            assert scheme_weights(a, 0)[0] == 1.0 - a / 2.0
 
     def test_blend_consistency(self):
         for a in ALPHAS:
-            t = scheme_weights(a, 50)
-            expect = (1 - a / 2) * t.omega[1:] + (a / 2) * t.omega[:-1]
-            assert np.array_equal(t.lam[1:], expect)
+            omega = grunwald_weights(a, 50)
+            expect = (1 - a / 2) * omega[1:] + (a / 2) * omega[:-1]
+            assert np.array_equal(scheme_weights(a, 50)[1:], expect)
 
     def test_positive_and_eventually_decreasing(self):
         for a in ALPHAS:
-            lam = scheme_weights(a, 500).lam
+            lam = scheme_weights(a, 500)
             assert np.all(lam > 0)
             assert np.all(np.diff(lam[1:]) < 0)
 
     def test_immutable(self):
-        t = scheme_weights(0.5, 5)
+        lam = scheme_weights(0.5, 5)
         with pytest.raises(ValueError):
-            t.omega[0] = 2.0
-        with pytest.raises(ValueError):
-            t.lam[0] = 2.0
+            lam[0] = 2.0
 
     def test_len(self):
         assert len(scheme_weights(0.5, 7)) == 8
@@ -203,7 +202,7 @@ class TestCausalConvolve:
         rng = np.random.default_rng(n + 1)
         samples = rng.standard_normal((n, *trailing))
         a, tau = 0.3, 0.01
-        ref = tau**a * _scipy_causal(scheme_weights(a, n - 1).lam, samples)
+        ref = tau**a * _scipy_causal(scheme_weights(a, n - 1), samples)
         assert _max_rel(wsgd_integral(samples, a, tau), ref) <= 1e-14
 
     def test_first_level_exact(self):
@@ -221,7 +220,8 @@ class TestCausalConvolve:
         code = (
             "import dataclasses, sys\n"
             "import numpy as np\n"
-            "from fracadi import make_example1, mesh_for, solve, wsgd_integral\n"
+            "from fracadi import make_example1, mesh_for, solve\n"
+            "from fracadi.fracweights import wsgd_integral\n"
             "wsgd_integral(np.ones(700), 0.5, 0.1)\n"
             "p = dataclasses.replace(make_example1(0.5), forcing_f=None)\n"
             "solve(p, mesh_for(p, 4, n=40))\n"

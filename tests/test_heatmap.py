@@ -2,7 +2,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from fracadi import GridFn, Mesh, emit_heatmap
+from fracadi import GridFn, Mesh
+from fracadi.heatmap import emit_heatmap
 from conftest import random_field
 
 

@@ -1,25 +1,32 @@
 import json
 import math
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracadi import (
     Mesh,
     ProblemSpec,
-    compile_expression,
     get_problem,
     homogenize_initial,
     load_problem,
     make_example1,
-    make_random_problem,
     mesh_for,
-    rl_integral_oracle,
+)
+from fracadi.fracweights import rl_integral_oracle
+from fracadi.problems import (
+    _EXPR_FUNCS,
+    _zero_xy,
+    _zero_xyt,
+    compile_expression,
+    make_random_problem,
     sample_xy,
     sample_xyt,
     verify_manufactured,
 )
-from fracadi.problems import _zero_xy, _zero_xyt
 
 
 class TestExample1:
@@ -249,6 +256,27 @@ class TestVerifyManufactured:
         assert np.array_equal(a.points, b.points)
 
 
+_LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "t", "alpha", "pi"]),
+    st.integers(0, 10**400).map(str),
+    st.floats(0.0, allow_nan=False, allow_infinity=False).map(repr),
+)
+
+
+def _expressions(depth: int):
+    """Expressions of the admitted grammar nested at most ``depth`` deep."""
+    if depth == 0:
+        return _LEAVES
+    sub = _expressions(depth - 1)
+    return st.one_of(
+        _LEAVES,
+        st.builds("({} {} {})".format, sub, st.sampled_from("+-*/"), sub),
+        st.builds("({})**({})".format, sub, sub),
+        st.builds("{}({})".format, st.sampled_from("+-"), sub),
+        st.builds("{}({})".format, st.sampled_from(sorted(_EXPR_FUNCS)), sub),
+    )
+
+
 class TestCompileExpression:
     def test_basic(self):
         f = compile_expression("sin(x)*cos(y) + t**2", alpha=0.5)
@@ -272,6 +300,8 @@ class TestCompileExpression:
         "x < 1",
         "foo(x)",
         "sin(x, key=1)",
+        "sin()",
+        "gamma(x, x)",
         "lambda: 1",
         "x if t else y",
         "'abc'",
@@ -293,6 +323,25 @@ class TestCompileExpression:
     def test_variable_subset(self):
         with pytest.raises(ValueError, match="t"):
             compile_expression("t + x", alpha=0.5, variables=("x", "y"))
+
+    @settings(max_examples=150, deadline=timedelta(seconds=1))
+    @given(source=_expressions(4))
+    @example(source="9**9**9")
+    @example(source="log(x - 0.5)")
+    @example(source="(0-2)**alpha")
+    @example(source="+".join(["x"] * 100_000))
+    def test_fuzz_value_error_or_finite_grid(self, source):
+        # any admitted expression either fails with a ValueError or samples
+        # to a finite grid of the mesh's shape
+        mesh = Mesh(1.0, 1.0, 3, 2, 1.0, 1)
+        try:
+            f = compile_expression(source, alpha=0.5, label="fuzz")
+            out = sample_xyt(f, mesh, 0.5, field="fuzz")
+        except ValueError:
+            return
+        assert out.shape == mesh.shape
+        assert np.isfinite(out).all()
+
 
 
 EXAMPLE_JSON = {

@@ -4,17 +4,15 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fracadi import (
+from fracadi import StudyConfig, make_example1, run_study
+from fracadi.problems import make_random_problem
+from fracadi.studies import (
     ConvergenceRow,
-    StudyConfig,
     emit_csv,
+    emit_outputs,
     emit_table,
-    make_example1,
-    make_random_problem,
     read_study_csv,
-    run_study,
 )
-from fracadi.studies import emit_outputs
 
 
 def tiny_config(**overrides):

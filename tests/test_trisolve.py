@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracadi import build_sweep_operator
 from fracadi import trisolve
+from fracadi.trisolve import build_sweep_operator
 
 
 def thomas(diag, off, rhs):
