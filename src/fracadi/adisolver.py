@@ -23,6 +23,13 @@ sample, and the finish are written once, and only the interior solve
 differs.  Problem data are sampled once per level and never cached: the
 step keeps f^n from the previous level and fetches f^{n+1}.
 
+A step allocates no grid-sized temporary for its right-hand side: the run
+state holds five work planes, built once in ``init_state``, and the compact
+stencils write into them through ``out=`` (see ``meshops``).  Each term is
+still formed and summed in the order of the formula above, so storage is
+all that changes: the fields are bitwise those of allocating code.  What a
+step still allocates are its problem-data samples and the sweeps' arrays.
+
 Both paths keep the trajectory u^0..u^n in one history array and share the
 memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
 convolution with kappa_0 = lambda_1 and kappa_j = lambda_j + lambda_{j+1};
@@ -139,6 +146,11 @@ class SolverState:
     H phi, the memory kernel kappa (kappa_0 = lambda_1, kappa_j = lambda_j +
     lambda_{j+1}), and the dense factor of the direct path (built on first
     use) live here too; ``c`` is mu * lambda_0.
+
+    ``work`` holds the per-run work planes, shape (5, M1+1, M2+1), that a
+    step overwrites: the right-hand side (plane 0, which the step's report
+    reads after the sweeps), v = (Hy + c d2y) u^n, the memory sum S_n, and
+    two stencil scratch planes.
     """
 
     problem: ProblemSpec
@@ -152,6 +164,7 @@ class SolverState:
     sweep_x: TridiagOperator = field(repr=False)
     sweep_y: TridiagOperator = field(repr=False)
     kappa: np.ndarray = field(repr=False)
+    work: np.ndarray = field(repr=False)
     dense: _DenseOracle | None = field(default=None, repr=False)
     current_level: int = 0
     last_report: StepReport | None = None
@@ -195,6 +208,7 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
         sweep_x=build_sweep_operator(mesh.M1 - 1, mesh.h1, c),
         sweep_y=build_sweep_operator(mesh.M2 - 1, mesh.h2, c),
         kappa=kappa,
+        work=np.empty((5, *mesh.shape)),
     )
 
 
@@ -209,15 +223,18 @@ def _check_consistent(problem: ProblemSpec, mesh: Mesh) -> None:
 
 
 def _memory_sum(state: SolverState) -> np.ndarray:
-    """S_n for the current level n: the pending far field stored in row
-    n+1 plus the levels of n's own leaf, summed directly."""
+    """S_n for the current level n, in the state's memory-sum plane: the
+    levels of n's own leaf, summed directly, plus the pending far field
+    stored in row n+1."""
     n = state.current_level
     history = state.history
     lo = n - n % _LEAF
     leaf = history[lo:n + 1].reshape(n - lo + 1, -1)
-    near = state.kappa[n - lo::-1] @ leaf
-    near += history[n + 1].ravel()
-    return near.reshape(history.shape[1:])
+    out = state.work[2]
+    near = out.reshape(-1)
+    np.matmul(state.kappa[n - lo::-1], leaf, out=near)
+    near += history[n + 1].reshape(-1)
+    return out
 
 
 def _fold_far_field(state: SolverState, s: int) -> None:
@@ -233,24 +250,38 @@ def _fold_far_field(state: SolverState, s: int) -> None:
     fold_block(state.kappa, flat[s + 1 - b:s + 1], flat[s + 2:s + 2 + t])
 
 
-def _rhs_raw(state: SolverState) -> tuple[np.ndarray, np.ndarray]:
+def _rhs_raw(state: SolverState, f_next: np.ndarray) -> np.ndarray:
     """Right-hand side of the step from the state's level, frame included,
-    and f at the level after it, fetched here once the explicit terms are
-    summed."""
+    given f at the level after it; written into the state's work planes.
+
+    Each line applies its stencils into work planes and then sums in the
+    order of the formula in the module docstring, term by term, so the
+    value does not depend on where the terms are stored.
+    """
     mesh = state.mesh
-    n = state.current_level
-    u = state.history[n]
+    u = state.history[state.current_level]
     c = state.c
+    rhs, v, _, tmp, tmp2 = state.work
 
-    v = _avgy(u) + c * _d2y(u, mesh.h2)
-    rhs = _avgx(v) + c * _d2x(v, mesh.h1)
+    # v = Hy u + c d2y u;  rhs = Hx v + c d2x v
+    _avgy(u, out=v)
+    v += np.multiply(_d2y(u, mesh.h2, out=tmp), c, out=tmp)
+    _avgx(v, out=rhs)
+    rhs += np.multiply(_d2x(v, mesh.h1, out=tmp), c, out=tmp)
 
-    rhs += state.mu * _lambda_vals(_memory_sum(state), mesh)
+    # + mu * L S_n  (v is free again)
+    memory = _lambda_vals(_memory_sum(state), mesh, out=v,
+                          scratch=state.work[3:])
+    rhs += np.multiply(memory, state.mu, out=memory)
 
-    f_next = state.forcing(n + 1)
-    fsum = state.f_current + f_next
-    rhs += mesh.tau * state.h_phi + 0.5 * mesh.tau * _avgx(_avgy(fsum))
-    return rhs, f_next
+    # + (tau * H phi + (tau/2) * H (f^n + f^{n+1}))
+    fsum = np.add(state.f_current, f_next, out=v)
+    hf = _avgx(_avgy(fsum, out=tmp), out=tmp2)
+    hf *= 0.5 * mesh.tau
+    phi_term = np.multiply(state.h_phi, mesh.tau, out=tmp)
+    phi_term += hf
+    rhs += phi_term
+    return rhs
 
 
 def _step(state: SolverState,
@@ -264,12 +295,10 @@ def _step(state: SolverState,
     if n >= mesh.N:
         raise ValueError(f"state already at the final level {mesh.N}")
 
-    # boundary first and f^{n+1} late: with f^{n+1} sampled before the
-    # explicit terms, a step at M=256 takes about twice the page faults
-    # (heap trimming of the large temporaries) and ~25% more time
+    f_next = state.forcing(n + 1)
     vals = sample_xyt(state.problem.boundary, mesh, (n + 1) * mesh.tau,
                       field="boundary")
-    rhs, f_next = _rhs_raw(state)
+    rhs = _rhs_raw(state, f_next)
     vals[1:-1, 1:-1] = interior(state, rhs, vals)
 
     if not np.all(np.isfinite(vals)) or np.max(np.abs(vals)) > _DIVERGENCE_LIMIT:

@@ -10,6 +10,15 @@ delta2x*delta2y agree exactly with their tensor-product algebra; the public
 functions then zero the output frame, since frame values of second
 differences are never used by the scheme.
 
+The raw kernels (``_d2x``, ``_d2y``, ``_avgx``, ``_avgy``, ``_lambda_vals``)
+take an optional ``out=``: a C-contiguous float array of the input's shape,
+not overlapping it, which receives the result and is returned.  Without it
+they allocate a fresh C-ordered array and run the same code, so both forms
+give bitwise-equal values.  A non-C-contiguous or misshaped ``out`` raises
+a ValueError; overlap is not checked, since the check would cost more than
+a small stencil.  The y-direction kernels run over the flat C-ordered view
+and then rewrite the first and last columns.
+
 Discrete inner products and norms sum over interior nodes only.
 """
 
@@ -100,29 +109,71 @@ class GridFn:
 
 
 # ---------------------------------------------------------------------------
-# raw stencil kernels on plain arrays (full width, no frame zeroing)
+# raw stencil kernels on plain arrays (full width, no frame zeroing); see
+# the module docstring for the ``out=`` contract
 
-def _d2x(vals: np.ndarray, h1: float) -> np.ndarray:
-    out = np.zeros_like(vals)
-    out[1:-1, :] = (vals[:-2, :] - 2.0 * vals[1:-1, :] + vals[2:, :]) / h1**2
+def _out_for(vals: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return np.empty(vals.shape)
+    if not out.flags.c_contiguous or out.shape != vals.shape:
+        raise ValueError(
+            f"out must be a C-contiguous array of shape {vals.shape}"
+        )
     return out
 
 
-def _d2y(vals: np.ndarray, h2: float) -> np.ndarray:
-    out = np.zeros_like(vals)
-    out[:, 1:-1] = (vals[:, :-2] - 2.0 * vals[:, 1:-1] + vals[:, 2:]) / h2**2
+def _x_stencil(vals: np.ndarray, out: np.ndarray, weight: float,
+               scale: float) -> np.ndarray:
+    # rows 1..-2 of out = ((l + weight*m) + r) / scale along axis 0
+    o = out[1:-1]
+    np.multiply(vals[1:-1], weight, out=o)
+    np.add(vals[:-2], o, out=o)
+    o += vals[2:]
+    o /= scale
     return out
 
 
-def _avgx(vals: np.ndarray) -> np.ndarray:
-    out = vals.copy()
-    out[1:-1, :] = (vals[:-2, :] + 10.0 * vals[1:-1, :] + vals[2:, :]) / 12.0
+def _y_stencil(vals: np.ndarray, out: np.ndarray, weight: float,
+               scale: float) -> np.ndarray:
+    # the same along axis 1, over the flat C-ordered view: every node gets
+    # its row neighbours except in columns 0 and -1, which the caller
+    # rewrites (a copied reshape of a non-C ``vals`` is only read)
+    flat = vals.reshape(-1)
+    o = out.reshape(-1)[1:-1]
+    np.multiply(flat[1:-1], weight, out=o)
+    np.add(flat[:-2], o, out=o)
+    o += flat[2:]
+    o /= scale
     return out
 
 
-def _avgy(vals: np.ndarray) -> np.ndarray:
-    out = vals.copy()
-    out[:, 1:-1] = (vals[:, :-2] + 10.0 * vals[:, 1:-1] + vals[:, 2:]) / 12.0
+def _d2x(vals: np.ndarray, h1: float,
+         out: np.ndarray | None = None) -> np.ndarray:
+    out = _x_stencil(vals, _out_for(vals, out), -2.0, h1**2)
+    out[0] = 0.0
+    out[-1] = 0.0
+    return out
+
+
+def _d2y(vals: np.ndarray, h2: float,
+         out: np.ndarray | None = None) -> np.ndarray:
+    out = _y_stencil(vals, _out_for(vals, out), -2.0, h2**2)
+    out[:, 0] = 0.0
+    out[:, -1] = 0.0
+    return out
+
+
+def _avgx(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = _x_stencil(vals, _out_for(vals, out), 10.0, 12.0)
+    out[0] = vals[0]
+    out[-1] = vals[-1]
+    return out
+
+
+def _avgy(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    out = _y_stencil(vals, _out_for(vals, out), 10.0, 12.0)
+    out[:, 0] = vals[:, 0]
+    out[:, -1] = vals[:, -1]
     return out
 
 
@@ -134,9 +185,19 @@ def _zero_frame(vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _lambda_vals(vals: np.ndarray, mesh: Mesh) -> np.ndarray:
-    """Compact Laplacian of ``lambda_op`` on a plain array, frame zeroed."""
-    out = _avgy(_d2x(vals, mesh.h1)) + _avgx(_d2y(vals, mesh.h2))
+def _lambda_vals(vals: np.ndarray, mesh: Mesh, out: np.ndarray | None = None,
+                 scratch: np.ndarray | None = None) -> np.ndarray:
+    """Compact Laplacian of ``lambda_op`` on a plain array, frame zeroed.
+
+    ``scratch`` holds two planes of the grid's shape, shaped
+    (2, M1+1, M2+1); like ``out`` it is allocated when not given.
+    """
+    out = _out_for(vals, out)
+    if scratch is None:
+        scratch = np.empty((2, *vals.shape))
+    d2, avg = scratch[0], scratch[1]
+    _avgy(_d2x(vals, mesh.h1, out=d2), out=out)
+    out += _avgx(_d2y(vals, mesh.h2, out=d2), out=avg)
     return _zero_frame(out)
 
 

@@ -97,7 +97,8 @@ class ProblemSpec:
                 (s * L1, 0.0), (s * L1, L2), (0.0, s * L2), (L1, s * L2),
             )
             for (px, py) in probes:
-                diff = float(self.boundary(px, py, 0.0)) - float(self.psi(px, py))
+                diff = (_probe(self.boundary, "boundary", px, py, 0.0)
+                        - _probe(self.psi, "psi", px, py))
                 worst = max(worst, abs(diff))
         if worst > _COMPAT_TOL:
             raise ValueError(
@@ -112,6 +113,21 @@ class ProblemSpec:
     @property
     def L2(self) -> float:
         return self.domain[1]
+
+
+def _probe(func: Callable, field: str, x: float, y: float,
+           *t: float) -> float:
+    """func at one point, (x, y) or (x, y, t); a non-finite value raises a
+    ValueError naming ``field`` and the point, as ``sample_xy`` does."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        value = float(func(x, y, *t))
+    if not math.isfinite(value):
+        at = f" at t={t[0]:.17g}" if t else ""
+        raise ValueError(
+            f"{field} is {value}{at}, (x, y) = ({x:.17g}, {y:.17g}); "
+            "problem data must be finite"
+        )
+    return value
 
 
 def sample_xy(func: Callable, mesh: Mesh, *, field: str = "data") -> np.ndarray:

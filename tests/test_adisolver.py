@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ class TestStepping:
             fields.append(state.u_current)
         n = state.current_level
         assert n == level
-        got = _zero_frame(adisolver._rhs_raw(state)[0])
+        got = _zero_frame(adisolver._rhs_raw(state, state.forcing(n + 1)))
 
         # independent reassembly from the stored levels
         lam = fracweights.scheme_weights(p.alpha, n_steps + 1)
@@ -253,6 +254,40 @@ class TestMemoryConvolution:
         monkeypatch.setattr(fracweights, "_SCRATCH_BYTES", 1)
         chunked = solve(p, mesh).final.values
         assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+class TestStepAllocation:
+    def test_warm_step_allocates_few_grids(self):
+        # the per-run work planes hold the right-hand side and its stencil
+        # temporaries, so a step allocates only its samples, the sweeps'
+        # output and a few reductions' temporaries
+        p = make_example1(0.5)
+        mesh = mesh_for(p, 64, n=100)
+        grid_bytes = 8 * (mesh.M1 + 1) * (mesh.M2 + 1)
+        state = init_state(p, mesh)
+        adi_step(state)
+        peaks = []
+        tracemalloc.start()
+        try:
+            while state.current_level < 40:
+                if fracweights.completed_block(state.current_level + 1):
+                    adi_step(state)
+                    continue
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                adi_step(state)
+                peaks.append((tracemalloc.get_traced_memory()[1] - base)
+                             / grid_bytes)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 38
+        assert max(peaks) <= 6.0, max(peaks)
+
+        n = state.current_level
+        for _ in range(2):
+            again = solve(p, mesh).state.history[:n + 1]
+            assert np.array_equal(again.view(np.uint64),
+                                  state.history[:n + 1].view(np.uint64))
 
 
 class TestProductForms:

@@ -177,9 +177,13 @@ class TestSolveCommand:
     @pytest.mark.parametrize("key, expr, point", [
         ("forcing", "log(x - 0.5)", "at t=0, (x, y) = (0, 0)"),
         ("phi", "sqrt(y - 0.3)", "(x, y) = (0, 0)"),
-    ], ids=["forcing", "phi"])
+        ("boundary", "log(x - 0.5)*0", "at t=0, (x, y) = (0, 0)"),
+        ("psi", "log(x - 0.5)*0", "(x, y) = (0, 0)"),
+    ], ids=["forcing", "phi", "boundary", "psi"])
     def test_non_finite_data_named(self, tmp_path, capsys, key, expr, point):
-        # NaN data used to surface as "solution diverged at level 1"
+        # NaN data used to surface as "solution diverged at level 1"; a NaN
+        # boundary or psi passed the t=0 compatibility probe with numpy
+        # warnings on stderr
         prob = {
             "alpha": 0.5,
             "domain": [1.0, 1.0],

@@ -2,11 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracadi import GridFn, Mesh
 from fracadi.meshops import (
+    _avgx,
+    _avgy,
+    _d2x,
+    _d2y,
+    _lambda_vals,
+    _zero_frame,
     compact_h,
     delta2_x,
     delta2_y,
@@ -145,6 +151,93 @@ class TestOperators:
             errs.append(np.max(np.abs(diff[1:-1, 1:-1])))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 3.8) and np.all(orders < 4.2)
+
+
+def _formula(name, vals, h):
+    """The raw stencils as written formulas on 2-D slices."""
+    if name == "d2x":
+        out = np.zeros(vals.shape)
+        out[1:-1, :] = (vals[:-2, :] - 2.0 * vals[1:-1, :] + vals[2:, :]) / h**2
+    elif name == "d2y":
+        out = np.zeros(vals.shape)
+        out[:, 1:-1] = (vals[:, :-2] - 2.0 * vals[:, 1:-1] + vals[:, 2:]) / h**2
+    elif name == "avgx":
+        out = np.array(vals)
+        out[1:-1, :] = (vals[:-2, :] + 10.0 * vals[1:-1, :] + vals[2:, :]) / 12.0
+    else:
+        out = np.array(vals)
+        out[:, 1:-1] = (vals[:, :-2] + 10.0 * vals[:, 1:-1] + vals[:, 2:]) / 12.0
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _laid_out(values, layout):
+    """``values`` in C order, F order, or as a strided view of a larger
+    array."""
+    if layout == "C":
+        return np.ascontiguousarray(values)
+    if layout == "F":
+        return np.asfortranarray(values)
+    big = np.full((2 * values.shape[0], 3 * values.shape[1]), np.nan)
+    view = big[::2, ::3]
+    view[...] = values
+    return view
+
+
+_KERNELS = {
+    "d2x": lambda v, mesh, out=None: _d2x(v, mesh.h1, out=out),
+    "d2y": lambda v, mesh, out=None: _d2y(v, mesh.h2, out=out),
+    "avgx": lambda v, mesh, out=None: _avgx(v, out=out),
+    "avgy": lambda v, mesh, out=None: _avgy(v, out=out),
+}
+
+
+class TestStencilOut:
+    """``out=`` only changes where a stencil writes, never a bit of what."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m1=st.integers(2, 40), m2=st.integers(2, 40),
+           layout=st.sampled_from(["C", "F", "strided"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_out_is_bitwise_equal_to_allocating(self, m1, m2, layout, seed):
+        assume(m1 != m2)
+        mesh = Mesh(1.3, 0.7, m1, m2, 1.0, 1)
+        values = np.random.default_rng(seed).standard_normal(mesh.shape)
+        vals = _laid_out(values, layout)
+        for name, kernel in _KERNELS.items():
+            h = mesh.h1 if name == "d2x" else mesh.h2
+            ref = _formula(name, values, h)
+            fresh = kernel(vals, mesh)
+            assert fresh.flags.c_contiguous
+            out = np.full(mesh.shape, np.nan)
+            assert kernel(vals, mesh, out=out) is out
+            assert np.array_equal(_bits(fresh), _bits(ref)), name
+            assert np.array_equal(_bits(out), _bits(ref)), name
+        ref = _zero_frame(_formula("avgy", _formula("d2x", values, mesh.h1), 0)
+                          + _formula("avgx", _formula("d2y", values, mesh.h2), 0))
+        out = np.full(mesh.shape, np.nan)
+        scratch = np.full((2, *mesh.shape), np.nan)
+        assert _lambda_vals(vals, mesh, out=out, scratch=scratch) is out
+        assert np.array_equal(_bits(_lambda_vals(vals, mesh)), _bits(ref))
+        assert np.array_equal(_bits(out), _bits(ref))
+        assert np.array_equal(_bits(vals), _bits(values))
+
+    @pytest.mark.parametrize("name", [*_KERNELS, "lambda"])
+    def test_non_c_contiguous_out_refused(self, name):
+        mesh = Mesh(1.0, 1.0, 5, 7, 1.0, 1)
+        vals = np.ones(mesh.shape)
+        bad = (np.empty(mesh.shape, order="F"),
+               np.empty((12, 8))[::2],
+               np.empty((8, 6)))
+        for out in bad:
+            with pytest.raises(ValueError, match="C-contiguous"):
+                if name == "lambda":
+                    _lambda_vals(vals, mesh, out=out)
+                else:
+                    _KERNELS[name](vals, mesh, out=out)
 
 
 class TestInnerProducts:

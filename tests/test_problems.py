@@ -85,6 +85,21 @@ class TestProblemSpecValidation:
                 forcing_f=_zero_xyt,
             )
 
+    @pytest.mark.parametrize("field", ["boundary", "psi"])
+    def test_non_finite_probe_named(self, field):
+        # a NaN difference passed the check, since max(worst, nan) is worst
+        nan_xy = lambda x, y: np.log(x - 0.5) * 0.0  # noqa: E731
+        data = dict(psi=_zero_xy, boundary=_zero_xyt)
+        if field == "psi":
+            data["psi"] = nan_xy
+        else:
+            data["boundary"] = lambda x, y, t: nan_xy(x, y) + t
+        at = " at t=0" if field == "boundary" else ""
+        with pytest.raises(ValueError) as info:
+            ProblemSpec(name="nan", alpha=0.5, domain=(1.0, 1.0), T=1.0,
+                        phi=_zero_xy, forcing_f=_zero_xyt, **data)
+        assert str(info.value).startswith(f"{field} is nan{at}, (x, y) = (0, 0)")
+
     def test_missing_forcing_rejected(self):
         with pytest.raises(ValueError, match="forcing"):
             ProblemSpec(
