@@ -6,7 +6,7 @@ The package root exports the supported API: the solver and its run state,
 problem construction, meshes and grid fields, studies and the self-checks.
 Everything else (weights, stencils, norms, emitters) is imported from its
 own module, e.g. ``fracadi.fracweights.wsgd_integral`` or
-``fracadi.meshops.lambda_op``.
+``fracadi.verify.lambda_op``.
 """
 
 from .meshops import GridFn, Mesh
@@ -24,7 +24,6 @@ from .adisolver import (
     SolverState,
     StepReport,
     adi_step,
-    direct_step,
     init_state,
     solve,
 )
@@ -34,7 +33,7 @@ from .verify import run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "solve", "init_state", "adi_step", "direct_step",
+    "solve", "init_state", "adi_step",
     "SolverState", "SolveResult", "StepReport", "SolverDivergenceError",
     "ProblemSpec", "get_problem", "load_problem", "make_example1",
     "homogenize_initial", "mesh_for",

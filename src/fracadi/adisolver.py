@@ -15,13 +15,13 @@ values, which follow from applying the y-factor to the prescribed Dirichlet
 trace.  The scheme is second order in time, fourth order in space, and
 unconditionally stable for alpha in (0, 1).
 
-``direct_step`` solves the same linear system without splitting through a
-dense LU factorization; it exists as a cross-check oracle for small grids.
-Both steppers take only the run's ``SolverState`` and share one step
-skeleton (``_step``): the level guard, the right-hand side, the boundary
-sample, and the finish are written once, and only the interior solve
-differs.  Problem data are sampled once per level and never cached: the
-step keeps f^n from the previous level and fetches f^{n+1}.
+``adi_step`` takes only the run's ``SolverState``.  Its skeleton
+(``_step``) holds the level guard, the right-hand side, the boundary sample
+and the finish, and takes the interior solve as an argument: the sweeps
+here, or the dense LU of the unsplit system in ``verify.solve_direct``, the
+small-grid oracle that cross-checks the splitting.  Problem data are sampled
+once per level and never cached: the step keeps f^n from the previous level
+and fetches f^{n+1}.
 
 A step allocates no grid-sized temporary for its right-hand side: the run
 state holds five work planes, built once in ``init_state``, and the compact
@@ -30,7 +30,7 @@ still formed and summed in the order of the formula above, so storage is
 all that changes: the fields are bitwise those of allocating code.  What a
 step still allocates are its problem-data samples and the sweeps' arrays.
 
-Both paths keep the trajectory u^0..u^n in one history array and share the
+The step keeps the trajectory u^0..u^n in one history array and forms the
 memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
 convolution with kappa_0 = lambda_1 and kappa_j = lambda_j + lambda_{j+1};
 L is linear and fixed in time, so it is applied once per step to the sum.
@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .fracweights import (
     _LEAF,
@@ -81,9 +80,6 @@ from .trisolve import TridiagOperator, build_sweep_operator
 MAX_HISTORY_ENTRIES = 2**28
 
 _DIVERGENCE_LIMIT = 1e100
-
-# the direct path refuses grids with more cells than this per axis
-_DENSE_CAP = 32
 
 
 class SolverDivergenceError(RuntimeError):
@@ -143,9 +139,8 @@ class SolverState:
 
     ``forcing(k)`` gives f at level k (see ``_forcing_source``) and
     ``f_current`` is f at ``current_level``.  The x and y sweep factors,
-    H phi, the memory kernel kappa (kappa_0 = lambda_1, kappa_j = lambda_j +
-    lambda_{j+1}), and the dense factor of the direct path (built on first
-    use) live here too; ``c`` is mu * lambda_0.
+    H phi and the memory kernel kappa (kappa_0 = lambda_1, kappa_j = lambda_j +
+    lambda_{j+1}) live here too; ``c`` is mu * lambda_0.
 
     ``work`` holds the per-run work planes, shape (5, M1+1, M2+1), that a
     step overwrites: the right-hand side (plane 0, which the step's report
@@ -165,7 +160,6 @@ class SolverState:
     sweep_y: TridiagOperator = field(repr=False)
     kappa: np.ndarray = field(repr=False)
     work: np.ndarray = field(repr=False)
-    dense: _DenseOracle | None = field(default=None, repr=False)
     current_level: int = 0
     last_report: StepReport | None = None
 
@@ -344,68 +338,6 @@ def adi_step(state: SolverState) -> SolverState:
     return _step(state, _sweeps)
 
 
-class _DenseOracle:
-    """LU factor of the unsplit operator on interior nodes, plus the
-    boundary-coupling block."""
-
-    def __init__(self, mesh: Mesh, c: float) -> None:
-        m1, m2 = mesh.M1 + 1, mesh.M2 + 1
-        hx, dx = _dense_1d(m1, mesh.h1)
-        hy, dy = _dense_1d(m2, mesh.h2)
-        full = (
-            np.kron(hx, hy)
-            - c * (np.kron(dx, hy) + np.kron(hx, dy))
-            + c * c * np.kron(dx, dy)
-        )
-        mask = np.zeros((m1, m2), dtype=bool)
-        mask[1:-1, 1:-1] = True
-        flat = mask.ravel()
-        self.interior_idx = np.nonzero(flat)[0]
-        self.boundary_idx = np.nonzero(~flat)[0]
-        rows = full[self.interior_idx]
-        self.lu = lu_factor(rows[:, self.interior_idx])
-        self.coupling = rows[:, self.boundary_idx]
-
-    def solve(self, rhs_int: np.ndarray, bvals_flat: np.ndarray) -> np.ndarray:
-        b = rhs_int - self.coupling @ bvals_flat[self.boundary_idx]
-        return lu_solve(self.lu, b)
-
-
-def _dense_1d(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    # compact average (identity on boundary rows) and second difference
-    avg = np.eye(m)
-    d2 = np.zeros((m, m))
-    for i in range(1, m - 1):
-        avg[i, i - 1:i + 2] = (1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0)
-        d2[i, i - 1:i + 2] = np.array((1.0, -2.0, 1.0)) / h**2
-    return avg, d2
-
-
-def _dense_solve(state: SolverState, rhs: np.ndarray,
-                 bvals: np.ndarray) -> np.ndarray:
-    """Interior of the next level by the dense LU of the unsplit system."""
-    mesh = state.mesh
-    if max(mesh.M1, mesh.M2) > _DENSE_CAP:
-        raise ValueError(
-            f"grid {mesh.M1}x{mesh.M2} exceeds dense_cap={_DENSE_CAP}; "
-            "the direct path is a small-grid reference only"
-        )
-    if state.dense is None:
-        state.dense = _DenseOracle(mesh, state.c)
-    interior = state.dense.solve(rhs[1:-1, 1:-1].ravel(), bvals.ravel())
-    return interior.reshape(mesh.M1 - 1, mesh.M2 - 1)
-
-
-def direct_step(state: SolverState) -> SolverState:
-    """Advance one level by dense-solving the unsplit system (in place).
-
-    Mathematically identical to ``adi_step``; exists to cross-check the
-    splitting on small grids.  Refuses grids with more than ``_DENSE_CAP``
-    cells per axis.
-    """
-    return _step(state, _dense_solve)
-
-
 # ---------------------------------------------------------------------------
 # full solve loop
 
@@ -418,27 +350,16 @@ class SolveResult:
     state: SolverState
 
 
-_STEPPERS: dict[str, Callable] = {"adi": adi_step, "direct": direct_step}
+# bench/tracer.py times each step by wrapping this table's entry, so
+# ``solve`` steps through it
+_STEPPERS: dict[str, Callable] = {"adi": adi_step}
 
 
-def solve(problem: ProblemSpec, mesh: Mesh, method: str = "adi") -> SolveResult:
-    """Run the scheme from level 0 to N and gather errors and step reports.
-
-    ``method`` is "adi" (the two tridiagonal sweeps) or "direct" (the dense
-    unsplit solve, a small-grid cross-check); any other value is rejected
-    before any work.  The forcing source follows from the problem (see
-    ``_forcing_source``).  When the problem carries an exact solution,
-    ``e_inf`` is the largest interior max-norm error over all levels 1..N
-    and ``final_error`` the error at the last level.  ``reports`` holds one
-    ``StepReport`` per step, and every level of the trajectory stays
-    available as ``result.state.history[k]``.
-    """
-    if method not in _STEPPERS:
-        raise ValueError(f"unknown method {method!r}; choose from "
-                         f"{sorted(_STEPPERS)}")
-    stepper = _STEPPERS[method]
-    state = init_state(problem, mesh)
-
+def _run(state: SolverState,
+         stepper: Callable[[SolverState], SolverState]) -> SolveResult:
+    """Step ``state`` to level N with ``stepper``, gathering errors and
+    step reports as ``solve`` describes."""
+    problem, mesh = state.problem, state.mesh
     reports: list[StepReport] = []
     e_inf: float | None = None
     final_error: float | None = None
@@ -461,3 +382,16 @@ def solve(problem: ProblemSpec, mesh: Mesh, method: str = "adi") -> SolveResult:
         reports=reports,
         state=state,
     )
+
+
+def solve(problem: ProblemSpec, mesh: Mesh) -> SolveResult:
+    """Run the scheme from level 0 to N and gather errors and step reports.
+
+    The forcing source follows from the problem (see ``_forcing_source``).
+    When the problem carries an exact solution, ``e_inf`` is the largest
+    interior max-norm error over all levels 1..N and ``final_error`` the
+    error at the last level.  ``reports`` holds one ``StepReport`` per step,
+    and every level of the trajectory stays available as
+    ``result.state.history[k]``.
+    """
+    return _run(init_state(problem, mesh), _STEPPERS["adi"])

@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="cells per spatial axis (default: 16)")
     ps.add_argument("--n", type=int, default=10,
                     help="time steps (default: 10)")
-    ps.add_argument("--method", default="adi", choices=("adi", "direct"))
     ps.add_argument("--out", default="out", help="output directory")
     ps.add_argument("--emit", default="",
                     help=f"comma list from {','.join(_SOLVE_EMIT)}")
@@ -123,7 +122,7 @@ def _parse_list(value, cast):
     value = str(value).strip()
     if not value:
         return ()
-    return tuple(cast(v) for v in value.split(","))
+    return tuple(cast(v.strip()) for v in value.split(","))
 
 
 def _problems(args: argparse.Namespace) -> list[ProblemSpec]:
@@ -167,7 +166,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if "snapshots" in emit and every is None:
         raise ValueError("emitting snapshots requires --snapshot-every")
 
-    result = solve(reduced, mesh, args.method)
+    result = solve(reduced, mesh)
     final = GridFn(mesh, result.final.values + psi_vals)
 
     print(f"problem {problem.name}  alpha={problem.alpha:g}  "

@@ -1,14 +1,16 @@
-"""Uniform tensor meshes, grid functions, and fourth-order compact operators.
+"""Uniform tensor meshes, grid functions, the compact stencils a step
+applies, and CSV persistence.
 
 A field u lives on the (M1+1) x (M2+1) nodes of [0, L1] x [0, L2]; index i
-runs along x, index j along y.  The second-difference operators use the
-standard three-point stencil divided by h**2; the averaging operators apply
+runs along x, index j along y.  The second-difference kernels use the
+standard three-point stencil divided by h**2; the averaging kernels apply
 the compact weights (1/12, 10/12, 1/12) in one direction and act as the
-identity on that direction's boundary rows.  Composite operators are built
-from full-width one-dimensional kernels so that products such as Hx*Hy or
-delta2x*delta2y agree exactly with their tensor-product algebra; the public
-functions then zero the output frame, since frame values of second
-differences are never used by the scheme.
+identity on that direction's boundary rows.  The kernels work on full-width
+plain arrays, so products such as Hx*Hy agree exactly with their
+tensor-product algebra; ``_lambda_vals`` then zeroes the output frame, since
+frame values of second differences are never used by the scheme.  The
+GridFn operators and norms of the energy analysis are built on these
+kernels in ``verify``.
 
 The raw kernels (``_d2x``, ``_d2y``, ``_avgx``, ``_avgy``, ``_lambda_vals``)
 take an optional ``out=``: a C-contiguous float array of the input's shape,
@@ -18,8 +20,6 @@ give bitwise-equal values.  A non-C-contiguous or misshaped ``out`` raises
 a ValueError; overlap is not checked, since the check would cost more than
 a small stencil.  The y-direction kernels run over the flat C-ordered view
 and then rewrite the first and last columns.
-
-Discrete inner products and norms sum over interior nodes only.
 """
 
 from __future__ import annotations
@@ -187,7 +187,7 @@ def _zero_frame(vals: np.ndarray) -> np.ndarray:
 
 def _lambda_vals(vals: np.ndarray, mesh: Mesh, out: np.ndarray | None = None,
                  scratch: np.ndarray | None = None) -> np.ndarray:
-    """Compact Laplacian of ``lambda_op`` on a plain array, frame zeroed.
+    """Compact Laplacian Hy d2x + Hx d2y on a plain array, frame zeroed.
 
     ``scratch`` holds two planes of the grid's shape, shaped
     (2, M1+1, M2+1); like ``out`` it is allocated when not given.
@@ -199,86 +199,6 @@ def _lambda_vals(vals: np.ndarray, mesh: Mesh, out: np.ndarray | None = None,
     _avgy(_d2x(vals, mesh.h1, out=d2), out=out)
     out += _avgx(_d2y(vals, mesh.h2, out=d2), out=avg)
     return _zero_frame(out)
-
-
-# ---------------------------------------------------------------------------
-# public operators, GridFn in / GridFn out
-
-def delta2_x(u: GridFn) -> GridFn:
-    """Second difference in x; frame of the result is zero."""
-    return GridFn(u.mesh, _zero_frame(_d2x(u.values, u.mesh.h1)))
-
-
-def delta2_y(u: GridFn) -> GridFn:
-    """Second difference in y; frame of the result is zero."""
-    return GridFn(u.mesh, _zero_frame(_d2y(u.values, u.mesh.h2)))
-
-
-def compact_h(u: GridFn) -> GridFn:
-    """Two-dimensional compact average H = Hx Hy.
-
-    True tensor product of the one-dimensional averages: corners are fixed
-    and edge rows/columns see only the tangential 1-10-1 average.  Both
-    factors are invertible, so H is invertible on the whole grid, and
-    <Hu, u> >= ||u||^2 / 3 for zero-boundary u.
-    """
-    return GridFn(u.mesh, _avgx(_avgy(u.values)))
-
-
-def lambda_op(u: GridFn) -> GridFn:
-    """Compact Laplacian Hy*delta2x + Hx*delta2y; frame zeroed.
-
-    Fourth-order consistent with H applied to the continuous Laplacian for
-    smooth fields.
-    """
-    return GridFn(u.mesh, _lambda_vals(u.values, u.mesh))
-
-
-def delta2x_delta2y(u: GridFn) -> GridFn:
-    """Mixed fourth difference delta2x * delta2y; frame zeroed."""
-    return GridFn(u.mesh, _zero_frame(_d2x(_d2y(u.values, u.mesh.h2), u.mesh.h1)))
-
-
-# ---------------------------------------------------------------------------
-# inner products and norms (interior sums)
-
-def _check_same_mesh(u: GridFn, v: GridFn) -> None:
-    if u.mesh != v.mesh:
-        raise ValueError("grid functions live on different meshes")
-
-
-def inner(u: GridFn, v: GridFn) -> float:
-    """Discrete L2 inner product h1*h2 * sum over interior nodes."""
-    _check_same_mesh(u, v)
-    return u.mesh.h1 * u.mesh.h2 * float(np.sum(u.interior * v.interior))
-
-
-def norm_l2(u: GridFn) -> float:
-    return float(np.sqrt(inner(u, u)))
-
-
-def grad_x(u: GridFn) -> np.ndarray:
-    """Backward differences (u[i,j] - u[i-1,j]) / h1, shape (M1, M2+1)."""
-    return (u.values[1:, :] - u.values[:-1, :]) / u.mesh.h1
-
-
-def grad_y(u: GridFn) -> np.ndarray:
-    """Backward differences (u[i,j] - u[i,j-1]) / h2, shape (M1+1, M2)."""
-    return (u.values[:, 1:] - u.values[:, :-1]) / u.mesh.h2
-
-
-def grad_xy(u: GridFn) -> np.ndarray:
-    """Mixed cell differences, shape (M1, M2)."""
-    v = u.values
-    return (v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]) / (
-        u.mesh.h1 * u.mesh.h2
-    )
-
-
-def norm_grad_xy(u: GridFn) -> float:
-    """||delta_x delta_y u||: all cell fluxes i = 1..M1, j = 1..M2."""
-    g = grad_xy(u)
-    return float(np.sqrt(u.mesh.h1 * u.mesh.h2 * np.sum(g * g)))
 
 
 # ---------------------------------------------------------------------------

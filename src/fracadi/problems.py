@@ -281,10 +281,8 @@ def make_random_problem(seed: int, modes: int = 3) -> ProblemSpec:
 def _max_abs_psi(spec: ProblemSpec, mesh: Mesh | None = None) -> float:
     """Largest |psi| over a 33x33 probe of the domain and, when given, over
     the nodes of ``mesh``: a psi can vanish on the probe and not on a mesh."""
-    L1, L2 = spec.domain
-    xs = np.linspace(0.0, L1, 33)[:, None]
-    ys = np.linspace(0.0, L2, 33)[None, :]
-    worst = float(np.max(np.abs(np.asarray(spec.psi(xs, ys), dtype=float))))
+    probe = Mesh(spec.L1, spec.L2, 32, 32, spec.T, 1)
+    worst = float(np.max(np.abs(sample_xy(spec.psi, probe, field="psi"))))
     if mesh is not None:
         on_mesh = sample_xy(spec.psi, mesh, field="psi")
         worst = max(worst, float(np.max(np.abs(on_mesh))))

@@ -7,6 +7,12 @@ level whose parameters match the package's acceptance gates.  The frozen
 reference errors below were produced by the convergence ladders of this
 scheme on the built-in benchmark (five significant digits); ``fracadi
 study`` regenerates them (the commands are in README.md).
+
+The slow references the checks compare against live here, not in the
+solver: the GridFn operators and norms of the energy analysis (``delta2_x``
+through ``norm_grad_xy``), the split and expanded products of the implicit
+operator, and ``solve_direct``, a solve by the dense LU of the unsplit
+system for grids up to ``_DENSE_CAP`` cells per axis.
 """
 
 from __future__ import annotations
@@ -16,10 +22,18 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import lu_factor, lu_solve, toeplitz
 from scipy.special import gammaln
 
-from .adisolver import adi_step, init_state, solve
+from .adisolver import (
+    SolveResult,
+    SolverState,
+    _run,
+    _step,
+    adi_step,
+    init_state,
+    solve,
+)
 from .fracweights import grunwald_weights, scheme_weights, wsgd_integral
 from .meshops import (
     GridFn,
@@ -28,17 +42,8 @@ from .meshops import (
     _avgy,
     _d2x,
     _d2y,
+    _lambda_vals,
     _zero_frame,
-    compact_h,
-    delta2_x,
-    delta2_y,
-    delta2x_delta2y,
-    grad_x,
-    grad_y,
-    inner,
-    lambda_op,
-    norm_grad_xy,
-    norm_l2,
 )
 from .problems import (
     ProblemSpec,
@@ -63,6 +68,9 @@ SPATIAL_LADDER = (4, 8, 16)
 SPATIAL_N = 10000
 SPATIAL_ALPHA = 0.1
 SPATIAL_REFERENCE = (5.0651e-4, 3.1111e-5, 1.9371e-6)
+
+# solve_direct refuses grids with more cells than this per axis
+_DENSE_CAP = 32
 
 
 @dataclass(frozen=True)
@@ -189,6 +197,80 @@ def _random_zero_boundary(mesh: Mesh, rng: np.random.Generator) -> GridFn:
     vals = np.zeros(mesh.shape)
     vals[1:-1, 1:-1] = rng.standard_normal((mesh.M1 - 1, mesh.M2 - 1))
     return GridFn(mesh, vals)
+
+
+# ---------------------------------------------------------------------------
+# GridFn operators of the energy analysis; frames of second differences are
+# zeroed, and inner products and norms sum over interior nodes only
+
+def delta2_x(u: GridFn) -> GridFn:
+    """Second difference in x; frame of the result is zero."""
+    return GridFn(u.mesh, _zero_frame(_d2x(u.values, u.mesh.h1)))
+
+
+def delta2_y(u: GridFn) -> GridFn:
+    """Second difference in y; frame of the result is zero."""
+    return GridFn(u.mesh, _zero_frame(_d2y(u.values, u.mesh.h2)))
+
+
+def compact_h(u: GridFn) -> GridFn:
+    """Two-dimensional compact average H = Hx Hy.
+
+    True tensor product of the one-dimensional averages: corners are fixed
+    and edge rows/columns see only the tangential 1-10-1 average.  Both
+    factors are invertible, so H is invertible on the whole grid, and
+    <Hu, u> >= ||u||^2 / 3 for zero-boundary u.
+    """
+    return GridFn(u.mesh, _avgx(_avgy(u.values)))
+
+
+def lambda_op(u: GridFn) -> GridFn:
+    """Compact Laplacian Hy*delta2x + Hx*delta2y; frame zeroed.
+
+    Fourth-order consistent with H applied to the continuous Laplacian for
+    smooth fields.
+    """
+    return GridFn(u.mesh, _lambda_vals(u.values, u.mesh))
+
+
+def delta2x_delta2y(u: GridFn) -> GridFn:
+    """Mixed fourth difference delta2x * delta2y; frame zeroed."""
+    return GridFn(u.mesh, _zero_frame(_d2x(_d2y(u.values, u.mesh.h2), u.mesh.h1)))
+
+
+def inner(u: GridFn, v: GridFn) -> float:
+    """Discrete L2 inner product h1*h2 * sum over interior nodes."""
+    if u.mesh != v.mesh:
+        raise ValueError("grid functions live on different meshes")
+    return u.mesh.h1 * u.mesh.h2 * float(np.sum(u.interior * v.interior))
+
+
+def norm_l2(u: GridFn) -> float:
+    return float(np.sqrt(inner(u, u)))
+
+
+def grad_x(u: GridFn) -> np.ndarray:
+    """Backward differences (u[i,j] - u[i-1,j]) / h1, shape (M1, M2+1)."""
+    return (u.values[1:, :] - u.values[:-1, :]) / u.mesh.h1
+
+
+def grad_y(u: GridFn) -> np.ndarray:
+    """Backward differences (u[i,j] - u[i,j-1]) / h2, shape (M1+1, M2)."""
+    return (u.values[:, 1:] - u.values[:, :-1]) / u.mesh.h2
+
+
+def grad_xy(u: GridFn) -> np.ndarray:
+    """Mixed cell differences, shape (M1, M2)."""
+    v = u.values
+    return (v[1:, 1:] - v[1:, :-1] - v[:-1, 1:] + v[:-1, :-1]) / (
+        u.mesh.h1 * u.mesh.h2
+    )
+
+
+def norm_grad_xy(u: GridFn) -> float:
+    """||delta_x delta_y u||: all cell fluxes i = 1..M1, j = 1..M2."""
+    g = grad_xy(u)
+    return float(np.sqrt(u.mesh.h1 * u.mesh.h2 * np.sum(g * g)))
 
 
 def split_product_apply(u: GridFn, c: float, sign: int = -1) -> GridFn:
@@ -324,6 +406,65 @@ def equivalence_problem(alpha: float) -> ProblemSpec:
     )
 
 
+def _dense_1d(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    # compact average (identity on boundary rows) and second difference
+    avg = np.eye(m)
+    d2 = np.zeros((m, m))
+    for i in range(1, m - 1):
+        avg[i, i - 1:i + 2] = (1.0 / 12.0, 10.0 / 12.0, 1.0 / 12.0)
+        d2[i, i - 1:i + 2] = np.array((1.0, -2.0, 1.0)) / h**2
+    return avg, d2
+
+
+class _DenseOracle:
+    """LU factor of the unsplit operator on interior nodes, plus the
+    boundary-coupling block."""
+
+    def __init__(self, mesh: Mesh, c: float) -> None:
+        m1, m2 = mesh.M1 + 1, mesh.M2 + 1
+        hx, dx = _dense_1d(m1, mesh.h1)
+        hy, dy = _dense_1d(m2, mesh.h2)
+        full = (
+            np.kron(hx, hy)
+            - c * (np.kron(dx, hy) + np.kron(hx, dy))
+            + c * c * np.kron(dx, dy)
+        )
+        mask = np.zeros((m1, m2), dtype=bool)
+        mask[1:-1, 1:-1] = True
+        flat = mask.ravel()
+        self.interior_idx = np.nonzero(flat)[0]
+        self.boundary_idx = np.nonzero(~flat)[0]
+        rows = full[self.interior_idx]
+        self.lu = lu_factor(rows[:, self.interior_idx])
+        self.coupling = rows[:, self.boundary_idx]
+
+    def interior(self, state: SolverState, rhs: np.ndarray,
+                 bvals: np.ndarray) -> np.ndarray:
+        """Interior of the next level, the ``interior`` of ``_step``."""
+        mesh = state.mesh
+        b = (rhs[1:-1, 1:-1].ravel()
+             - self.coupling @ bvals.ravel()[self.boundary_idx])
+        return lu_solve(self.lu, b).reshape(mesh.M1 - 1, mesh.M2 - 1)
+
+
+def solve_direct(problem: ProblemSpec, mesh: Mesh) -> SolveResult:
+    """``solve`` with the dense LU of the unsplit system in place of the
+    sweeps: the oracle the splitting is checked against.
+
+    The LU is built once per call; each level goes through the solver's own
+    step skeleton, so only the interior solve differs.  Refuses grids with
+    more than ``_DENSE_CAP`` cells per axis before any work.
+    """
+    if max(mesh.M1, mesh.M2) > _DENSE_CAP:
+        raise ValueError(
+            f"grid {mesh.M1}x{mesh.M2} exceeds dense_cap={_DENSE_CAP}; "
+            "the direct path is a small-grid reference only"
+        )
+    state = init_state(problem, mesh)
+    oracle = _DenseOracle(mesh, state.c)
+    return _run(state, lambda s: _step(s, oracle.interior))
+
+
 def check_adi_direct(
     alphas: Sequence[float] = (0.1, 0.5, 0.9),
     grids: Sequence[tuple[int, int]] = ((6, 6), (8, 10), (12, 12)),
@@ -337,8 +478,8 @@ def check_adi_direct(
         for (m1, m2) in grids:
             for n in ns:
                 mesh = Mesh(problem.L1, problem.L2, m1, m2, problem.T, n)
-                r_adi = solve(problem, mesh, "adi")
-                r_dir = solve(problem, mesh, "direct")
+                r_adi = solve(problem, mesh)
+                r_dir = solve_direct(problem, mesh)
                 diff = float(np.max(np.abs(
                     r_adi.final.values - r_dir.final.values
                 )))

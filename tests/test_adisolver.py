@@ -14,14 +14,13 @@ from fracadi import (
     Mesh,
     SolverDivergenceError,
     adi_step,
-    direct_step,
     init_state,
     make_example1,
     mesh_for,
     solve,
 )
 from fracadi import adisolver, fracweights
-from fracadi.meshops import _zero_frame, compact_h, lambda_op
+from fracadi.meshops import _zero_frame
 from fracadi.problems import (
     ProblemSpec,
     _zero_xy,
@@ -30,7 +29,10 @@ from fracadi.problems import (
     sample_xyt,
 )
 from fracadi.verify import (
+    compact_h,
     equivalence_problem,
+    lambda_op,
+    solve_direct,
     split_product_apply,
     unsplit_product_apply,
 )
@@ -141,8 +143,8 @@ class TestStepping:
     def test_adi_equals_direct(self):
         p = equivalence_problem(0.5)
         mesh = _mesh(p, 8, 10, 4)
-        r1 = solve(p, mesh, "adi")
-        r2 = solve(p, mesh, "direct")
+        r1 = solve(p, mesh)
+        r2 = solve_direct(p, mesh)
         assert np.max(np.abs(r1.final.values - r2.final.values)) < 1e-12
 
     # criterion 3's tolerance, on every level of random non-square runs
@@ -152,16 +154,14 @@ class TestStepping:
     def test_adi_equals_direct_on_random_meshes(self, alpha, m1, m2, n):
         p = equivalence_problem(alpha)
         mesh = _mesh(p, m1, m2, n)
-        adi = solve(p, mesh, "adi").state.history
-        dense = solve(p, mesh, "direct").state.history
+        adi = solve(p, mesh).state.history
+        dense = solve_direct(p, mesh).state.history
         assert np.max(np.abs(adi - dense)) <= 1e-11
 
     def test_direct_cap(self):
         p = make_example1(0.5)
-        mesh = mesh_for(p, 40, n=2)
-        state = init_state(p, mesh)
-        with pytest.raises(ValueError, match="dense_cap"):
-            direct_step(state)
+        with pytest.raises(ValueError, match="40x40 exceeds dense_cap"):
+            solve_direct(p, mesh_for(p, 40, n=2))
 
     def test_divergence_detected(self):
         p = make_example1(0.5)
@@ -235,10 +235,11 @@ class TestMemoryConvolution:
                                           n_steps):
         p = equivalence_problem(alpha)
         mesh = _mesh(p, 5, 4, n_steps)
-        fast = solve(p, mesh, method)
+        run = {"adi": solve, "direct": solve_direct}[method]
+        fast = run(p, mesh)
         with monkeypatch.context() as patched:
             patched.setattr(adisolver, "_memory_sum", _naive_memory_sum)
-            naive = solve(p, mesh, method)
+            naive = run(p, mesh)
         assert fast.state.current_level == n_steps
         for k in range(n_steps + 1):
             ref = naive.state.history[k]
@@ -370,8 +371,3 @@ class TestSolve:
         last = np.mean(times[1600:2900])
         # O(n) history work allows ~2-3x growth; quadratic would give >>10x
         assert last / first < 8.0
-
-    def test_options_validation(self):
-        p = make_example1(0.5)
-        with pytest.raises(ValueError, match="magic"):
-            solve(p, mesh_for(p, 6, n=2), method="magic")

@@ -19,11 +19,14 @@ def run_cli(*argv):
 
 
 class TestSolveCommand:
-    def test_summary_and_files(self, tmp_path, capsys):
+    # a space after a comma used to be kept in the flag name
+    @pytest.mark.parametrize("emit", ["csv,svg,reports", "csv, svg, reports"],
+                             ids=["plain", "spaced"])
+    def test_summary_and_files(self, tmp_path, capsys, emit):
         out = tmp_path / "out"
         code = run_cli("solve", "--problem", "example1", "--alpha", "0.5",
                        "--m", "8", "--n", "5", "--out", str(out),
-                       "--emit", "csv,svg,reports")
+                       "--emit", emit)
         assert code == 0
         text = capsys.readouterr().out
         assert "E_inf" in text and "example1" in text
@@ -205,6 +208,30 @@ class TestSolveCommand:
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{key} is nan")
         assert point in err["message"]
+
+    def test_non_finite_psi_probe_named(self, tmp_path, capsys):
+        # psi is infinite at a node of the 33x33 probe, not of the M=4 mesh;
+        # the probe used to print a numpy warning and let the run go on
+        prob = {
+            "alpha": 0.5,
+            "domain": [1.0, 1.0],
+            "final_time": 1.0,
+            "phi": "0",
+            "psi": "sin(pi*x)*sin(pi*y)/((x-0.59375)**2 + (y-0.59375)**2)",
+            "boundary": "0",
+            "forcing": "0",
+        }
+        ppath = tmp_path / "pole.json"
+        ppath.write_text(json.dumps(prob))
+        code = run_cli("solve", "--problem", str(ppath), "--m", "4",
+                       "--n", "2", "--out", str(tmp_path / "out"))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(
+            "psi is inf, (x, y) = (0.59375, 0.59375)")
 
     @pytest.mark.parametrize("key, expr", [
         ("forcing", "x*0 + (0-2)**alpha"),

@@ -13,9 +13,14 @@ from fracadi.meshops import (
     _d2y,
     _lambda_vals,
     _zero_frame,
+    read_csv,
+    write_csv,
+)
+from fracadi.verify import (
+    _dense_1d,
+    _random_zero_boundary,
     compact_h,
     delta2_x,
-    delta2_y,
     delta2x_delta2y,
     grad_x,
     grad_y,
@@ -23,10 +28,7 @@ from fracadi.meshops import (
     lambda_op,
     norm_grad_xy,
     norm_l2,
-    read_csv,
-    write_csv,
 )
-from fracadi.verify import _random_zero_boundary
 from conftest import random_field
 
 
@@ -70,15 +72,6 @@ class TestGridFn:
     def test_interior_view(self, small_mesh):
         u = GridFn(small_mesh, np.zeros(small_mesh.shape))
         assert u.interior.shape == (small_mesh.M1 - 1, small_mesh.M2 - 1)
-
-
-def _dense_1d(m, h):
-    avg = np.eye(m)
-    d2 = np.zeros((m, m))
-    for i in range(1, m - 1):
-        avg[i, i - 1:i + 2] = (1 / 12, 10 / 12, 1 / 12)
-        d2[i, i - 1:i + 2] = np.array((1.0, -2.0, 1.0)) / h**2
-    return avg, d2
 
 
 class TestOperators:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from datetime import timedelta
 
 import numpy as np
@@ -227,6 +228,20 @@ class TestHomogenize:
         reduced = homogenize_initial(p, mesh_for(p, 64, n=1))
         assert reduced is not p
         assert np.max(np.abs(sample_xy(reduced.psi, mesh_for(p, 64)))) == 0.0
+
+    def test_non_finite_probe_value_named(self):
+        # infinite at a probe node only; the probe used to warn, not raise
+        def psi(x, y):
+            return (np.sin(np.pi * x) * np.sin(np.pi * y)
+                    / ((x - 0.59375) ** 2 + (y - 0.59375) ** 2))
+
+        p = ProblemSpec(
+            name="pole", alpha=0.5, domain=(1.0, 1.0), T=1.0,
+            phi=_zero_xy, psi=psi, boundary=_zero_xyt, forcing_f=_zero_xyt,
+        )
+        with pytest.raises(ValueError, match=re.escape(
+                "psi is inf, (x, y) = (0.59375, 0.59375)")):
+            homogenize_initial(p)
 
     def test_missing_laplacian_rejected(self):
         p = _shifted_problem(0.5)

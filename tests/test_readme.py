@@ -9,7 +9,7 @@ import fracadi
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 SUPPORTED_API = {
-    "solve", "init_state", "adi_step", "direct_step", "SolverState",
+    "solve", "init_state", "adi_step", "SolverState",
     "SolveResult", "StepReport", "SolverDivergenceError",
     "ProblemSpec", "get_problem", "load_problem", "make_example1",
     "homogenize_initial", "mesh_for",
