@@ -8,12 +8,13 @@ One step advances the field u from level n to n+1 by solving
                + sum_{k=1}^{n}   lambda_k L u^{n-k} ]
         + tau * H phi + (tau/2) * H (f^n + f^{n+1}),
 
-where L is the compact Laplacian, H = Hx Hy, mu = tau**(alpha+1) / 2 and
-c = mu * lambda_0.  The left side factors into two tridiagonal sweeps (x
-then y); the intermediate unknown u* = (Hy - c d2y) u^{n+1} needs boundary
-values, which follow from applying the y-factor to the prescribed Dirichlet
-trace.  The scheme is second order in time, fourth order in space, and
-unconditionally stable for alpha in (0, 1).
+where L = Hy d2x + Hx d2y is the compact Laplacian, H = Hx Hy,
+mu = tau**(alpha+1) / 2 and c = mu * lambda_0.  The left side factors
+into two tridiagonal sweeps (x then y); the intermediate unknown
+u* = (Hy - c d2y) u^{n+1} needs boundary values, which follow from applying
+the y-factor to the prescribed Dirichlet trace.  The scheme is second
+order in time, fourth order in space, and unconditionally stable for alpha
+in (0, 1).
 
 ``adi_step`` takes only the run's ``SolverState``.  Its skeleton
 (``_step``) holds the level guard, the right-hand side, the boundary sample
@@ -23,12 +24,19 @@ small-grid oracle that cross-checks the splitting.  Problem data are sampled
 once per level and never cached: the step keeps f^n from the previous level
 and fetches f^{n+1}.
 
-A step allocates no grid-sized temporary for its right-hand side: the run
-state holds five work planes, built once in ``init_state``, and the compact
-stencils write into them through ``out=`` (see ``meshops``).  Each term is
-still formed and summed in the order of the formula above, so storage is
-all that changes: the fields are bitwise those of allocating code.  What a
-step still allocates are its problem-data samples and the sweeps' arrays.
+The right-hand side is formed from one factored formula.  On interior
+nodes Hx commutes with d2y and Hy with d2x, so with a = Hy u^n + c d2y u^n
+and S_n the memory sum below it is
+
+    Hx(a + mu d2y S_n + (tau/2) Hy(f^n + f^{n+1} + 2 phi))
+        + d2x(c a + mu Hy S_n):
+
+seven stencil passes, where applying the three products one after another
+takes ten.  The value is that of the formula above up to rounding.  A step
+allocates no grid-sized temporary for it: the run state holds four work
+planes, built once in ``init_state``, and the compact stencils write into
+them through ``out=`` (see ``meshops``).  What a step still allocates are
+its problem-data samples and the sweeps' arrays.
 
 The step keeps the trajectory u^0..u^n in one history array and forms the
 memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
@@ -70,7 +78,6 @@ from .meshops import (
     _avgy,
     _d2x,
     _d2y,
-    _lambda_vals,
     _zero_frame,  # unused here; bench/tracer.py times the stencils by name
 )
 from .problems import _COMPAT_TOL, ProblemSpec, sample_xy, sample_xyt
@@ -118,10 +125,10 @@ def _forcing_source(problem: ProblemSpec,
     return lambda k: sample_xyt(forcing, mesh, k * mesh.tau, field="forcing")
 
 
-def _h_phi(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
+def _two_phi(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
     # bench/tracer.py labels a sample taken directly in init_state as psi,
     # and phi and psi can be one function, so phi is sampled here
-    return _avgx(_avgy(sample_xy(problem.phi, mesh, field="phi")))
+    return 2.0 * sample_xy(problem.phi, mesh, field="phi")
 
 
 @dataclass
@@ -139,13 +146,15 @@ class SolverState:
 
     ``forcing(k)`` gives f at level k (see ``_forcing_source``) and
     ``f_current`` is f at ``current_level``.  The x and y sweep factors,
-    H phi and the memory kernel kappa (kappa_0 = lambda_1, kappa_j = lambda_j +
-    lambda_{j+1}) live here too; ``c`` is mu * lambda_0.
+    ``two_phi`` (2 phi on the mesh) and the memory kernel kappa (kappa_0 =
+    lambda_1, kappa_j = lambda_j + lambda_{j+1}) live here too; ``c`` is
+    mu * lambda_0.
 
-    ``work`` holds the per-run work planes, shape (5, M1+1, M2+1), that a
+    ``work`` holds the per-run work planes, shape (4, M1+1, M2+1), that a
     step overwrites: the right-hand side (plane 0, which the step's report
-    reads after the sweeps), v = (Hy + c d2y) u^n, the memory sum S_n, and
-    two stencil scratch planes.
+    reads after the sweeps), a = (Hy + c d2y) u^n and then the argument of
+    Hx (see ``_rhs_raw``), a stencil scratch plane, and the memory sum S_n,
+    which the data sum f^n + f^{n+1} + 2 phi overwrites once S_n is used.
     """
 
     problem: ProblemSpec
@@ -155,7 +164,7 @@ class SolverState:
     history: np.ndarray
     forcing: Callable[[int], np.ndarray] = field(repr=False)
     f_current: np.ndarray = field(repr=False)
-    h_phi: np.ndarray = field(repr=False)
+    two_phi: np.ndarray = field(repr=False)
     sweep_x: TridiagOperator = field(repr=False)
     sweep_y: TridiagOperator = field(repr=False)
     kappa: np.ndarray = field(repr=False)
@@ -198,11 +207,11 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
         history=np.zeros((mesh.N + 1, *mesh.shape)),
         forcing=forcing,
         f_current=forcing(0),
-        h_phi=_h_phi(problem, mesh),
+        two_phi=_two_phi(problem, mesh),
         sweep_x=build_sweep_operator(mesh.M1 - 1, mesh.h1, c),
         sweep_y=build_sweep_operator(mesh.M2 - 1, mesh.h2, c),
         kappa=kappa,
-        work=np.empty((5, *mesh.shape)),
+        work=np.empty((4, *mesh.shape)),
     )
 
 
@@ -224,7 +233,7 @@ def _memory_sum(state: SolverState) -> np.ndarray:
     history = state.history
     lo = n - n % _LEAF
     leaf = history[lo:n + 1].reshape(n - lo + 1, -1)
-    out = state.work[2]
+    out = state.work[3]
     near = out.reshape(-1)
     np.matmul(state.kappa[n - lo::-1], leaf, out=near)
     near += history[n + 1].reshape(-1)
@@ -245,36 +254,35 @@ def _fold_far_field(state: SolverState, s: int) -> None:
 
 
 def _rhs_raw(state: SolverState, f_next: np.ndarray) -> np.ndarray:
-    """Right-hand side of the step from the state's level, frame included,
-    given f at the level after it; written into the state's work planes.
-
-    Each line applies its stencils into work planes and then sums in the
-    order of the formula in the module docstring, term by term, so the
-    value does not depend on where the terms are stored.
+    """Right-hand side of the step from the state's level, given f at the
+    level after it, by the factored formula of the module docstring;
+    written into work plane 0.  Only its interior nodes are read: the frame
+    holds what the stencils leave there.
     """
     mesh = state.mesh
     u = state.history[state.current_level]
-    c = state.c
-    rhs, v, _, tmp, tmp2 = state.work
+    c, mu = state.c, state.mu
+    rhs, a, tmp, data = state.work
+    memory = _memory_sum(state)
 
-    # v = Hy u + c d2y u;  rhs = Hx v + c d2x v
-    _avgy(u, out=v)
-    v += np.multiply(_d2y(u, mesh.h2, out=tmp), c, out=tmp)
-    _avgx(v, out=rhs)
-    rhs += np.multiply(_d2x(v, mesh.h1, out=tmp), c, out=tmp)
+    # a = Hy u + c d2y u
+    _avgy(u, out=a)
+    a += np.multiply(_d2y(u, mesh.h2, out=tmp), c, out=tmp)
 
-    # + mu * L S_n  (v is free again)
-    memory = _lambda_vals(_memory_sum(state), mesh, out=v,
-                          scratch=state.work[3:])
-    rhs += np.multiply(memory, state.mu, out=memory)
+    # rhs holds the argument of d2x, c a + mu Hy S_n, until the last lines
+    np.multiply(a, c, out=rhs)
+    rhs += np.multiply(_avgy(memory, out=tmp), mu, out=tmp)
 
-    # + (tau * H phi + (tau/2) * H (f^n + f^{n+1}))
-    fsum = np.add(state.f_current, f_next, out=v)
-    hf = _avgx(_avgy(fsum, out=tmp), out=tmp2)
-    hf *= 0.5 * mesh.tau
-    phi_term = np.multiply(state.h_phi, mesh.tau, out=tmp)
-    phi_term += hf
-    rhs += phi_term
+    # a += mu d2y S_n + (tau/2) Hy(f^n + f^{n+1} + 2 phi), the argument of
+    # Hx; the data sum overwrites S_n
+    a += np.multiply(_d2y(memory, mesh.h2, out=tmp), mu, out=tmp)
+    data_sum = np.add(state.f_current, f_next, out=data)
+    data_sum += state.two_phi
+    a += np.multiply(_avgy(data_sum, out=tmp), 0.5 * mesh.tau, out=tmp)
+
+    d2 = _d2x(rhs, mesh.h1, out=data)
+    _avgx(a, out=rhs)
+    rhs += d2
     return rhs
 
 

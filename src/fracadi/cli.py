@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -116,6 +117,26 @@ def _apply_config(args: argparse.Namespace) -> None:
         setattr(args, dest, value)
 
 
+def _number(value, flag: str, kind: type):
+    """``value`` of ``--flag`` as a finite ``kind`` (int or float).
+
+    A config file hands its JSON values over as they are, so a bool, a
+    string that does not parse, a non-finite number or, for an int flag, a
+    value with a fractional part raise a ValueError naming the flag rather
+    than being cast silently.
+    """
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(number)
+    want = "an integer" if kind is int else "a number"
+    raise ValueError(f"--{flag.replace('_', '-')} must be {want}, "
+                     f"got {value!r}")
+
+
 def _parse_list(value, cast):
     if isinstance(value, (list, tuple)):
         return tuple(cast(v) for v in value)
@@ -130,7 +151,8 @@ def _problems(args: argparse.Namespace) -> list[ProblemSpec]:
     alpha) wins; otherwise a problem file's own alpha, otherwise
     ``_BUILTIN_ALPHA`` for a builtin problem."""
     if args.alpha is not None:
-        alphas = _parse_list(args.alpha, float)
+        alphas = _parse_list(args.alpha,
+                             lambda v: _number(v, "alpha", float))
     elif args.problem in BUILTIN_PROBLEMS:
         alphas = (_BUILTIN_ALPHA,)
     else:
@@ -149,7 +171,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if len(problems) != 1:
         raise ValueError(f"solve takes one alpha, got {len(problems)}")
     problem = problems[0]
-    mesh = mesh_for(problem, int(args.m), n=int(args.n))
+    mesh = mesh_for(problem, _number(args.m, "m", int),
+                    n=_number(args.n, "n", int))
 
     # the solver wants zero initial displacement; reduce and add back
     reduced = homogenize_initial(problem, mesh)
@@ -159,7 +182,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     every = args.snapshot_every
     if every is not None:
-        every = int(every)
+        every = _number(every, "snapshot_every", int)
         if every < 1:
             raise ValueError(f"--snapshot-every must be a positive integer, "
                              f"got {every}")
@@ -222,7 +245,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def cmd_study(args: argparse.Namespace) -> int:
     alphas = tuple(problem.alpha for problem in _problems(args))
-    ladder = _parse_list(args.ladder, int)
+    ladder = _parse_list(args.ladder, lambda v: _number(v, "ladder", int))
     fixed = args.fixed
     if fixed is None:
         fixed = 16 if args.axis == "temporal" else 10000
@@ -232,7 +255,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         alphas=alphas,
         axis=args.axis,
         ladder=ladder,
-        fixed=int(fixed),
+        fixed=_number(fixed, "fixed", int),
         problem=args.problem,
         out_dir=str(args.out),
         emit=emit,

@@ -7,18 +7,18 @@ standard three-point stencil divided by h**2; the averaging kernels apply
 the compact weights (1/12, 10/12, 1/12) in one direction and act as the
 identity on that direction's boundary rows.  The kernels work on full-width
 plain arrays, so products such as Hx*Hy agree exactly with their
-tensor-product algebra; ``_lambda_vals`` then zeroes the output frame, since
-frame values of second differences are never used by the scheme.  The
-GridFn operators and norms of the energy analysis are built on these
-kernels in ``verify``.
+tensor-product algebra, and Hx commutes with d2y (Hy with d2x) on interior
+nodes, which the step's right-hand side uses.  The GridFn operators and
+norms of the energy analysis, the compact Laplacian among them, are built
+on these kernels in ``verify``.
 
-The raw kernels (``_d2x``, ``_d2y``, ``_avgx``, ``_avgy``, ``_lambda_vals``)
-take an optional ``out=``: a C-contiguous float array of the input's shape,
-not overlapping it, which receives the result and is returned.  Without it
-they allocate a fresh C-ordered array and run the same code, so both forms
-give bitwise-equal values.  A non-C-contiguous or misshaped ``out`` raises
-a ValueError; overlap is not checked, since the check would cost more than
-a small stencil.  The y-direction kernels run over the flat C-ordered view
+The raw kernels (``_d2x``, ``_d2y``, ``_avgx``, ``_avgy``) take an optional
+``out=``: a C-contiguous float array of the input's shape, not overlapping
+it, which receives the result and is returned.  Without it they allocate a
+fresh C-ordered array and run the same code, so both forms give
+bitwise-equal values.  A non-C-contiguous or misshaped ``out`` raises a
+ValueError; overlap is not checked, since the check would cost more than a
+small stencil.  The y-direction kernels run over the flat C-ordered view
 and then rewrite the first and last columns.
 """
 
@@ -183,22 +183,6 @@ def _zero_frame(vals: np.ndarray) -> np.ndarray:
     vals[:, 0] = 0.0
     vals[:, -1] = 0.0
     return vals
-
-
-def _lambda_vals(vals: np.ndarray, mesh: Mesh, out: np.ndarray | None = None,
-                 scratch: np.ndarray | None = None) -> np.ndarray:
-    """Compact Laplacian Hy d2x + Hx d2y on a plain array, frame zeroed.
-
-    ``scratch`` holds two planes of the grid's shape, shaped
-    (2, M1+1, M2+1); like ``out`` it is allocated when not given.
-    """
-    out = _out_for(vals, out)
-    if scratch is None:
-        scratch = np.empty((2, *vals.shape))
-    d2, avg = scratch[0], scratch[1]
-    _avgy(_d2x(vals, mesh.h1, out=d2), out=out)
-    out += _avgx(_d2y(vals, mesh.h2, out=d2), out=avg)
-    return _zero_frame(out)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,13 @@ from pathlib import Path
 
 from .adisolver import solve
 from .meshops import GridFn
-from .problems import ProblemSpec, get_problem, mesh_for
+from .problems import (
+    ProblemSpec,
+    get_problem,
+    homogenize_initial,
+    mesh_for,
+    sample_xy,
+)
 
 _EMIT_CHOICES = ("table", "csv", "svg")
 
@@ -93,8 +99,11 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Execute every ladder entry for every alpha, in order.
 
     Each run is an independent solve, so results do not depend on the order
-    of execution; rows appear alpha-major, coarse to fine.  The final field
-    of the finest run per alpha is kept for optional rendering.
+    of execution; rows appear alpha-major, coarse to fine.  A problem with a
+    nonzero psi is reduced by ``homogenize_initial`` on each run's mesh, as
+    the CLI's solve does; E_inf is unchanged by the shift.  The final field
+    of the finest run per alpha, with psi added back, is kept for optional
+    rendering.
     """
     rows: list[ConvergenceRow] = []
     finals: dict[float, GridFn] = {}
@@ -113,7 +122,9 @@ def run_study(config: StudyConfig) -> StudyResult:
             else:
                 m, n = int(entry), config.fixed
             mesh = mesh_for(problem, m, n=n)
-            result = solve(problem, mesh)
+            # the solver wants zero initial displacement; reduce per mesh
+            reduced = homogenize_initial(problem, mesh)
+            result = solve(reduced, mesh)
             e = _round_sig(result.e_inf)
             rate = None
             if prev is not None and e > 0.0:
@@ -122,7 +133,11 @@ def run_study(config: StudyConfig) -> StudyResult:
                 alpha=problem.alpha, h=mesh.h1, tau=mesh.tau, e_inf=e, rate=rate,
             ))
             prev = e
-            finals[problem.alpha] = result.final
+            final = result.final
+            if reduced is not problem:
+                final = GridFn(mesh, final.values + sample_xy(
+                    problem.psi, mesh, field="psi"))
+            finals[problem.alpha] = final
     return StudyResult(rows=rows, finals=finals)
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracadi import (
@@ -132,6 +132,31 @@ class TestStepping:
         ref[:, 0] = ref[:, -1] = 0.0
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, scale)
+
+    # levels from 33 on read pending far-field rows as well as the leaf
+    @settings(max_examples=25, deadline=None)
+    @given(m1=st.integers(2, 16), m2=st.integers(2, 16),
+           alpha=st.floats(0.05, 0.95), level=st.integers(33, 70))
+    def test_factored_rhs_matches_unfused_formula(self, m1, m2, alpha, level):
+        # the step's factored right-hand side against the three products
+        # applied one after another, for the same memory sum S_n
+        assume(m1 != m2)
+        p = equivalence_problem(alpha)
+        mesh = _mesh(p, m1, m2, level + 1)
+        state = init_state(p, mesh)
+        while state.current_level < level:
+            adi_step(state)
+        memory = GridFn(mesh, adisolver._memory_sum(state).copy())
+        f_next = state.forcing(level + 1)
+        got = adisolver._rhs_raw(state, f_next)[1:-1, 1:-1]
+
+        phi = GridFn(mesh, sample_xy(p.phi, mesh))
+        fsum = GridFn(mesh, state.f_current + f_next)
+        ref = (split_product_apply(state.u_current, state.c, +1).values
+               + state.mu * lambda_op(memory).values
+               + mesh.tau * compact_h(phi).values
+               + 0.5 * mesh.tau * compact_h(fsum).values)[1:-1, 1:-1]
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_step_past_end_rejected(self):
         p = make_example1(0.5)

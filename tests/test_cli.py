@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import fracadi.cli as cli
+from fracadi.studies import StudyConfig, run_study
 from fracadi.verify import CheckResult
 
 
@@ -338,8 +339,92 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert "bogus" in err["message"]
 
+    def test_config_integral_numbers_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": 6.0, "n": "3", "alpha": "0.25"}))
+        code = run_cli("solve", "--config", str(cfg))
+        assert code == 0
+        text = capsys.readouterr().out
+        assert "alpha=0.25  grid 6x6  steps 3" in text
+
+    @pytest.mark.parametrize("command, entries, flag", [
+        ("solve", {"m": 8.7}, "--m"),
+        ("solve", {"n": True}, "--n"),
+        ("solve", {"alpha": "0.5x"}, "--alpha"),
+        ("solve", {"snapshot_every": 2.5, "emit": "snapshots"},
+         "--snapshot-every"),
+        ("study", {"ladder": [2, 4.5]}, "--ladder"),
+        ("study", {"ladder": "2,x"}, "--ladder"),
+        ("study", {"fixed": 4.5}, "--fixed"),
+        ("study", {"alpha": [0.5, "x"]}, "--alpha"),
+    ], ids=["m-fraction", "n-bool", "alpha-string", "snapshot-fraction",
+            "ladder-fraction", "ladder-string", "fixed-fraction",
+            "alpha-list-string"])
+    def test_config_bad_number_named(self, tmp_path, capsys, command,
+                                     entries, flag):
+        # a config number is never truncated or reported without its flag
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        base = {"solve": ("--m", "4", "--n", "2"),
+                "study": ("--ladder", "2,4", "--fixed", "4")}[command]
+        code = run_cli(command, *base, "--out", str(tmp_path / "out"),
+                       "--config", str(cfg))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{flag} must be ")
+
+
+# a manufactured problem with nonzero psi and boundary data: S is an
+# eigenfunction of the Laplacian (-Laplacian S = 2.44 S) and the polynomial
+# part of psi is harmonic
+_S = "sin(x + 0.7) * sin(1.2 * y + 0.4)"
+_H = "(0.3 + 0.2 * x - 0.4 * y + 0.1 * (x**2 - y**2) + 0.25 * x * y)"
+_PSI_PROBLEM = {
+    "alpha": 0.5,
+    "domain": [math.pi, 2.0],
+    "final_time": 1.0,
+    "phi": "0",
+    "psi": f"{_S} + {_H}",
+    "psi_laplacian": f"-2.44 * {_S}",
+    "boundary": f"{_S} * (1 + t**(alpha + 3)) + {_H}",
+    "exact": f"{_S} * (1 + t**(alpha + 3)) + {_H}",
+    "forcing": f"{_S} * ((alpha + 3) * t**(alpha + 2) + 2.44 * "
+               "(t**alpha / gamma(1 + alpha) + gamma(alpha + 4) "
+               "/ gamma(2 * alpha + 4) * t**(2 * alpha + 3)))",
+}
+
 
 class TestStudyCommand:
+    def test_nonzero_psi_matches_solve(self, tmp_path, capsys):
+        # study reduces psi on each run's mesh as solve does, so both
+        # report the same E_inf, and the kept final field has psi back
+        ppath = tmp_path / "psi.json"
+        ppath.write_text(json.dumps(_PSI_PROBLEM))
+        code = run_cli("study", "--problem", str(ppath), "--ladder",
+                       "5,10,20", "--fixed", "8", "--emit", "table",
+                       "--out", str(tmp_path / "study"))
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:4]
+        studied = [row.split()[3] for row in rows]
+        solved = []
+        for n in (5, 10, 20):
+            out = tmp_path / f"solve{n}"
+            code = run_cli("solve", "--problem", str(ppath), "--m", "8",
+                           "--n", str(n), "--emit", "csv", "--out", str(out))
+            assert code == 0
+            text = capsys.readouterr().out
+            solved.append(text.split("E_inf = ")[1].split()[0])
+        assert studied == solved
+
+        config = StudyConfig(alphas=(0.5,), axis="temporal", ladder=(5, 20),
+                             fixed=8, problem=str(ppath))
+        final = run_study(config).finals[0.5].values
+        assert np.array_equal(final, np.loadtxt(out / "final.csv",
+                                                delimiter=","))
+
     def test_table_and_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli("study", "--alpha", "0.5", "--axis", "temporal",
