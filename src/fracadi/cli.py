@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -31,12 +30,19 @@ from .problems import (
     BUILTIN_PROBLEMS,
     ProblemSpec,
     _max_abs_psi,  # unused here; bench/tracer.py wraps it by name
+    _number,
     get_problem,
     homogenize_initial,
     mesh_for,
     sample_xy,
 )
-from .studies import StudyConfig, emit_outputs, emit_table, run_study
+from .studies import (
+    StudyConfig,
+    check_emit,
+    emit_outputs,
+    emit_table,
+    run_study,
+)
 from .verify import format_results, run_checks
 
 _SOLVE_EMIT = ("csv", "svg", "reports", "snapshots")
@@ -48,6 +54,8 @@ _SIGPIPE_EXIT = 141
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse only splits argv: each value is checked by the code that
+    # uses it, so a bad flag and a bad --config entry fail alike
     parser = argparse.ArgumentParser(
         prog="fracadi",
         description="compact ADI solver for time-fractional diffusion-wave "
@@ -58,17 +66,17 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="run one problem at one resolution")
     ps.add_argument("--problem", default="example1",
                     help="builtin name or JSON problem file (default: example1)")
-    ps.add_argument("--alpha", type=float, default=None,
+    ps.add_argument("--alpha", default=None,
                     help="fractional order in (0, 1) (default: the problem "
                          f"file's alpha; {_BUILTIN_ALPHA} for a builtin)")
-    ps.add_argument("--m", type=int, default=16,
+    ps.add_argument("--m", default=16,
                     help="cells per spatial axis (default: 16)")
-    ps.add_argument("--n", type=int, default=10,
+    ps.add_argument("--n", default=10,
                     help="time steps (default: 10)")
     ps.add_argument("--out", default="out", help="output directory")
     ps.add_argument("--emit", default="",
                     help=f"comma list from {','.join(_SOLVE_EMIT)}")
-    ps.add_argument("--snapshot-every", type=int, default=None,
+    ps.add_argument("--snapshot-every", default=None,
                     help="emit every k-th level (and the last) as a snapshot")
     ps.add_argument("--config", default=None,
                     help="JSON config; entries override flags")
@@ -81,10 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
                          f"problem file's alpha; {_BUILTIN_ALPHA} for a "
                          "builtin)")
     pt.add_argument("--axis", default="temporal",
-                    choices=("temporal", "spatial"))
+                    help="temporal or spatial (default: temporal)")
     pt.add_argument("--ladder", default="5,10,20,40,80",
                     help="comma list of N (temporal) or M (spatial) values")
-    pt.add_argument("--fixed", type=int, default=None,
+    pt.add_argument("--fixed", default=None,
                     help="fixed M for temporal axis / fixed N for spatial "
                          "(defaults: 16 / 10000)")
     pt.add_argument("--out", default="out")
@@ -95,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=cmd_study)
 
     pv = sub.add_parser("verify", help="run the numerical self-checks")
-    pv.add_argument("--suite", default="quick", choices=("quick", "full"))
+    pv.add_argument("--suite", default="quick",
+                    help="quick or full (default: quick)")
     pv.set_defaults(func=cmd_verify)
     return parser
 
@@ -117,26 +126,6 @@ def _apply_config(args: argparse.Namespace) -> None:
         setattr(args, dest, value)
 
 
-def _number(value, flag: str, kind: type):
-    """``value`` of ``--flag`` as a finite ``kind`` (int or float).
-
-    A config file hands its JSON values over as they are, so a bool, a
-    string that does not parse, a non-finite number or, for an int flag, a
-    value with a fractional part raise a ValueError naming the flag rather
-    than being cast silently.
-    """
-    if not isinstance(value, bool):
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
-        if math.isfinite(number) and (kind is float or number.is_integer()):
-            return kind(number)
-    want = "an integer" if kind is int else "a number"
-    raise ValueError(f"--{flag.replace('_', '-')} must be {want}, "
-                     f"got {value!r}")
-
-
 def _parse_list(value, cast):
     if isinstance(value, (list, tuple)):
         return tuple(cast(v) for v in value)
@@ -151,8 +140,7 @@ def _problems(args: argparse.Namespace) -> list[ProblemSpec]:
     alpha) wins; otherwise a problem file's own alpha, otherwise
     ``_BUILTIN_ALPHA`` for a builtin problem."""
     if args.alpha is not None:
-        alphas = _parse_list(args.alpha,
-                             lambda v: _number(v, "alpha", float))
+        alphas = _parse_list(args.alpha, lambda v: _number(v, "--alpha"))
     elif args.problem in BUILTIN_PROBLEMS:
         alphas = (_BUILTIN_ALPHA,)
     else:
@@ -161,33 +149,31 @@ def _problems(args: argparse.Namespace) -> list[ProblemSpec]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    # every flag is checked before the problem is loaded and sampled
     emit = _parse_list(args.emit, str)
-    bad = set(emit) - set(_SOLVE_EMIT)
-    if bad:
-        raise ValueError(f"unknown emit flags {sorted(bad)}; "
-                         f"choose from {_SOLVE_EMIT}")
+    check_emit(emit, _SOLVE_EMIT)
+    m = _number(args.m, "--m", int)
+    n = _number(args.n, "--n", int)
+    every = args.snapshot_every
+    if every is not None:
+        every = _number(every, "--snapshot-every", int)
+        if every < 1:
+            raise ValueError(f"--snapshot-every must be a positive integer, "
+                             f"got {every}")
+    if "snapshots" in emit and every is None:
+        raise ValueError("emitting snapshots requires --snapshot-every")
 
     problems = _problems(args)
     if len(problems) != 1:
         raise ValueError(f"solve takes one alpha, got {len(problems)}")
     problem = problems[0]
-    mesh = mesh_for(problem, _number(args.m, "m", int),
-                    n=_number(args.n, "n", int))
+    mesh = mesh_for(problem, m, n=n)
 
     # the solver wants zero initial displacement; reduce and add back
     reduced = homogenize_initial(problem, mesh)
     psi_vals = np.zeros(mesh.shape)
     if reduced is not problem:
         psi_vals = sample_xy(problem.psi, mesh, field="psi")
-
-    every = args.snapshot_every
-    if every is not None:
-        every = _number(every, "snapshot_every", int)
-        if every < 1:
-            raise ValueError(f"--snapshot-every must be a positive integer, "
-                             f"got {every}")
-    if "snapshots" in emit and every is None:
-        raise ValueError("emitting snapshots requires --snapshot-every")
 
     result = solve(reduced, mesh)
     final = GridFn(mesh, result.final.values + psi_vals)
@@ -244,18 +230,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    alphas = tuple(problem.alpha for problem in _problems(args))
-    ladder = _parse_list(args.ladder, lambda v: _number(v, "ladder", int))
+    ladder = _parse_list(args.ladder, lambda v: _number(v, "--ladder", int))
     fixed = args.fixed
     if fixed is None:
         fixed = 16 if args.axis == "temporal" else 10000
+    fixed = _number(fixed, "--fixed", int)
     emit = _parse_list(args.emit, str)
 
     config = StudyConfig(
-        alphas=alphas,
+        alphas=tuple(problem.alpha for problem in _problems(args)),
         axis=args.axis,
         ladder=ladder,
-        fixed=_number(fixed, "fixed", int),
+        fixed=fixed,
         problem=args.problem,
         out_dir=str(args.out),
         emit=emit,

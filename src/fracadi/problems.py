@@ -89,17 +89,16 @@ class ProblemSpec:
         self._check_compatibility()
 
     def _check_compatibility(self) -> None:
-        # Dirichlet data at t=0 must agree with psi along every edge.
+        # Dirichlet data at t=0 must agree with psi along every edge: nine
+        # points per edge, the four edges' points interleaved
         L1, L2 = self.domain
-        worst = 0.0
-        for s in np.linspace(0.0, 1.0, 9):
-            probes = (
-                (s * L1, 0.0), (s * L1, L2), (0.0, s * L2), (L1, s * L2),
-            )
-            for (px, py) in probes:
-                diff = (_probe(self.boundary, "boundary", px, py, 0.0)
-                        - _probe(self.psi, "psi", px, py))
-                worst = max(worst, abs(diff))
+        s = np.linspace(0.0, 1.0, 9)[:, None]
+        zero, one = np.zeros_like(s), np.ones_like(s)
+        x = np.hstack((s * L1, s * L1, zero, one * L1)).ravel()
+        y = np.hstack((zero, one * L2, s * L2, s * L2)).ravel()
+        diff = (_evaluate(self.boundary, "boundary", x, y, 0.0)
+                - _evaluate(self.psi, "psi", x, y))
+        worst = float(np.max(np.abs(diff)))
         if worst > _COMPAT_TOL:
             raise ValueError(
                 f"boundary data at t=0 disagrees with psi by {worst:.3e} "
@@ -115,60 +114,68 @@ class ProblemSpec:
         return self.domain[1]
 
 
-def _probe(func: Callable, field: str, x: float, y: float,
-           *t: float) -> float:
-    """func at one point, (x, y) or (x, y, t); a non-finite value raises a
-    ValueError naming ``field`` and the point, as ``sample_xy`` does."""
+def _evaluate(func: Callable, field: str, x, y, *t) -> np.ndarray:
+    """func(x, y) or func(x, y, t) as a fresh float array of the shape of
+    the points (x, y).
+
+    A non-finite value raises a ValueError naming ``field``, t and the first
+    offending point, in place of numpy's floating-point warnings.
+    """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        value = float(func(x, y, *t))
-    if not math.isfinite(value):
+        out = np.asarray(func(x, y, *t), dtype=float)
+    shape = np.broadcast(x, y).shape
+    if out.shape != shape:  # broadcast_to costs more than the copy
+        out = np.broadcast_to(out, shape)
+    out = out.astype(float, copy=True)
+    if not np.isfinite(out).all():
+        k = tuple(np.argwhere(~np.isfinite(out))[0])
+        px, py = np.broadcast_to(x, shape)[k], np.broadcast_to(y, shape)[k]
         at = f" at t={t[0]:.17g}" if t else ""
         raise ValueError(
-            f"{field} is {value}{at}, (x, y) = ({x:.17g}, {y:.17g}); "
+            f"{field} is {out[k]}{at}, (x, y) = ({px:.17g}, {py:.17g}); "
             "problem data must be finite"
         )
-    return value
+    return out
 
 
 def sample_xy(func: Callable, mesh: Mesh, *, field: str = "data") -> np.ndarray:
     """Evaluate func(x, y) on all mesh nodes; scalars broadcast to the grid.
 
     Always returns a fresh writable array.  A non-finite value raises a
-    ValueError naming ``field`` and the first offending node, in place of
-    numpy's floating-point warnings.
+    ValueError naming ``field`` and the first offending node.
     """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = np.asarray(func(mesh.x[:, None], mesh.y[None, :]), dtype=float)
-    return _finite_grid(out, mesh, field, None)
+    return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :])
 
 
 def sample_xyt(func: Callable, mesh: Mesh, t: float, *,
                field: str = "data") -> np.ndarray:
     """Evaluate func(x, y, t) on all mesh nodes, as ``sample_xy`` does."""
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = np.asarray(func(mesh.x[:, None], mesh.y[None, :], t), dtype=float)
-    return _finite_grid(out, mesh, field, t)
+    return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :], t)
 
 
-def _finite_grid(out: np.ndarray, mesh: Mesh, field: str,
-                 t: float | None) -> np.ndarray:
-    out = np.broadcast_to(out, mesh.shape).astype(float, copy=True)
-    if not np.isfinite(out).all():
-        i, j = np.argwhere(~np.isfinite(out))[0]
-        at = "" if t is None else f" at t={t:.17g}"
-        raise ValueError(
-            f"{field} is {out[i, j]}{at}, (x, y) = "
-            f"({mesh.x[i]:.17g}, {mesh.y[j]:.17g}); problem data must be finite"
-        )
-    return out
+def _number(value, label: str, kind: type = float):
+    """``value`` from outside the program as a finite ``kind`` (int or float).
+
+    Every number a user hands in goes through here: command-line flags,
+    ``--config`` entries and a problem file's alpha, domain and final_time.
+    An integral value such as 8.0 or "8" is an int.  A bool, a value that
+    does not parse, a non-finite number or, for an int, a fractional part
+    raise a ValueError that starts with ``label``.
+    """
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(number)
+    want = "an integer" if kind is int else "a number"
+    raise ValueError(f"{label} must be {want}, got {value!r}")
 
 
-def mesh_for(problem: ProblemSpec, m1: int, m2: int | None = None,
-             n: int = 1) -> Mesh:
-    """Convenience constructor for a mesh covering the problem's domain."""
-    if m2 is None:
-        m2 = m1
-    return Mesh(L1=problem.L1, L2=problem.L2, M1=m1, M2=m2, T=problem.T, N=n)
+def mesh_for(problem: ProblemSpec, m: int, *, n: int = 1) -> Mesh:
+    """A mesh of m x m cells and n time steps over the problem's domain."""
+    return Mesh(L1=problem.L1, L2=problem.L2, M1=m, M2=m, T=problem.T, N=n)
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +569,10 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
     if not isinstance(data, dict):
         raise ValueError(f"problem file {path} must contain a JSON object")
 
-    def number(key, value):
-        try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"problem file {path}, key {key!r}: "
-                             f"{value!r} is not a number") from exc
-
     if alpha is None:
         if "alpha" not in data:
             raise ValueError(f"problem file {path} has no alpha and none was given")
-        alpha = number("alpha", data["alpha"])
+        alpha = _number(data["alpha"], f"problem file {path}, key 'alpha'")
     alpha = float(alpha)
 
     for key in ("domain", "final_time", "phi", "psi", "boundary"):
@@ -607,8 +607,9 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
     return ProblemSpec(
         name=str(data.get("name", path.stem)),
         alpha=alpha,
-        domain=(number("domain", domain[0]), number("domain", domain[1])),
-        T=number("final_time", data["final_time"]),
+        domain=tuple(_number(v, f"problem file {path}, key 'domain'")
+                     for v in domain),
+        T=_number(data["final_time"], f"problem file {path}, key 'final_time'"),
         phi=fields.get("phi", _zero_xy),
         psi=fields.get("psi", _zero_xy),
         boundary=fields.get("boundary", _zero_xyt),

@@ -28,6 +28,14 @@ from .problems import (
 _EMIT_CHOICES = ("table", "csv", "svg")
 
 
+def check_emit(emit, choices: tuple[str, ...]) -> None:
+    """Reject an ``emit`` entry that is not one of ``choices``."""
+    bad = set(emit) - set(choices)
+    if bad:
+        raise ValueError(f"unknown emit flags {sorted(bad, key=str)}; "
+                         f"choose from {choices}")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """What to run and what to write.
@@ -63,10 +71,7 @@ class StudyConfig:
             raise ValueError(f"ladder must be strictly increasing: {self.ladder}")
         if self.fixed < 1:
             raise ValueError(f"fixed resolution must be positive, got {self.fixed}")
-        bad = set(self.emit) - set(_EMIT_CHOICES)
-        if bad:
-            raise ValueError(f"unknown emit flags {sorted(bad)}; "
-                             f"choose from {_EMIT_CHOICES}")
+        check_emit(self.emit, _EMIT_CHOICES)
         if isinstance(self.problem, ProblemSpec):
             if tuple(self.alphas) != (self.problem.alpha,):
                 raise ValueError(

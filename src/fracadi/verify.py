@@ -565,14 +565,27 @@ def check_manufactured(
 
 # ---------------------------------------------------------------------------
 
-def _ladder_errors(alphas, axis, ladder, fixed):
+def _ladder_check(name, alphas, axis, ladder, fixed, references, rel_tol,
+                  rate_window) -> CheckResult:
+    """Study ladder errors against ``references[alpha]``, plus rates."""
     cfg = StudyConfig(alphas=tuple(alphas), axis=axis, ladder=tuple(ladder),
                       fixed=fixed, emit=())
-    rows = run_study(cfg).rows
     per_alpha: dict[float, list] = {}
-    for row in rows:
+    for row in run_study(cfg).rows:
         per_alpha.setdefault(row.alpha, []).append(row)
-    return per_alpha
+    lo, hi = rate_window
+    worst_rel = 0.0
+    rates_ok = True
+    for a, rows in per_alpha.items():
+        for row, r in zip(rows, references[a]):
+            worst_rel = max(worst_rel, abs(row.e_inf - r) / r)
+        rates_ok = rates_ok and all(lo <= row.rate <= hi for row in rows[1:])
+    passed = worst_rel <= rel_tol and rates_ok
+    return CheckResult(
+        name, passed,
+        f"worst rel dev {worst_rel:.3e} (tol {rel_tol:g}), "
+        f"rates {'in' if rates_ok else 'outside'} [{lo}, {hi}]",
+    )
 
 
 def check_temporal_reference(
@@ -583,22 +596,8 @@ def check_temporal_reference(
     rate_window: tuple[float, float] = (1.93, 2.07),
 ) -> CheckResult:
     """Temporal ladder errors against the frozen references, plus rates."""
-    per_alpha = _ladder_errors(alphas, "temporal", ladder, m)
-    lo, hi = rate_window
-    worst_rel = 0.0
-    rates_ok = True
-    for a, rows in per_alpha.items():
-        ref = TEMPORAL_REFERENCE[a][: len(rows)]
-        for row, r in zip(rows, ref):
-            worst_rel = max(worst_rel, abs(row.e_inf - r) / r)
-        for row in rows[1:]:
-            rates_ok = rates_ok and lo <= row.rate <= hi
-    passed = worst_rel <= rel_tol and rates_ok
-    return CheckResult(
-        "temporal-convergence", passed,
-        f"worst rel dev {worst_rel:.3e} (tol {rel_tol:g}), "
-        f"rates {'in' if rates_ok else 'outside'} [{lo}, {hi}]",
-    )
+    return _ladder_check("temporal-convergence", alphas, "temporal", ladder,
+                         m, TEMPORAL_REFERENCE, rel_tol, rate_window)
 
 
 def check_spatial_reference(
@@ -608,53 +607,36 @@ def check_spatial_reference(
     rate_window: tuple[float, float] = (3.9, 4.1),
 ) -> CheckResult:
     """Spatial ladder errors against the frozen references, plus rates."""
-    per_alpha = _ladder_errors((SPATIAL_ALPHA,), "spatial", ladder, n)
-    rows = per_alpha[SPATIAL_ALPHA]
-    lo, hi = rate_window
-    worst_rel = 0.0
-    for row, r in zip(rows, SPATIAL_REFERENCE[: len(rows)]):
-        worst_rel = max(worst_rel, abs(row.e_inf - r) / r)
-    rates_ok = all(lo <= row.rate <= hi for row in rows[1:])
-    passed = worst_rel <= rel_tol and rates_ok
-    return CheckResult(
-        "spatial-convergence", passed,
-        f"worst rel dev {worst_rel:.3e} (tol {rel_tol:g}), "
-        f"rates {'in' if rates_ok else 'outside'} [{lo}, {hi}]",
-    )
+    return _ladder_check("spatial-convergence", (SPATIAL_ALPHA,), "spatial",
+                         ladder, n, {SPATIAL_ALPHA: SPATIAL_REFERENCE},
+                         rel_tol, rate_window)
 
 
 # ---------------------------------------------------------------------------
 
+# every check in suite order, with the arguments the quick suite trims; the
+# full suite runs each check at its defaults, the acceptance parameters
+_SUITE = (
+    (check_weights_oracle, {}),
+    (check_lambda_form, dict(vectors=1000)),
+    (check_wsgd_order, {}),
+    (check_operator_identities, dict(count=30)),
+    (check_factorization, dict(count=20)),
+    (check_adi_direct, dict(grids=((6, 6), (8, 10)), ns=(4,))),
+    (check_stability, dict(seeds=range(5))),
+    (check_manufactured, dict(alphas=(0.5,), samples=8, panels=1500)),
+    (check_temporal_reference, dict(alphas=(0.5,), ladder=(5, 10, 20))),
+    (check_spatial_reference, dict(ladder=(4, 8), n=2500, rel_tol=0.05,
+                                   rate_window=(3.8, 4.2))),
+)
+
+
 def run_checks(level: str = "quick") -> list[CheckResult]:
     """Run the whole suite; "quick" trims sample counts and ladder depth."""
-    if level == "quick":
-        return [
-            check_weights_oracle(),
-            check_lambda_form(vectors=1000),
-            check_wsgd_order(),
-            check_operator_identities(count=30),
-            check_factorization(count=20),
-            check_adi_direct(grids=((6, 6), (8, 10)), ns=(4,)),
-            check_stability(seeds=range(5)),
-            check_manufactured(alphas=(0.5,), samples=8, panels=1500),
-            check_temporal_reference(alphas=(0.5,), ladder=(5, 10, 20)),
-            check_spatial_reference(ladder=(4, 8), n=2500, rel_tol=0.05,
-                                    rate_window=(3.8, 4.2)),
-        ]
-    if level == "full":
-        return [
-            check_weights_oracle(),
-            check_lambda_form(),
-            check_wsgd_order(),
-            check_operator_identities(),
-            check_factorization(),
-            check_adi_direct(),
-            check_stability(),
-            check_manufactured(),
-            check_temporal_reference(),
-            check_spatial_reference(),
-        ]
-    raise ValueError(f"unknown check level {level!r}; use quick or full")
+    if level not in ("quick", "full"):
+        raise ValueError(f"unknown check level {level!r}; use quick or full")
+    return [check(**(quick if level == "quick" else {}))
+            for check, quick in _SUITE]
 
 
 def format_results(results: Sequence[CheckResult]) -> str:

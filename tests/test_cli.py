@@ -376,6 +376,33 @@ class TestSolveCommand:
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{flag} must be ")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("solve", "--m", "abc"), "--m"),
+        (("solve", "--n", "2.5"), "--n"),
+        (("study", "--fixed", "x"), "--fixed"),
+    ], ids=["m-string", "n-fraction", "fixed-string"])
+    def test_flag_bad_number_named(self, tmp_path, capsys, argv, flag):
+        # a flag value is checked by the rule a config entry meets, so it
+        # fails with the JSON line and exit 1, not argparse's usage text
+        code = run_cli(*argv, "--out", str(tmp_path / "out"))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{flag} must be ")
+
+    def test_integral_flag_accepted(self, capsys):
+        assert run_cli("solve", "--m", "8.0", "--n", "2") == 0
+        assert "grid 8x8  steps 2" in capsys.readouterr().out
+
+    def test_flags_checked_before_problem_loads(self, capsys):
+        code = run_cli("solve", "--problem", "missing.json",
+                       "--snapshot-every", "0")
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"].startswith("--snapshot-every")
+
 
 # a manufactured problem with nonzero psi and boundary data: S is an
 # eigenfunction of the Laplacian (-Laplacian S = 2.44 S) and the polynomial
@@ -547,3 +574,14 @@ class TestParser:
         text = capsys.readouterr().out
         for word in ("solve", "study", "verify"):
             assert word in text
+
+    @pytest.mark.parametrize("argv", [
+        ("study", "--axis", "diagonal", "--ladder", "2,4", "--fixed", "4"),
+        ("verify", "--suite", "extreme"),
+    ], ids=["axis", "suite"])
+    def test_bad_choice_is_json_line(self, capsys, argv):
+        code = run_cli(*argv)
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ValueError"

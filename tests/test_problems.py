@@ -462,6 +462,10 @@ class TestLoadProblem:
         ("final_time", None),
         ("final_time", "soon"),
         ("alpha", [0.5]),
+        # a JSON true used to load as 1.0
+        ("alpha", True),
+        ("final_time", True),
+        ("domain", [True, 1.0]),
     ])
     def test_non_numeric_value_names_key(self, tmp_path, key, value):
         data = dict(EXAMPLE_JSON)
