@@ -37,7 +37,9 @@ from .problems import (
     sample_xy,
 )
 from .studies import (
+    _EMIT_CHOICES as _STUDY_EMIT,
     StudyConfig,
+    check_axis,
     check_emit,
     emit_outputs,
     emit_table,
@@ -230,12 +232,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
+    # --axis and --emit are checked by StudyConfig's own rules before the
+    # problem is loaded
+    check_axis(args.axis)
     ladder = _parse_list(args.ladder, lambda v: _number(v, "--ladder", int))
     fixed = args.fixed
     if fixed is None:
         fixed = 16 if args.axis == "temporal" else 10000
     fixed = _number(fixed, "--fixed", int)
     emit = _parse_list(args.emit, str)
+    check_emit(emit, _STUDY_EMIT)
 
     config = StudyConfig(
         alphas=tuple(problem.alpha for problem in _problems(args)),

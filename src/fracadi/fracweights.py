@@ -193,7 +193,10 @@ def wsgd_integral(samples: np.ndarray, alpha: float, tau: float) -> np.ndarray:
     if samples.ndim == 0 or samples.shape[0] == 0:
         raise ValueError("samples must be a nonempty array of time levels")
     lam = scheme_weights(alpha, samples.shape[0] - 1)
-    return tau**alpha * causal_convolve(lam, samples)
+    # scaled in place: no third table-sized array beside samples and out
+    out = causal_convolve(lam, samples)
+    out *= tau**alpha
+    return out
 
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(8)

@@ -12,6 +12,10 @@ nodes, which the step's right-hand side uses.  The GridFn operators and
 norms of the energy analysis, the compact Laplacian among them, are built
 on these kernels in ``verify``.
 
+A ``Mesh`` applies the one run-size rule, (N+1)(M1+1)(M2+1) <=
+``MAX_RUN_ENTRIES``, when it is built, so a run too large to keep is
+refused before anything is sampled on its mesh.
+
 The raw kernels (``_d2x``, ``_d2y``, ``_avgx``, ``_avgy``) take an optional
 ``out=``: a C-contiguous float array of the input's shape, not overlapping
 it, which receives the result and is returned.  Without it they allocate a
@@ -28,8 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Guard against accidental huge allocations (about 2 GiB of float64).
-MAX_GRID_ENTRIES = 2**28
+# Run-size limit on (N+1)(M1+1)(M2+1): the entries of a run's history, and
+# of a caputo-only problem's forcing table beside it (2 GiB each at 2**28).
+MAX_RUN_ENTRIES = 2**28
 
 
 @dataclass(frozen=True)
@@ -54,8 +59,11 @@ class Mesh:
                 raise ValueError(f"{name} must be an integer >= 2, got {v}")
         if not isinstance(self.N, (int, np.integer)) or self.N < 1:
             raise ValueError(f"N must be an integer >= 1, got {self.N}")
-        if (self.M1 + 1) * (self.M2 + 1) > MAX_GRID_ENTRIES:
-            raise ValueError("spatial grid exceeds capacity limit")
+        entries = (int(self.N) + 1) * (int(self.M1) + 1) * (int(self.M2) + 1)
+        if entries > MAX_RUN_ENTRIES:
+            raise ValueError(f"M1={self.M1}, M2={self.M2}, N={self.N} give "
+                             f"(N+1)(M1+1)(M2+1) = {entries} entries, over "
+                             f"the run-size limit {MAX_RUN_ENTRIES}")
 
     @property
     def h1(self) -> float:

@@ -26,6 +26,7 @@ from .problems import (
 )
 
 _EMIT_CHOICES = ("table", "csv", "svg")
+_AXES = ("temporal", "spatial")
 
 
 def check_emit(emit, choices: tuple[str, ...]) -> None:
@@ -34,6 +35,12 @@ def check_emit(emit, choices: tuple[str, ...]) -> None:
     if bad:
         raise ValueError(f"unknown emit flags {sorted(bad, key=str)}; "
                          f"choose from {choices}")
+
+
+def check_axis(axis) -> None:
+    """Reject a refinement axis other than temporal or spatial."""
+    if axis not in _AXES:
+        raise ValueError(f"axis must be temporal or spatial, got {axis!r}")
 
 
 @dataclass(frozen=True)
@@ -56,13 +63,15 @@ class StudyConfig:
     emit: tuple[str, ...] = ("table",)
 
     def __post_init__(self) -> None:
-        if self.axis not in ("temporal", "spatial"):
-            raise ValueError(f"axis must be temporal or spatial, got {self.axis!r}")
+        check_axis(self.axis)
         if not self.alphas:
             raise ValueError("at least one alpha is required")
         for a in self.alphas:
             if not (0.0 < a < 1.0):
                 raise ValueError(f"alpha {a} outside (0, 1)")
+        repeated = sorted({a for a in self.alphas if self.alphas.count(a) > 1})
+        if repeated:
+            raise ValueError(f"alphas must be distinct, repeated: {repeated}")
         if not self.ladder:
             raise ValueError("ladder must be nonempty")
         if any(int(v) != v or v < 1 for v in self.ladder):
@@ -104,15 +113,20 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Execute every ladder entry for every alpha, in order.
 
     Each run is an independent solve, so results do not depend on the order
-    of execution; rows appear alpha-major, coarse to fine.  A problem with a
-    nonzero psi is reduced by ``homogenize_initial`` on each run's mesh, as
-    the CLI's solve does; E_inf is unchanged by the shift.  The final field
-    of the finest run per alpha, with psi added back, is kept for optional
+    of execution; rows appear alpha-major, coarse to fine.  Every problem is
+    loaded and every run's mesh built before the first solve, so a run that
+    breaks the mesh's size rule fails at once.  A problem with a nonzero psi
+    is reduced by ``homogenize_initial`` on each run's mesh, as the CLI's
+    solve does; E_inf is unchanged by the shift.  The final field of the
+    finest run per alpha, with psi added back, is kept for optional
     rendering.
     """
     rows: list[ConvergenceRow] = []
     finals: dict[float, GridFn] = {}
 
+    sizes = [(config.fixed, int(e)) if config.axis == "temporal"
+             else (int(e), config.fixed) for e in config.ladder]
+    runs = []
     for alpha in config.alphas:
         problem = get_problem(config.problem, alpha)
         if problem.exact is None:
@@ -120,29 +134,25 @@ def run_study(config: StudyConfig) -> StudyResult:
                 f"problem {problem.name!r} has no exact solution; "
                 "a convergence study needs one"
             )
-        prev: float | None = None
-        for entry in config.ladder:
-            if config.axis == "temporal":
-                m, n = config.fixed, int(entry)
-            else:
-                m, n = int(entry), config.fixed
-            mesh = mesh_for(problem, m, n=n)
-            # the solver wants zero initial displacement; reduce per mesh
-            reduced = homogenize_initial(problem, mesh)
-            result = solve(reduced, mesh)
-            e = _round_sig(result.e_inf)
-            rate = None
-            if prev is not None and e > 0.0:
-                rate = math.log2(prev / e)
-            rows.append(ConvergenceRow(
-                alpha=problem.alpha, h=mesh.h1, tau=mesh.tau, e_inf=e, rate=rate,
-            ))
-            prev = e
-            final = result.final
-            if reduced is not problem:
-                final = GridFn(mesh, final.values + sample_xy(
-                    problem.psi, mesh, field="psi"))
-            finals[problem.alpha] = final
+        runs += [(problem, mesh_for(problem, m, n=n)) for m, n in sizes]
+
+    for problem, mesh in runs:
+        # the solver wants zero initial displacement; reduce per mesh
+        reduced = homogenize_initial(problem, mesh)
+        result = solve(reduced, mesh)
+        e = _round_sig(result.e_inf)
+        prev = rows[-1] if rows and rows[-1].alpha == problem.alpha else None
+        rate = None
+        if prev is not None and e > 0.0:
+            rate = math.log2(prev.e_inf / e)
+        rows.append(ConvergenceRow(
+            alpha=problem.alpha, h=mesh.h1, tau=mesh.tau, e_inf=e, rate=rate,
+        ))
+        final = result.final
+        if reduced is not problem:
+            final = GridFn(mesh, final.values + sample_xy(
+                problem.psi, mesh, field="psi"))
+        finals[problem.alpha] = final
     return StudyResult(rows=rows, finals=finals)
 
 

@@ -16,3 +16,29 @@ def small_mesh():
 
 def random_field(mesh: Mesh, rng: np.random.Generator) -> GridFn:
     return GridFn(mesh, rng.standard_normal(mesh.shape))
+
+
+# the largest mesh side a test may sample problem data on
+_WIDE_CELLS = 1000
+
+
+@pytest.fixture
+def no_wide_samples(monkeypatch):
+    """Make every problem-data sample on a mesh wider than ``_WIDE_CELLS``
+    cells raise, so a test of an oversized run fails without allocating
+    the run's fields even where the size rule does not hold."""
+    from fracadi import adisolver, cli, problems, studies, verify
+
+    def guarded(sample):
+        def wrapper(func, mesh, *args, **kwargs):
+            if max(mesh.M1, mesh.M2) > _WIDE_CELLS:
+                raise RuntimeError(
+                    f"sampled on a {mesh.M1}x{mesh.M2} mesh in a test")
+            return sample(func, mesh, *args, **kwargs)
+        return wrapper
+
+    for module in (problems, adisolver, cli, studies, verify):
+        for name in ("sample_xy", "sample_xyt"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    guarded(getattr(module, name)))

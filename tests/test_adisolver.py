@@ -230,6 +230,24 @@ class TestSamplingCounts:
                           "phi": 1, "psi": 1}
 
 
+class TestForcingTable:
+    def test_caputo_table_peaks_at_two_tables(self):
+        # the samples g and the table, scaled in place, plus the fold's
+        # column-chunk scratch: no third table-sized array
+        p = dataclasses.replace(make_example1(0.5), forcing_f=None)
+        mesh = mesh_for(p, 16, n=2000)
+        table_bytes = 8 * (mesh.N + 1) * (mesh.M1 + 1) * (mesh.M2 + 1)
+        tracemalloc.start()
+        try:
+            forcing = adisolver._wsgd_forcing_levels(p, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forcing.nbytes == table_bytes
+        assert peak <= 2 * table_bytes + 2 * fracweights._SCRATCH_BYTES, (
+            peak / table_bytes)
+
+
 def _memory_coefficients(lam, n):
     # coef[m] = lambda_{n+1-m} + lambda_{n-m}, the second term for m <= n-1
     coef = lam[1:n + 2][::-1].copy()

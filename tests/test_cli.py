@@ -397,11 +397,26 @@ class TestSolveCommand:
         assert "grid 8x8  steps 2" in capsys.readouterr().out
 
     def test_flags_checked_before_problem_loads(self, capsys):
-        code = run_cli("solve", "--problem", "missing.json",
-                       "--snapshot-every", "0")
-        assert code == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["message"].startswith("--snapshot-every")
+        for argv, start in [
+            (("solve", "--snapshot-every", "0"), "--snapshot-every"),
+            (("study", "--axis", "diagonal"), "axis must be"),
+            (("study", "--emit", "pdf"), "unknown emit flags ['pdf']"),
+        ]:
+            code = run_cli(*argv, "--problem", "missing.json")
+            assert code == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["message"].startswith(start), argv
+
+    def test_run_too_large_refused_before_sampling(self, capsys,
+                                                   no_wide_samples):
+        # 2 * 16001**2 entries break the run-size rule: the mesh is
+        # refused before any field is sampled on it
+        assert run_cli("solve", "--m", "16000", "--n", "1") == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert "run-size limit 268435456" in err["message"]
 
 
 # a manufactured problem with nonzero psi and boundary data: S is an

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fracadi import GridFn, Mesh
 from fracadi.meshops import (
+    MAX_RUN_ENTRIES,
     _avgx,
     _avgy,
     _d2x,
@@ -49,6 +50,16 @@ class TestMesh:
         base.update(kwargs)
         with pytest.raises(ValueError):
             Mesh(**base)
+
+    def test_run_size_rule(self, no_wide_samples):
+        # (N+1)(M1+1)(M2+1) = 2 * 2**14 * 2**13 is exactly the limit
+        assert MAX_RUN_ENTRIES == 2**28
+        Mesh(1.0, 1.0, 16383, 8191, 1.0, 1)
+        with pytest.raises(ValueError) as info:
+            Mesh(1.0, 1.0, 16383, 8191, 1.0, 2)
+        message = str(info.value)
+        for part in ("M1=16383", "M2=8191", "N=2", str(MAX_RUN_ENTRIES)):
+            assert part in message
 
     def test_equality(self):
         a = Mesh(1.0, 1.0, 4, 4, 1.0, 2)

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from fracadi import StudyConfig, make_example1, run_study
+from fracadi import StudyConfig, make_example1, run_study, studies
 from fracadi.problems import make_random_problem
 from fracadi.studies import (
     ConvergenceRow,
@@ -33,6 +33,7 @@ class TestStudyConfig:
         dict(ladder=(0, 2)),
         dict(fixed=0),
         dict(emit=("pdf",)),
+        dict(alphas=(0.5, 0.5)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -81,6 +82,22 @@ class TestRunStudy:
         a = run_study(tiny_config())
         b = run_study(tiny_config())
         assert a.rows == b.rows
+
+    def test_oversized_rung_fails_before_first_solve(self, monkeypatch,
+                                                     no_wide_samples):
+        # the last rung's mesh breaks the run-size rule, so the study stops
+        # before it solves the first
+        calls = []
+
+        def counted(*args, _solve=studies.solve):
+            calls.append(args[1])
+            return _solve(*args)
+
+        monkeypatch.setattr(studies, "solve", counted)
+        config = tiny_config(axis="spatial", ladder=(4, 16000), fixed=1)
+        with pytest.raises(ValueError, match="run-size limit"):
+            run_study(config)
+        assert calls == []
 
 
 class TestEmission:
