@@ -17,30 +17,38 @@ order in time, fourth order in space, and unconditionally stable for alpha
 in (0, 1).
 
 ``adi_step`` takes only the run's ``SolverState``.  Its skeleton
-(``_step``) holds the level guard, the right-hand side, the boundary sample
+(``_step``) holds the level guard, the right-hand side, the boundary values
 and the finish, and takes the interior solve as an argument: the sweeps
 here, or the dense LU of the unsplit system in ``verify.solve_direct``, the
-small-grid oracle that cross-checks the splitting.  Problem data are sampled
-once per level and never cached: the step keeps f^n from the previous level
-and fetches f^{n+1}.  The finish takes |u^{n+1}| in one pass: its max over
-all nodes is the divergence guard, which a NaN fails too, and its max over
-the interior is the step report's ``solution_inf_norm``.  How large a run
-may be is the mesh's rule (see ``meshops``), checked when the mesh is
-built.
+small-grid oracle that cross-checks the splitting.  The forcing is sampled
+once per level: the step keeps f^n from the previous level and fetches
+f^{n+1}.  The boundary values (in the step) and the exact solution (in
+``_run``, for the error) are sampled a block of levels per call, t of shape
+(b, 1, 1), with b = max(1, _BLOCK_BYTES // (8 (M1+1)(M2+1))): about 450
+levels at M = 16, one at M = 256.  The finish takes |u^{n+1}| in one pass:
+its max over all nodes is the divergence guard, which a NaN fails too, and
+its max over the interior is the step report's ``solution_inf_norm``.  How
+large a run may be is the mesh's rule (see ``meshops``), checked when the
+mesh is built.
 
-The right-hand side is formed from one factored formula.  On interior
-nodes Hx commutes with d2y and Hy with d2x, so with a = Hy u^n + c d2y u^n
-and S_n the memory sum below it is
+The right-hand side is one fused pass.  On interior nodes, with D = f^n +
+f^{n+1} and S_n the memory sum below, it is
 
-    Hx(a + mu d2y S_n + (tau/2) Hy(f^n + f^{n+1} + 2 phi))
-        + d2x(c a + mu Hy S_n):
+    Hx A + d2x B + tau Hx Hy phi,
+    A = (Hy + c d2y) u^n + mu d2y S_n + (tau/2) Hy D,
+    B = c (Hy + c d2y) u^n + mu Hy S_n,
 
-seven stencil passes, where applying the three products one after another
-takes ten.  The value is that of the formula above up to rounding.  A step
-allocates no grid-sized temporary for it: the run state holds four work
-planes, built once in ``init_state``, and the compact stencils write into
-them through ``out=`` (see ``meshops``).  What a step still allocates are
-its problem-data samples and the sweeps' arrays.
+since Hx commutes with d2y and Hy with d2x there.  Every operator is a
+three-point stencil s (v_- + v_+) + m v along one axis, so with P = A/12 +
+B/h1**2 and Q = 10 A/12 - 2 B/h1**2 the x part is P_- + P_+ + Q (P at the
+x neighbours), and the y weights (s, m) of P and Q fold into one 4x3
+matrix on the fields (u^n, S_n, D), built once per run.  A step forms the four weighted planes by one
+matrix product, adds each pair's y neighbours over the flat C-ordered view
+(columns 0 and -1 take wrapped values that nothing reads) and takes one x
+pass; tau Hx Hy phi is a per-run plane.  The value is that of the formula
+at the top up to rounding.  A step allocates no grid-sized temporary for
+it: the run state holds seven work planes, built once in ``init_state``.
+What a step still allocates are its forcing sample and the sweeps' arrays.
 
 The step keeps the trajectory u^0..u^n in one history array and forms the
 memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
@@ -80,14 +88,19 @@ from .meshops import (
     Mesh,
     _avgx,
     _avgy,
+    # unused here; bench/tracer.py times the stencils by these names
     _d2x,
     _d2y,
-    _zero_frame,  # unused here; bench/tracer.py times the stencils by name
+    _zero_frame,
 )
 from .problems import _COMPAT_TOL, ProblemSpec, sample_xy, sample_xyt
 from .trisolve import TridiagOperator, build_sweep_operator
 
 _DIVERGENCE_LIMIT = 1e100
+
+# Bytes of one block of boundary or exact-solution samples: a sample call
+# covers as many levels as fit, and at least one
+_BLOCK_BYTES = 2**20
 
 
 class SolverDivergenceError(RuntimeError):
@@ -104,6 +117,18 @@ class StepReport:
     wall_time_ns: int
     rhs_norm: float
     solution_inf_norm: float
+
+
+def _block_levels(mesh: Mesh) -> int:
+    """Levels per block of boundary or exact-solution samples."""
+    return max(1, _BLOCK_BYTES // (8 * (mesh.M1 + 1) * (mesh.M2 + 1)))
+
+
+def _sample_levels(func: Callable, mesh: Mesh, lo: int, hi: int,
+                   field: str) -> np.ndarray:
+    """func at levels lo..hi-1 in one call, shape (hi-lo, M1+1, M2+1)."""
+    t = np.arange(lo, hi) * mesh.tau
+    return sample_xyt(func, mesh, t[:, None, None], field=field)
 
 
 def _wsgd_forcing_levels(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
@@ -126,10 +151,26 @@ def _forcing_source(problem: ProblemSpec,
     return lambda k: sample_xyt(forcing, mesh, k * mesh.tau, field="forcing")
 
 
-def _two_phi(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
+def _tau_h_phi(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
     # bench/tracer.py labels a sample taken directly in init_state as psi,
     # and phi and psi can be one function, so phi is sampled here
-    return 2.0 * sample_xy(problem.phi, mesh, field="phi")
+    out = _avgx(_avgy(sample_xy(problem.phi, mesh, field="phi")))
+    out *= mesh.tau
+    return out
+
+
+def _rhs_coefficients(c: float, mu: float, tau: float, h1: float,
+                      h2: float) -> np.ndarray:
+    """The fused pass's 4x3 weights: rows (P_s, Q_s, P_m, Q_m), the y
+    neighbour and centre weights of P and Q (see the module docstring);
+    columns the fields (u^n, S_n, D)."""
+    hy = np.array([1.0 / 12.0, 10.0 / 12.0])   # (s, m) of Hy
+    dy = np.array([1.0, -2.0]) / h2**2          # (s, m) of d2y
+    a = np.column_stack([hy + c * dy, mu * dy, 0.5 * tau * hy])
+    b = np.column_stack([c * (hy + c * dy), mu * hy, np.zeros(2)])
+    p = a / 12.0 + b / h1**2
+    q = 10.0 * a / 12.0 - 2.0 * b / h1**2
+    return np.vstack([p[0], q[0], p[1], q[1]])
 
 
 @dataclass
@@ -146,16 +187,19 @@ class SolverState:
     reached yet are zero.
 
     ``forcing(k)`` gives f at level k (see ``_forcing_source``) and
-    ``f_current`` is f at ``current_level``.  The x and y sweep factors,
-    ``two_phi`` (2 phi on the mesh) and the memory kernel kappa (kappa_0 =
-    lambda_1, kappa_j = lambda_j + lambda_{j+1}) live here too; ``c`` is
-    mu * lambda_0.
+    ``f_current`` is f at ``current_level``.  ``boundary_rows`` holds the
+    boundary samples of levels ``boundary_lo`` on, one block (see
+    ``_block_levels``), which the step refills once it runs past them.  The
+    x and y sweep factors, ``tau_h_phi`` (tau Hx Hy phi on the mesh), the
+    fused pass's weights ``coef`` (see ``_rhs_coefficients``) and the memory
+    kernel kappa (kappa_0 = lambda_1, kappa_j = lambda_j + lambda_{j+1})
+    live here too; ``c`` is mu * lambda_0.
 
-    ``work`` holds the per-run work planes, shape (4, M1+1, M2+1), that a
-    step overwrites: the right-hand side (plane 0, which the step's report
-    reads after the sweeps), a = (Hy + c d2y) u^n and then the argument of
-    Hx (see ``_rhs_raw``), a stencil scratch plane, and the memory sum S_n,
-    which the data sum f^n + f^{n+1} + 2 phi overwrites once S_n is used.
+    ``work`` holds the per-run work planes, shape (7, M1+1, M2+1), that a
+    step overwrites: planes 4-6 the fields u^n, S_n and D = f^n + f^{n+1};
+    planes 0-3 their weighted sums ``coef`` @ planes 4-6, after which plane
+    0 receives the right-hand side, which the step's report reads after
+    the sweeps.
     """
 
     problem: ProblemSpec
@@ -165,11 +209,14 @@ class SolverState:
     history: np.ndarray
     forcing: Callable[[int], np.ndarray] = field(repr=False)
     f_current: np.ndarray = field(repr=False)
-    two_phi: np.ndarray = field(repr=False)
+    tau_h_phi: np.ndarray = field(repr=False)
+    coef: np.ndarray = field(repr=False)
     sweep_x: TridiagOperator = field(repr=False)
     sweep_y: TridiagOperator = field(repr=False)
     kappa: np.ndarray = field(repr=False)
     work: np.ndarray = field(repr=False)
+    boundary_rows: np.ndarray = field(repr=False)
+    boundary_lo: int = 0
     current_level: int = 0
     last_report: StepReport | None = None
 
@@ -206,11 +253,13 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
         history=np.zeros((mesh.N + 1, *mesh.shape)),
         forcing=forcing,
         f_current=forcing(0),
-        two_phi=_two_phi(problem, mesh),
+        tau_h_phi=_tau_h_phi(problem, mesh),
+        coef=_rhs_coefficients(c, mu, mesh.tau, mesh.h1, mesh.h2),
         sweep_x=build_sweep_operator(mesh.M1 - 1, mesh.h1, c),
         sweep_y=build_sweep_operator(mesh.M2 - 1, mesh.h2, c),
         kappa=kappa,
-        work=np.empty((4, *mesh.shape)),
+        work=np.empty((7, *mesh.shape)),
+        boundary_rows=np.empty((0, *mesh.shape)),
     )
 
 
@@ -232,7 +281,7 @@ def _memory_sum(state: SolverState) -> np.ndarray:
     history = state.history
     lo = n - n % _LEAF
     leaf = history[lo:n + 1].reshape(n - lo + 1, -1)
-    out = state.work[3]
+    out = state.work[5]
     near = out.reshape(-1)
     np.matmul(state.kappa[n - lo::-1], leaf, out=near)
     near += history[n + 1].reshape(-1)
@@ -254,35 +303,44 @@ def _fold_far_field(state: SolverState, s: int) -> None:
 
 def _rhs_raw(state: SolverState, f_next: np.ndarray) -> np.ndarray:
     """Right-hand side of the step from the state's level, given f at the
-    level after it, by the factored formula of the module docstring;
-    written into work plane 0.  Only its interior nodes are read: the frame
-    holds what the stencils leave there.
+    level after it, by the fused pass of the module docstring; written
+    into work plane 0.  Only its interior nodes are read: the frame holds
+    what the pass leaves there.
     """
-    mesh = state.mesh
-    u = state.history[state.current_level]
-    c, mu = state.c, state.mu
-    rhs, a, tmp, data = state.work
-    memory = _memory_sum(state)
+    work = state.work
+    rhs, _, p, q = work[:4]
+    planes = work.reshape(7, -1)
+    np.copyto(work[4], state.history[state.current_level])
+    _memory_sum(state)
+    np.add(state.f_current, f_next, out=work[6])
 
-    # a = Hy u + c d2y u
-    _avgy(u, out=a)
-    a += np.multiply(_d2y(u, mesh.h2, out=tmp), c, out=tmp)
+    # rows (P_s, Q_s, P_m, Q_m), then P and Q in rows 2 and 3: each centre
+    # term plus its neighbours along the flat view
+    weighted = planes[:4]
+    np.matmul(state.coef, planes[4:], out=weighted)
+    weighted[2:, 1:-1] += weighted[:2, :-2]
+    weighted[2:, 1:-1] += weighted[:2, 2:]
 
-    # rhs holds the argument of d2x, c a + mu Hy S_n, until the last lines
-    np.multiply(a, c, out=rhs)
-    rhs += np.multiply(_avgy(memory, out=tmp), mu, out=tmp)
-
-    # a += mu d2y S_n + (tau/2) Hy(f^n + f^{n+1} + 2 phi), the argument of
-    # Hx; the data sum overwrites S_n
-    a += np.multiply(_d2y(memory, mesh.h2, out=tmp), mu, out=tmp)
-    data_sum = np.add(state.f_current, f_next, out=data)
-    data_sum += state.two_phi
-    a += np.multiply(_avgy(data_sum, out=tmp), 0.5 * mesh.tau, out=tmp)
-
-    d2 = _d2x(rhs, mesh.h1, out=data)
-    _avgx(a, out=rhs)
-    rhs += d2
+    # the x pass: P_- + P_+ + Q, plus tau Hx Hy phi
+    inner = rhs[1:-1]
+    np.add(p[:-2], p[2:], out=inner)
+    inner += q[1:-1]
+    inner += state.tau_h_phi[1:-1]
     return rhs
+
+
+def _boundary(state: SolverState, k: int) -> np.ndarray:
+    """Boundary samples of level k: a row of the state's block, sampled
+    from level k on once k runs past it.  The step writes the new level's
+    interior into the row."""
+    i = k - state.boundary_lo
+    if not 0 <= i < len(state.boundary_rows):
+        mesh = state.mesh
+        hi = min(k + _block_levels(mesh), mesh.N + 1)
+        state.boundary_rows = _sample_levels(state.problem.boundary, mesh,
+                                             k, hi, "boundary")
+        state.boundary_lo, i = k, 0
+    return state.boundary_rows[i]
 
 
 def _step(state: SolverState,
@@ -297,8 +355,7 @@ def _step(state: SolverState,
         raise ValueError(f"state already at the final level {mesh.N}")
 
     f_next = state.forcing(n + 1)
-    vals = sample_xyt(state.problem.boundary, mesh, (n + 1) * mesh.tau,
-                      field="boundary")
+    vals = _boundary(state, n + 1)
     rhs = _rhs_raw(state, f_next)
     vals[1:-1, 1:-1] = interior(state, rhs, vals)
 
@@ -366,22 +423,26 @@ _STEPPERS: dict[str, Callable] = {"adi": adi_step}
 def _run(state: SolverState,
          stepper: Callable[[SolverState], SolverState]) -> SolveResult:
     """Step ``state`` to level N with ``stepper``, gathering errors and
-    step reports as ``solve`` describes."""
+    step reports as ``solve`` describes.  The error is tracked a block of
+    levels at a time (see ``_block_levels``): after the block's steps, one
+    exact-solution sample is compared with its rows of the history."""
     problem, mesh = state.problem, state.mesh
     reports: list[StepReport] = []
     e_inf: float | None = None
     final_error: float | None = None
-    for _ in range(mesh.N):
-        stepper(state)
-        reports.append(state.last_report)
+    block = _block_levels(mesh)
+    for lo in range(1, mesh.N + 1, block):
+        hi = min(lo + block, mesh.N + 1)
+        for _ in range(lo, hi):
+            stepper(state)
+            reports.append(state.last_report)
         if problem.exact is not None:
-            level = state.current_level
-            exact_vals = sample_xyt(problem.exact, mesh, level * mesh.tau,
-                                    field="exact")
-            final_error = float(np.max(np.abs(
-                state.history[level, 1:-1, 1:-1] - exact_vals[1:-1, 1:-1]
-            )))
-            e_inf = max(e_inf or 0.0, final_error)
+            err = _sample_levels(problem.exact, mesh, lo, hi,
+                                 "exact")[:, 1:-1, 1:-1]
+            np.subtract(state.history[lo:hi, 1:-1, 1:-1], err, out=err)
+            level_err = np.abs(err, out=err).max(axis=(1, 2))
+            final_error = float(level_err[-1])
+            e_inf = max(e_inf or 0.0, float(level_err.max()))
 
     return SolveResult(
         final=state.u_current,

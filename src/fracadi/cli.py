@@ -28,7 +28,6 @@ from .heatmap import emit_heatmap
 from .meshops import GridFn, write_csv
 from .problems import (
     BUILTIN_PROBLEMS,
-    ProblemSpec,
     _max_abs_psi,  # unused here; bench/tracer.py wraps it by name
     _number,
     get_problem,
@@ -39,8 +38,10 @@ from .problems import (
 from .studies import (
     _EMIT_CHOICES as _STUDY_EMIT,
     StudyConfig,
+    check_alphas,
     check_axis,
     check_emit,
+    check_ladder,
     emit_outputs,
     emit_table,
     run_study,
@@ -137,17 +138,15 @@ def _parse_list(value, cast):
     return tuple(cast(v.strip()) for v in value.split(","))
 
 
-def _problems(args: argparse.Namespace) -> list[ProblemSpec]:
-    """The run's problem at each of its alphas.  --alpha (or the config's
-    alpha) wins; otherwise a problem file's own alpha, otherwise
-    ``_BUILTIN_ALPHA`` for a builtin problem."""
+def _alphas(args: argparse.Namespace) -> tuple:
+    """The run's alphas.  --alpha (or the config's alpha) wins; otherwise
+    None, for a problem file's own alpha, or ``_BUILTIN_ALPHA`` for a
+    builtin problem."""
     if args.alpha is not None:
-        alphas = _parse_list(args.alpha, lambda v: _number(v, "--alpha"))
-    elif args.problem in BUILTIN_PROBLEMS:
-        alphas = (_BUILTIN_ALPHA,)
-    else:
-        alphas = (None,)  # get_problem reads the file's alpha
-    return [get_problem(args.problem, alpha) for alpha in alphas]
+        return _parse_list(args.alpha, lambda v: _number(v, "--alpha"))
+    if args.problem in BUILTIN_PROBLEMS:
+        return (_BUILTIN_ALPHA,)
+    return (None,)  # get_problem reads the file's alpha
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -165,10 +164,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if "snapshots" in emit and every is None:
         raise ValueError("emitting snapshots requires --snapshot-every")
 
-    problems = _problems(args)
-    if len(problems) != 1:
-        raise ValueError(f"solve takes one alpha, got {len(problems)}")
-    problem = problems[0]
+    alphas = _alphas(args)
+    if len(alphas) != 1:
+        raise ValueError(f"solve takes one alpha, got {len(alphas)}")
+    problem = get_problem(args.problem, alphas[0])
     mesh = mesh_for(problem, m, n=n)
 
     # the solver wants zero initial displacement; reduce and add back
@@ -232,10 +231,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    # --axis and --emit are checked by StudyConfig's own rules before the
-    # problem is loaded
+    # --axis, --alpha, --ladder and --emit are checked by StudyConfig's own
+    # rules before the problem is loaded
     check_axis(args.axis)
+    alphas = _alphas(args)
+    if args.alpha is not None:  # a file's own alpha is checked once loaded
+        check_alphas(alphas)
     ladder = _parse_list(args.ladder, lambda v: _number(v, "--ladder", int))
+    check_ladder(ladder)
     fixed = args.fixed
     if fixed is None:
         fixed = 16 if args.axis == "temporal" else 10000
@@ -244,7 +247,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     check_emit(emit, _STUDY_EMIT)
 
     config = StudyConfig(
-        alphas=tuple(problem.alpha for problem in _problems(args)),
+        alphas=tuple(get_problem(args.problem, a).alpha for a in alphas),
         axis=args.axis,
         ladder=ladder,
         fixed=fixed,

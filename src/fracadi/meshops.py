@@ -1,5 +1,5 @@
-"""Uniform tensor meshes, grid functions, the compact stencils a step
-applies, and CSV persistence.
+"""Uniform tensor meshes, grid functions, the compact stencils (of a run's
+H phi and of ``verify``'s operators), and CSV persistence.
 
 A field u lives on the (M1+1) x (M2+1) nodes of [0, L1] x [0, L2]; index i
 runs along x, index j along y.  The second-difference kernels use the

@@ -55,6 +55,11 @@ class ProblemSpec:
     tabulates f from ``caputo_forcing`` by discrete quadrature.
     ``exact``, ``exact_dt``, ``exact_laplacian`` are optional closed forms
     used for error measurement and residual verification.
+
+    The callables must broadcast over numpy arrays: x of shape (M1+1, 1), y
+    of shape (1, M2+1), and t a float or, for the boundary and the exact
+    solution, which are sampled a block of levels per call, an array of
+    shape (b, 1, 1).
     """
 
     name: str
@@ -116,21 +121,22 @@ class ProblemSpec:
 
 def _evaluate(func: Callable, field: str, x, y, *t) -> np.ndarray:
     """func(x, y) or func(x, y, t) as a fresh float array of the shape of
-    the points (x, y).
+    the points (x, y), and t, broadcast together.
 
-    A non-finite value raises a ValueError naming ``field``, t and the first
-    offending point, in place of numpy's floating-point warnings.
+    A non-finite value raises a ValueError naming ``field`` and the t and
+    (x, y) of the first offending value, in place of numpy's floating-point
+    warnings.
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = np.asarray(func(x, y, *t), dtype=float)
-    shape = np.broadcast(x, y).shape
+    shape = np.broadcast(x, y, *t).shape
     if out.shape != shape:  # broadcast_to costs more than the copy
         out = np.broadcast_to(out, shape)
     out = out.astype(float, copy=True)
     if not np.isfinite(out).all():
         k = tuple(np.argwhere(~np.isfinite(out))[0])
-        px, py = np.broadcast_to(x, shape)[k], np.broadcast_to(y, shape)[k]
-        at = f" at t={t[0]:.17g}" if t else ""
+        px, py = (np.broadcast_to(v, shape)[k] for v in (x, y))
+        at = f" at t={np.broadcast_to(t[0], shape)[k]:.17g}" if t else ""
         raise ValueError(
             f"{field} is {out[k]}{at}, (x, y) = ({px:.17g}, {py:.17g}); "
             "problem data must be finite"
@@ -147,9 +153,14 @@ def sample_xy(func: Callable, mesh: Mesh, *, field: str = "data") -> np.ndarray:
     return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :])
 
 
-def sample_xyt(func: Callable, mesh: Mesh, t: float, *,
+def sample_xyt(func: Callable, mesh: Mesh, t, *,
                field: str = "data") -> np.ndarray:
-    """Evaluate func(x, y, t) on all mesh nodes, as ``sample_xy`` does."""
+    """Evaluate func(x, y, t) on all mesh nodes, as ``sample_xy`` does.
+
+    ``t`` is one time, or an array of shape (b, 1, 1) for b levels in one
+    call, which gives an array of shape (b, M1+1, M2+1); a non-finite
+    value names its own t.
+    """
     return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :], t)
 
 

@@ -43,6 +43,29 @@ def check_axis(axis) -> None:
         raise ValueError(f"axis must be temporal or spatial, got {axis!r}")
 
 
+def check_alphas(alphas) -> None:
+    """Reject an empty alphas list, an alpha outside (0, 1) or a repeat."""
+    if not alphas:
+        raise ValueError("at least one alpha is required")
+    for a in alphas:
+        if not (0.0 < a < 1.0):
+            raise ValueError(f"alpha {a} outside (0, 1)")
+    repeated = sorted({a for a in alphas if alphas.count(a) > 1})
+    if repeated:
+        raise ValueError(f"alphas must be distinct, repeated: {repeated}")
+
+
+def check_ladder(ladder) -> None:
+    """Reject a ladder that is empty, has an entry that is not a positive
+    integer, or does not strictly increase."""
+    if not ladder:
+        raise ValueError("ladder must be nonempty")
+    if any(int(v) != v or v < 1 for v in ladder):
+        raise ValueError(f"ladder entries must be positive integers: {ladder}")
+    if list(ladder) != sorted(set(ladder)):
+        raise ValueError(f"ladder must be strictly increasing: {ladder}")
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """What to run and what to write.
@@ -64,20 +87,8 @@ class StudyConfig:
 
     def __post_init__(self) -> None:
         check_axis(self.axis)
-        if not self.alphas:
-            raise ValueError("at least one alpha is required")
-        for a in self.alphas:
-            if not (0.0 < a < 1.0):
-                raise ValueError(f"alpha {a} outside (0, 1)")
-        repeated = sorted({a for a in self.alphas if self.alphas.count(a) > 1})
-        if repeated:
-            raise ValueError(f"alphas must be distinct, repeated: {repeated}")
-        if not self.ladder:
-            raise ValueError("ladder must be nonempty")
-        if any(int(v) != v or v < 1 for v in self.ladder):
-            raise ValueError(f"ladder entries must be positive integers: {self.ladder}")
-        if list(self.ladder) != sorted(set(self.ladder)):
-            raise ValueError(f"ladder must be strictly increasing: {self.ladder}")
+        check_alphas(self.alphas)
+        check_ladder(self.ladder)
         if self.fixed < 1:
             raise ValueError(f"fixed resolution must be positive, got {self.fixed}")
         check_emit(self.emit, _EMIT_CHOICES)

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import functools
+import json
 import math
 import tracemalloc
 
@@ -14,7 +15,9 @@ from fracadi import (
     Mesh,
     SolverDivergenceError,
     adi_step,
+    homogenize_initial,
     init_state,
+    load_problem,
     make_example1,
     mesh_for,
     solve,
@@ -201,33 +204,115 @@ class TestStepping:
 
 
 def _count_samples(monkeypatch):
-    """Count the solver's problem-data samples by field."""
-    counts = collections.Counter()
+    """Count the solver's problem-data samples by field: the levels sampled
+    (``np.size(t)`` of a call; one for phi and psi) and the calls."""
+    levels, calls = collections.Counter(), collections.Counter()
     for name in ("sample_xy", "sample_xyt"):
-        def counted(*args, _sample=getattr(adisolver, name), **kwargs):
-            counts[kwargs["field"]] += 1
-            return _sample(*args, **kwargs)
+        def counted(func, mesh, *t, _sample=getattr(adisolver, name), **kwargs):
+            levels[kwargs["field"]] += np.size(t[0]) if t else 1
+            calls[kwargs["field"]] += 1
+            return _sample(func, mesh, *t, **kwargs)
         monkeypatch.setattr(adisolver, name, counted)
-    return counts
+    return levels, calls
 
 
 class TestSamplingCounts:
-    """Each level's data is sampled once: the forcing at all N+1 levels,
-    the boundary and exact solution at levels 1..N, phi and psi once."""
+    """Each level's data is sampled once: the forcing at all N+1 levels, one
+    level per call, the boundary and exact solution at levels 1..N, a block
+    of levels per call, phi and psi once."""
 
     def test_forcing_given(self, monkeypatch):
         p = make_example1(0.5)
-        counts = _count_samples(monkeypatch)
-        solve(p, mesh_for(p, 6, n=40))
-        assert counts == {"forcing": 41, "boundary": 40, "exact": 40,
+        mesh = mesh_for(p, 6, n=40)
+        assert adisolver._block_levels(mesh) == 2**20 // (8 * 7 * 7)
+        levels, calls = _count_samples(monkeypatch)
+        solve(p, mesh)
+        assert levels == {"forcing": 41, "boundary": 40, "exact": 40,
                           "phi": 1, "psi": 1}
+        assert calls["forcing"] == 41
+        assert calls["boundary"] == calls["exact"] == 1
+
+    def test_blocks_of_seven_levels(self, monkeypatch):
+        # the same levels, the boundary and exact in ceil(40 / 7) calls
+        p = make_example1(0.5)
+        mesh = mesh_for(p, 6, n=40)
+        monkeypatch.setattr(adisolver, "_BLOCK_BYTES", 7 * 8 * 7 * 7)
+        assert adisolver._block_levels(mesh) == 7
+        levels, calls = _count_samples(monkeypatch)
+        solve(p, mesh)
+        assert levels == {"forcing": 41, "boundary": 40, "exact": 40,
+                          "phi": 1, "psi": 1}
+        assert calls["boundary"] == calls["exact"] == math.ceil(40 / 7)
 
     def test_caputo_forcing_only(self, monkeypatch):
         p = dataclasses.replace(make_example1(0.5), forcing_f=None)
-        counts = _count_samples(monkeypatch)
+        levels, calls = _count_samples(monkeypatch)
         solve(p, mesh_for(p, 6, n=40))
-        assert counts == {"caputo_forcing": 41, "boundary": 40, "exact": 40,
+        assert levels == {"caputo_forcing": 41, "boundary": 40, "exact": 40,
                           "phi": 1, "psi": 1}
+        assert calls["boundary"] == calls["exact"] == 1
+
+
+class TestBlockSampling:
+    """The boundary and exact solution sampled a block of levels per call
+    give the values of one call per level."""
+
+    @staticmethod
+    def _homogenized_json(tmp_path):
+        # nonzero psi and boundary data: the reduced problem's closures
+        # subtract psi from the file's boundary and exact expressions
+        doc = {"alpha": 0.5, "domain": [math.pi, 2.0], "final_time": 1.0,
+               "phi": "0", "psi": "sin(x + 0.7) * sin(1.2 * y + 0.4) + 0.3*x",
+               "psi_laplacian": "-2.44 * sin(x + 0.7) * sin(1.2 * y + 0.4)",
+               "boundary": "sin(x + 0.7) * sin(1.2 * y + 0.4)"
+                           " * (1 + t**(alpha + 3)) + 0.3*x",
+               "exact": "sin(x + 0.7) * sin(1.2 * y + 0.4)"
+                        " * (1 + t**(alpha + 3)) + 0.3*x",
+               "forcing": "sin(x + 0.7) * sin(1.2 * y + 0.4) * t"}
+        path = tmp_path / "inhomogeneous.json"
+        path.write_text(json.dumps(doc))
+        problem = load_problem(path)
+        mesh = mesh_for(problem, 12, n=30)
+        reduced = homogenize_initial(problem, mesh)
+        assert reduced is not problem
+        return reduced, mesh
+
+    @pytest.mark.parametrize("which", ["example1", "json"])
+    def test_block_equals_per_level(self, tmp_path, which):
+        if which == "example1":
+            p = make_example1(0.3)
+            mesh = mesh_for(p, 12, n=30)
+        else:
+            p, mesh = self._homogenized_json(tmp_path)
+        for name in ("boundary", "exact"):
+            func = getattr(p, name)
+            block = adisolver._sample_levels(func, mesh, 4, 17, name)
+            per_level = np.stack([sample_xyt(func, mesh, k * mesh.tau)
+                                  for k in range(4, 17)])
+            # sin and pow may take a SIMD loop on an array t and a scalar
+            # one on a float, which can differ in the last bit
+            scale = np.max(np.abs(per_level))
+            assert (np.max(np.abs(block - per_level))
+                    <= 8 * np.finfo(float).eps * scale), name
+
+    @pytest.mark.parametrize("name", ["boundary", "exact"])
+    def test_non_finite_level_named(self, monkeypatch, name):
+        # level 5 of 8, inside the one block of levels 1..8, is infinite
+        p = make_example1(0.5)
+        mesh = mesh_for(p, 6, n=8)
+        assert adisolver._block_levels(mesh) >= 8
+        t_bad = 5 * mesh.tau
+        good = getattr(p, name)
+
+        def bad(x, y, t):
+            return good(x, y, t) + np.where(np.asarray(t) == t_bad,
+                                            np.inf, 0.0)
+
+        p = dataclasses.replace(p, **{name: bad})
+        with pytest.raises(ValueError,
+                           match=rf"^{name} is inf at t={t_bad!r}, "
+                                 r"\(x, y\) = \(0, 0\)"):
+            solve(p, mesh)
 
 
 class TestForcingTable:
@@ -261,11 +346,14 @@ _lambda_table = functools.lru_cache(fracweights.scheme_weights)
 
 
 def _naive_memory_sum(state):
-    """The memory sum as one tensordot over the whole trajectory."""
+    """The memory sum as one tensordot over the whole trajectory, written
+    where the step reads S_n: the memory-sum work plane."""
     n = state.current_level
     lam = _lambda_table(state.problem.alpha, state.mesh.N + 1)
     coef = _memory_coefficients(lam, n)
-    return np.tensordot(coef, state.history[:n + 1], axes=1)
+    out = state.work[5]
+    out[...] = np.tensordot(coef, state.history[:n + 1], axes=1)
+    return out
 
 
 class TestMemoryConvolution:
@@ -302,30 +390,37 @@ class TestMemoryConvolution:
 
 class TestStepAllocation:
     def test_warm_step_allocates_few_grids(self):
-        # the per-run work planes hold the right-hand side and its stencil
-        # temporaries, so a step allocates only its samples, the sweeps'
-        # output and a few reductions' temporaries
+        # the per-run work planes hold the right-hand side and its
+        # temporaries, so a step allocates only its forcing sample, the
+        # sweeps' output and a few reductions' temporaries; a step that
+        # refills the boundary block also holds the block's sample and its
+        # checked copy
         p = make_example1(0.5)
         mesh = mesh_for(p, 64, n=100)
         grid_bytes = 8 * (mesh.M1 + 1) * (mesh.M2 + 1)
+        block = adisolver._block_levels(mesh)
+        assert block == 31
         state = init_state(p, mesh)
         adi_step(state)
-        peaks = []
+        peaks = {"plain": [], "refill": []}
         tracemalloc.start()
         try:
             while state.current_level < 40:
-                if fracweights.completed_block(state.current_level + 1):
+                level = state.current_level + 1
+                if fracweights.completed_block(level):
                     adi_step(state)
                     continue
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
                 adi_step(state)
-                peaks.append((tracemalloc.get_traced_memory()[1] - base)
-                             / grid_bytes)
+                kind = "refill" if (level - 1) % block == 0 else "plain"
+                peaks[kind].append((tracemalloc.get_traced_memory()[1] - base)
+                                   / grid_bytes)
         finally:
             tracemalloc.stop()
-        assert len(peaks) == 38
-        assert max(peaks) <= 6.0, max(peaks)
+        assert len(peaks["plain"]) == 37 and len(peaks["refill"]) == 1
+        assert max(peaks["plain"]) <= 6.0, max(peaks["plain"])
+        assert max(peaks["refill"]) <= 2 * block + 6.0, peaks["refill"]
 
         n = state.current_level
         for _ in range(2):

@@ -401,11 +401,33 @@ class TestSolveCommand:
             (("solve", "--snapshot-every", "0"), "--snapshot-every"),
             (("study", "--axis", "diagonal"), "axis must be"),
             (("study", "--emit", "pdf"), "unknown emit flags ['pdf']"),
+            (("study", "--ladder", "4,2"), "ladder must be strictly increasing"),
+            (("study", "--alpha", "0.5,0.5"), "alphas must be distinct"),
+            (("study", "--alpha", "1.5"), "alpha 1.5 outside (0, 1)"),
+            (("solve", "--alpha", "0.3,0.4"), "solve takes one alpha, got 2"),
         ]:
             code = run_cli(*argv, "--problem", "missing.json")
             assert code == 1
             err = json.loads(capsys.readouterr().err)
             assert err["message"].startswith(start), argv
+
+    # c/h**2 of 1e16 and more, where the sweep matrix's dominance margin,
+    # computed as diag - 2|off|, used to cancel to 0
+    @pytest.mark.parametrize("key, value", [("domain", [1e-30, 1e-30]),
+                                            ("final_time", 1e30)],
+                             ids=["tiny-domain", "long-time"])
+    def test_extreme_scaling_solves(self, tmp_path, capsys, key, value):
+        prob = {"alpha": 0.5, "domain": [1.0, 1.0], "final_time": 1.0,
+                "phi": "0", "psi": "0", "boundary": "0",
+                "forcing": "sin(pi*x)*sin(pi*y)", key: value}
+        ppath = tmp_path / "extreme.json"
+        ppath.write_text(json.dumps(prob))
+        code = run_cli("solve", "--problem", str(ppath), "--m", "8",
+                       "--n", "8", "--emit", "csv", "--out",
+                       str(tmp_path / "out"))
+        assert code == 0, capsys.readouterr().err
+        final = np.loadtxt(tmp_path / "out" / "final.csv", delimiter=",")
+        assert final.shape == (9, 9) and np.all(np.isfinite(final))
 
     def test_run_too_large_refused_before_sampling(self, capsys,
                                                    no_wide_samples):

@@ -144,6 +144,32 @@ class TestSampling:
         with pytest.raises(ValueError, match=r"^data is nan, \(x, y\) = \(0, 0"):
             sample_xy(lambda x, y: np.log(x - 0.5), mesh)
 
+    def test_block_of_levels(self):
+        # t of shape (b, 1, 1) samples b levels in one call; a scalar
+        # result, or one without t, broadcasts to the block
+        mesh = Mesh(1.0, 2.0, 2, 4, 1.0, 4)
+        t = np.array([0.25, 0.5, 0.75])[:, None, None]
+        vals = sample_xyt(lambda x, y, t: x + 10 * y + 100 * t, mesh, t)
+        assert vals.shape == (3, *mesh.shape)
+        for i, ti in enumerate(t.ravel()):
+            assert np.array_equal(
+                vals[i], sample_xyt(lambda x, y, t: x + 10 * y + 100 * t,
+                                    mesh, ti))
+        assert np.all(sample_xyt(lambda x, y, t: 2.5, mesh, t) == 2.5)
+        assert sample_xyt(_zero_xyt, mesh, t).shape == (3, *mesh.shape)
+
+    def test_non_finite_value_names_its_level(self):
+        # the t, x and y of the first non-finite value, at the second of
+        # three levels
+        mesh = Mesh(1.0, 2.0, 2, 4, 1.0, 4)
+        t = np.array([0.25, 0.5, 0.75])[:, None, None]
+        with pytest.raises(ValueError,
+                           match=r"^boundary is inf at t=0.5, \(x, y\) = "
+                                 r"\(0.5, 1\)"):
+            sample_xyt(lambda x, y, t: 1.0 / ((x - 0.5) ** 2 + (y - 1.0) ** 2
+                                              + (t - 0.5) ** 2),
+                       mesh, t, field="boundary")
+
 
 def _shifted_problem(alpha):
     """Exact solution sin(x) sin(y) (t**(alpha+3) + 1): the benchmark plus a

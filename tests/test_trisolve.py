@@ -124,6 +124,15 @@ class TestSweepOperator:
             op = build_sweep_operator(9, h, c_over_h2 * h * h)
             assert op.diag - 2.0 * abs(op.off) == pytest.approx(1.0, rel=1e-13)
 
+    @pytest.mark.parametrize("c_over_h2", [1e16, 1e40, 1e200])
+    def test_huge_scaling_factors(self, c_over_h2):
+        # diag - 2|off| cancels to 0 here, though the margin is exactly 1
+        h = 1e-31
+        op = build_sweep_operator(7, h, c_over_h2 * h * h)
+        assert np.all(op.d > 0.0)
+        x = op.solve(np.ones(7))
+        assert np.allclose(op.to_dense() @ x, 1.0, rtol=1e-10)
+
     def test_stencil_values(self):
         h, c = 0.25, 1e-3
         op = build_sweep_operator(4, h, c)
