@@ -149,18 +149,23 @@ def _alphas(args: argparse.Namespace) -> tuple:
     return (None,)  # get_problem reads the file's alpha
 
 
+def _count(value, flag: str, least: int) -> int:
+    """A count flag as an int of at least ``least``, checked before the
+    problem loads (``Mesh`` keeps its own rule for API callers)."""
+    count = _number(value, flag, int)
+    if count < least:
+        raise ValueError(f"{flag} must be an integer >= {least}, got {count}")
+    return count
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     # every flag is checked before the problem is loaded and sampled
     emit = _parse_list(args.emit, str)
     check_emit(emit, _SOLVE_EMIT)
-    m = _number(args.m, "--m", int)
-    n = _number(args.n, "--n", int)
-    every = args.snapshot_every
-    if every is not None:
-        every = _number(every, "--snapshot-every", int)
-        if every < 1:
-            raise ValueError(f"--snapshot-every must be a positive integer, "
-                             f"got {every}")
+    m = _count(args.m, "--m", 2)
+    n = _count(args.n, "--n", 1)
+    every = (None if args.snapshot_every is None
+             else _count(args.snapshot_every, "--snapshot-every", 1))
     if "snapshots" in emit and every is None:
         raise ValueError("emitting snapshots requires --snapshot-every")
 
@@ -231,8 +236,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    # --axis, --alpha, --ladder and --emit are checked by StudyConfig's own
-    # rules before the problem is loaded
+    # --axis, --alpha, --ladder, --fixed and --emit are checked before the
+    # problem is loaded, by StudyConfig's own rules or as the mesh's counts
     check_axis(args.axis)
     alphas = _alphas(args)
     if args.alpha is not None:  # a file's own alpha is checked once loaded
@@ -242,7 +247,8 @@ def cmd_study(args: argparse.Namespace) -> int:
     fixed = args.fixed
     if fixed is None:
         fixed = 16 if args.axis == "temporal" else 10000
-    fixed = _number(fixed, "--fixed", int)
+    # a temporal study fixes M (two cells at least), a spatial one N
+    fixed = _count(fixed, "--fixed", 2 if args.axis == "temporal" else 1)
     emit = _parse_list(args.emit, str)
     check_emit(emit, _STUDY_EMIT)
 

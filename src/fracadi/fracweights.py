@@ -46,8 +46,9 @@ _SCRATCH_BYTES = 2**20
 
 
 def _check_alpha(alpha: float) -> float:
+    """The one rule for alpha, everywhere: a float strictly in (0, 1)."""
     alpha = float(alpha)
-    if not (0.0 < alpha < 1.0) or not math.isfinite(alpha):
+    if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
     return alpha
 

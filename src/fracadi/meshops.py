@@ -2,28 +2,24 @@
 H phi and of ``verify``'s operators), and CSV persistence.
 
 A field u lives on the (M1+1) x (M2+1) nodes of [0, L1] x [0, L2]; index i
-runs along x, index j along y.  The second-difference kernels use the
-standard three-point stencil divided by h**2; the averaging kernels apply
-the compact weights (1/12, 10/12, 1/12) in one direction and act as the
-identity on that direction's boundary rows.  The kernels work on full-width
+runs along x, index j along y.  The scheme is built from the compact
+average H = (1, 10, 1)/12 and the second difference d2 = (1, -2, 1)/h**2.
+Their weights are written only here, as ``H_WEIGHTS`` and ``D2_WEIGHTS``,
+and read by the kernels, the step's fused right-hand side and the sweep
+matrices H - c d2; ``verify``'s dense matrices repeat them as an
+independent oracle.  One kernel, ``_stencil``, applies a three-point
+stencil over the flat C-ordered view (step M2+1 along x, 1 along y) into a
+fresh array; ``_d2x`` and ``_d2y`` vanish on their direction's boundary
+rows, ``_avgx`` and ``_avgy`` are the identity there, and the y pass's
+wrapped columns 0 and -1 are rewritten.  The kernels work on full-width
 plain arrays, so products such as Hx*Hy agree exactly with their
 tensor-product algebra, and Hx commutes with d2y (Hy with d2x) on interior
 nodes, which the step's right-hand side uses.  The GridFn operators and
-norms of the energy analysis, the compact Laplacian among them, are built
-on these kernels in ``verify``.
+norms of the energy analysis are built on these kernels in ``verify``.
 
 A ``Mesh`` applies the one run-size rule, (N+1)(M1+1)(M2+1) <=
 ``MAX_RUN_ENTRIES``, when it is built, so a run too large to keep is
 refused before anything is sampled on its mesh.
-
-The raw kernels (``_d2x``, ``_d2y``, ``_avgx``, ``_avgy``) take an optional
-``out=``: a C-contiguous float array of the input's shape, not overlapping
-it, which receives the result and is returned.  Without it they allocate a
-fresh C-ordered array and run the same code, so both forms give
-bitwise-equal values.  A non-C-contiguous or misshaped ``out`` raises a
-ValueError; overlap is not checked, since the check would cost more than a
-small stencil.  The y-direction kernels run over the flat C-ordered view
-and then rewrite the first and last columns.
 """
 
 from __future__ import annotations
@@ -35,6 +31,11 @@ import numpy as np
 # Run-size limit on (N+1)(M1+1)(M2+1): the entries of a run's history, and
 # of a caputo-only problem's forcing table beside it (2 GiB each at 2**28).
 MAX_RUN_ENTRIES = 2**28
+
+# H = (side, middle, side) / scale and d2 = (side, middle, side) / h**2 along
+# one axis; ``_stencil`` takes the side weight to be 1
+H_WEIGHTS = (1.0, 10.0, 12.0)
+D2_WEIGHTS = (1.0, -2.0)
 
 
 @dataclass(frozen=True)
@@ -117,69 +118,46 @@ class GridFn:
 
 
 # ---------------------------------------------------------------------------
-# raw stencil kernels on plain arrays (full width, no frame zeroing); see
-# the module docstring for the ``out=`` contract
+# raw stencil kernels on plain arrays (full width, no frame zeroing)
 
-def _out_for(vals: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    if out is None:
-        return np.empty(vals.shape)
-    if not out.flags.c_contiguous or out.shape != vals.shape:
-        raise ValueError(
-            f"out must be a C-contiguous array of shape {vals.shape}"
-        )
-    return out
-
-
-def _x_stencil(vals: np.ndarray, out: np.ndarray, weight: float,
-               scale: float) -> np.ndarray:
-    # rows 1..-2 of out = ((l + weight*m) + r) / scale along axis 0
-    o = out[1:-1]
-    np.multiply(vals[1:-1], weight, out=o)
-    np.add(vals[:-2], o, out=o)
-    o += vals[2:]
-    o /= scale
-    return out
-
-
-def _y_stencil(vals: np.ndarray, out: np.ndarray, weight: float,
-               scale: float) -> np.ndarray:
-    # the same along axis 1, over the flat C-ordered view: every node gets
-    # its row neighbours except in columns 0 and -1, which the caller
-    # rewrites (a copied reshape of a non-C ``vals`` is only read)
+def _stencil(vals: np.ndarray, step: int, weight: float,
+             scale: float) -> np.ndarray:
+    """((v[-step] + weight*v) + v[+step]) / scale over the flat C-ordered
+    view, at every node with both neighbours; the caller writes the rest
+    (a copied reshape of a non-C ``vals`` is only read)."""
     flat = vals.reshape(-1)
-    o = out.reshape(-1)[1:-1]
-    np.multiply(flat[1:-1], weight, out=o)
-    np.add(flat[:-2], o, out=o)
-    o += flat[2:]
+    out = np.empty(vals.shape)
+    o = out.reshape(-1)[step:-step]
+    np.multiply(flat[step:-step], weight, out=o)
+    np.add(flat[:-2 * step], o, out=o)
+    o += flat[2 * step:]
     o /= scale
     return out
 
 
-def _d2x(vals: np.ndarray, h1: float,
-         out: np.ndarray | None = None) -> np.ndarray:
-    out = _x_stencil(vals, _out_for(vals, out), -2.0, h1**2)
+def _d2x(vals: np.ndarray, h1: float) -> np.ndarray:
+    out = _stencil(vals, vals.shape[1], D2_WEIGHTS[1], h1**2)
     out[0] = 0.0
     out[-1] = 0.0
     return out
 
 
-def _d2y(vals: np.ndarray, h2: float,
-         out: np.ndarray | None = None) -> np.ndarray:
-    out = _y_stencil(vals, _out_for(vals, out), -2.0, h2**2)
+def _d2y(vals: np.ndarray, h2: float) -> np.ndarray:
+    out = _stencil(vals, 1, D2_WEIGHTS[1], h2**2)
     out[:, 0] = 0.0
     out[:, -1] = 0.0
     return out
 
 
-def _avgx(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    out = _x_stencil(vals, _out_for(vals, out), 10.0, 12.0)
+def _avgx(vals: np.ndarray) -> np.ndarray:
+    out = _stencil(vals, vals.shape[1], H_WEIGHTS[1], H_WEIGHTS[2])
     out[0] = vals[0]
     out[-1] = vals[-1]
     return out
 
 
-def _avgy(vals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    out = _y_stencil(vals, _out_for(vals, out), 10.0, 12.0)
+def _avgy(vals: np.ndarray) -> np.ndarray:
+    out = _stencil(vals, 1, H_WEIGHTS[1], H_WEIGHTS[2])
     out[:, 0] = vals[:, 0]
     out[:, -1] = vals[:, -1]
     return out

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gamma as _gamma_fn
 
-from .fracweights import rl_integral_oracle
+from .fracweights import _check_alpha, rl_integral_oracle
 from .meshops import Mesh
 
 # initial-data tolerance: the boundary at t=0 must match psi, and psi counts
@@ -77,8 +77,7 @@ class ProblemSpec:
     exact_laplacian: Callable | None = None
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
         if len(self.domain) != 2:
             raise ValueError("domain must be a pair (L1, L2)")
         L1, L2 = self.domain
@@ -205,9 +204,7 @@ def make_example1(alpha: float) -> ProblemSpec:
 
         g = sin(x) sin(y) [ Gamma(alpha+4)/2 * t**2 + 2 t**(alpha+3) ].
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    a = float(alpha)
+    a = _check_alpha(alpha)
     c_num = math.gamma(a + 4.0)
     c_ratio = c_num / math.gamma(2.0 * a + 4.0)
 

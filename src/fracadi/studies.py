@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .adisolver import solve
+from .fracweights import _check_alpha
 from .meshops import GridFn
 from .problems import (
     ProblemSpec,
@@ -48,8 +49,7 @@ def check_alphas(alphas) -> None:
     if not alphas:
         raise ValueError("at least one alpha is required")
     for a in alphas:
-        if not (0.0 < a < 1.0):
-            raise ValueError(f"alpha {a} outside (0, 1)")
+        _check_alpha(a)
     repeated = sorted({a for a in alphas if alphas.count(a) > 1})
     if repeated:
         raise ValueError(f"alphas must be distinct, repeated: {repeated}")

@@ -1,11 +1,12 @@
 """Tridiagonal line solves for the ADI sweeps.
 
-A sweep matrix is the interior-point form of (H - c*delta2) along one axis:
-constant diagonal 10/12 + 2c/h**2 and off-diagonal 1/12 - c/h**2, with
-c = mu * lambda_0 >= 0.  It is symmetric, and its diagonal exceeds the
-off-diagonal magnitudes of its row by at least 2/3 for every admissible
-step, so by Gershgorin every eigenvalue is at least 2/3: the matrix is
-positive definite.  LAPACK's ``pttrf`` therefore factors it as L D L^T
+A sweep matrix is the interior-point form of (H - c*delta2) along one axis,
+with c = mu * lambda_0 >= 0 and the weights of H and delta2 taken from
+``meshops.H_WEIGHTS`` and ``meshops.D2_WEIGHTS``: constant diagonal
+10/12 + 2c/h**2 and off-diagonal 1/12 - c/h**2.  It is symmetric, and its
+diagonal exceeds the off-diagonal magnitudes of its row by at least 2/3
+for every admissible step, so by Gershgorin every eigenvalue is at least
+2/3: the matrix is positive definite.  LAPACK's ``pttrf`` therefore factors it as L D L^T
 without pivoting (the Thomas algorithm, in Fortran) once per run, and
 ``pttrs`` solves all columns of a grid sweep in one call.
 """
@@ -16,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
+
+from .meshops import D2_WEIGHTS, H_WEIGHTS
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,8 @@ def build_sweep_operator(m: int, h: float, mu_lambda0: float) -> TridiagOperator
         raise ValueError(f"mu_lambda0/h**2 overflows for h={h}, "
                          f"mu_lambda0={mu_lambda0}")
 
-    diag, off = 10.0 / 12.0 + 2.0 * c, 1.0 / 12.0 - c
+    (hs, hm, hscale), (ds, dm) = H_WEIGHTS, D2_WEIGHTS
+    diag, off = hm / hscale - c * dm, hs / hscale - c * ds
     # the LAPACK wrappers reject an empty band; at m = 1 e is never read
     d, e, info = dpttrf(np.full(m, diag), np.full(max(m - 1, 1), off))
     if info != 0:

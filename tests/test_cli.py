@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -403,8 +404,14 @@ class TestSolveCommand:
             (("study", "--emit", "pdf"), "unknown emit flags ['pdf']"),
             (("study", "--ladder", "4,2"), "ladder must be strictly increasing"),
             (("study", "--alpha", "0.5,0.5"), "alphas must be distinct"),
-            (("study", "--alpha", "1.5"), "alpha 1.5 outside (0, 1)"),
+            (("study", "--alpha", "1.5"),
+             "alpha must lie strictly in (0, 1), got 1.5"),
             (("solve", "--alpha", "0.3,0.4"), "solve takes one alpha, got 2"),
+            (("solve", "--m", "1"), "--m must be an integer >= 2, got 1"),
+            (("solve", "--n", "0"), "--n must be an integer >= 1, got 0"),
+            (("study", "--fixed", "0"), "--fixed must be an integer >= 2"),
+            (("study", "--axis", "spatial", "--fixed", "0"),
+             "--fixed must be an integer >= 1"),
         ]:
             code = run_cli(*argv, "--problem", "missing.json")
             assert code == 1
@@ -428,6 +435,26 @@ class TestSolveCommand:
         assert code == 0, capsys.readouterr().err
         final = np.loadtxt(tmp_path / "out" / "final.csv", delimiter=",")
         assert final.shape == (9, 9) and np.all(np.isfinite(final))
+
+    def test_huge_forcing_solves(self, tmp_path, capsys):
+        # a solution of the data's size, 1e198 here, is not a divergence
+        prob = {"alpha": 0.5, "domain": [1.0, 1.0], "final_time": 1.0,
+                "phi": "0", "psi": "0", "boundary": "0",
+                "forcing": "1e200*sin(3.14159*x)*sin(3.14159*y)"}
+        ppath = tmp_path / "huge.json"
+        ppath.write_text(json.dumps(prob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("solve", "--problem", str(ppath), "--m", "8",
+                           "--n", "8", "--emit", "csv,reports", "--out",
+                           str(tmp_path / "out"))
+        assert code == 0, capsys.readouterr().err
+        final = np.loadtxt(tmp_path / "out" / "final.csv", delimiter=",")
+        assert final.shape == (9, 9) and np.all(np.isfinite(final))
+        assert 1e197 < np.abs(final).max() < 1e201
+        reports = np.loadtxt(tmp_path / "out" / "reports.csv",
+                             delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(reports[:, 2:]))
 
     def test_run_too_large_refused_before_sampling(self, capsys,
                                                    no_wide_samples):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fracadi import trisolve
 from fracadi.trisolve import build_sweep_operator
+from fracadi.verify import _dense_1d
 
 
 def thomas(diag, off, rhs):
@@ -142,6 +143,18 @@ class TestSweepOperator:
         assert dense[1, 1] == op.diag
         assert dense[1, 2] == dense[2, 1] == op.off
         assert dense[0, 2] == 0.0
+
+    @pytest.mark.parametrize("m,h,c", [
+        (1, 0.1, 0.0), (2, 0.5, 0.02), (7, 0.25, 1e-3), (12, 0.05, 0.3),
+        (9, 1e-3, 5.0),
+    ])
+    def test_equals_dense_oracle(self, m, h, c):
+        # H - c d2 on the interior, from verify's own dense matrices
+        avg, d2 = _dense_1d(m + 2, h)
+        ref = (avg - c * d2)[1:-1, 1:-1]
+        got = build_sweep_operator(m, h, c).to_dense()
+        np.testing.assert_allclose(got, ref, rtol=0.0,
+                                   atol=1e-15 * np.abs(ref).max())
 
     def test_validation(self):
         with pytest.raises(ValueError):
