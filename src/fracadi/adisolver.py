@@ -25,12 +25,19 @@ once per level: the step keeps f^n from the previous level and fetches
 f^{n+1}.  The boundary values (in the step) and the exact solution (in
 ``_run``, for the error) are sampled a block of levels per call, t of shape
 (b, 1, 1), with b = max(1, _BLOCK_BYTES // (8 (M1+1)(M2+1))): about 450
-levels at M = 16, one at M = 256.  The finish takes |u^{n+1}| in one pass:
-its max over all nodes is the overflow guard, which only a non-finite
-value (NaN too) fails, and its max over the interior is the step report's
-``solution_inf_norm``.  How
-large a run may be is the mesh's rule (see ``meshops``), checked when the
-mesh is built.
+levels at M = 16, one at M = 256.  The step reads the boundary only on the
+frame, so it is sampled there alone (``sample_xyt(..., frame=True)``: one
+call on the 2 (M1 + M2) frame points), and the sweeps' four edge terms
+(``_edge_terms``) are formed for the whole block when it is sampled; a
+step subtracts its row of each.  The new level is written straight into
+its history row: the interior from the sweeps, the frame from the block.
+The finish takes |u^{n+1}| in one pass into a work plane: its max over all
+nodes is the overflow guard, which only a non-finite value (NaN too)
+fails, and its max over the interior is the step report's
+``solution_inf_norm``.  How large a run may be is the mesh's rule (see
+``meshops``), checked when the mesh is built; how small or large tau and h
+may be, ``_check_scaling``, checked by ``init_state`` before any
+coefficient is formed.
 
 The right-hand side is one fused pass.  On interior nodes, with D = f^n +
 f^{n+1} and S_n the memory sum below, it is
@@ -50,7 +57,8 @@ product, adds each pair's y neighbours over the flat C-ordered view
 pass; tau Hx Hy phi is a per-run plane.  The value is that of the formula
 at the top up to rounding.  A step allocates no grid-sized temporary for
 it: the run state holds seven work planes, built once in ``init_state``.
-What a step still allocates are its forcing sample and the sweeps' arrays.
+What a step still allocates are its forcing sample and the sweeps' arrays,
+and, once per block, the boundary block and its edge terms.
 
 The step keeps the trajectory u^0..u^n in one history array and forms the
 memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
@@ -61,9 +69,12 @@ blocked causal convolution of ``fracweights`` (Hairer, Lubich & Schlichte,
 SIAM J. Sci. Stat. Comput. 6, 1985), run online: levels in the current leaf
 of ``_LEAF`` are summed directly, and the step that completes a left dyadic
 block folds it into the pending sums of the levels after it
-(``fold_block``).  A run of N steps costs O(N log^2 N) per grid node in the
-memory term, and no buffer beyond the history itself grows with N.
-Snapshots of the run are rows of the history.
+(``fold_block``, in place in the history rows).  Row n+1 holds the pending
+far field of S_n until the step overwrites it with u^{n+1}, so S_n is one
+vector-matrix product of (kappa_{n-lo}, ..., kappa_0, 1) with history rows
+lo..n+1, lo the start of n's leaf.  A run of N steps costs O(N log^2 N)
+per grid node in the memory term, and no buffer beyond the history itself
+grows with N.  Snapshots of the run are rows of the history.
 
 States are advanced in place: step functions return the same object with
 ``current_level`` incremented.  A solve run is deterministic; identical
@@ -104,6 +115,9 @@ from .trisolve import TridiagOperator, build_sweep_operator
 # Bytes of one block of boundary or exact-solution samples: a sample call
 # covers as many levels as fit, and at least one
 _BLOCK_BYTES = 2**20
+# Largest magnitude a scheme coefficient may take, so that the step's sums
+# of a few weighted fields stay finite for data of ordinary size
+_COEF_LIMIT = 1e300
 
 
 class SolverDivergenceError(RuntimeError):
@@ -128,10 +142,11 @@ def _block_levels(mesh: Mesh) -> int:
 
 
 def _sample_levels(func: Callable, mesh: Mesh, lo: int, hi: int,
-                   field: str) -> np.ndarray:
-    """func at levels lo..hi-1 in one call, shape (hi-lo, M1+1, M2+1)."""
+                   field: str, *, frame: bool = False) -> np.ndarray:
+    """func at levels lo..hi-1 in one call, shape (hi-lo, M1+1, M2+1);
+    with ``frame``, on the frame nodes only (see ``sample_xyt``)."""
     t = np.arange(lo, hi) * mesh.tau
-    return sample_xyt(func, mesh, t[:, None, None], field=field)
+    return sample_xyt(func, mesh, t[:, None, None], field=field, frame=frame)
 
 
 def _wsgd_forcing_levels(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
@@ -194,17 +209,21 @@ class SolverState:
     ``forcing(k)`` gives f at level k (see ``_forcing_source``) and
     ``f_current`` is f at ``current_level``.  ``boundary_rows`` holds the
     boundary samples of levels ``boundary_lo`` on, one block (see
-    ``_block_levels``), which the step refills once it runs past them.  The
-    x and y sweep factors, ``tau_h_phi`` (tau Hx Hy phi on the mesh), the
-    fused pass's weights ``coef`` (see ``_rhs_coefficients``) and the memory
-    kernel kappa (kappa_0 = lambda_1, kappa_j = lambda_j + lambda_{j+1})
-    live here too; ``c`` is mu * lambda_0.
+    ``_block_levels``) sampled on the frame only, which the step refills
+    once it runs past them; ``edges`` holds the sweeps' four boundary terms
+    for the same levels (see ``_edge_terms``).  The x and y sweep factors,
+    ``tau_h_phi`` (tau Hx Hy phi on the mesh), the fused pass's weights
+    ``coef`` (see ``_rhs_coefficients``) and the memory kernel kappa
+    (kappa_0 = lambda_1, kappa_j = lambda_j + lambda_{j+1}) live here too;
+    ``leaf_weights`` is (kappa_{_LEAF-1}, ..., kappa_0, 1), the weights of
+    the memory sum's leaf rows and its pending row.  ``c`` is mu * lambda_0.
 
     ``work`` holds the per-run work planes, shape (7, M1+1, M2+1), that a
     step overwrites: planes 4-6 the fields u^n, S_n and D = f^n + f^{n+1};
     planes 0-3 their weighted sums ``coef`` @ planes 4-6, after which plane
     0 receives the right-hand side, which the step's report reads after
-    the sweeps.
+    the sweeps; the finish then takes |u^{n+1}| into plane 1 and the
+    squares of the right-hand side into plane 2.
     """
 
     problem: ProblemSpec
@@ -219,8 +238,10 @@ class SolverState:
     sweep_x: TridiagOperator = field(repr=False)
     sweep_y: TridiagOperator = field(repr=False)
     kappa: np.ndarray = field(repr=False)
+    leaf_weights: np.ndarray = field(repr=False)
     work: np.ndarray = field(repr=False)
     boundary_rows: np.ndarray = field(repr=False)
+    edges: tuple = field(default=(), repr=False)
     boundary_lo: int = 0
     current_level: int = 0
     last_report: StepReport | None = None
@@ -245,6 +266,7 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
         )
 
     lam = scheme_weights(problem.alpha, mesh.N + 1)
+    _check_scaling(problem.alpha, lam[0], mesh)
     mu = mesh.tau ** (problem.alpha + 1.0) / 2.0
     c = mu * lam[0]
     kappa = lam[:-1] + lam[1:]
@@ -263,9 +285,49 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
         sweep_x=build_sweep_operator(mesh.M1 - 1, mesh.h1, c),
         sweep_y=build_sweep_operator(mesh.M2 - 1, mesh.h2, c),
         kappa=kappa,
+        leaf_weights=np.append(kappa[:_LEAF][::-1], 1.0),
         work=np.empty((7, *mesh.shape)),
         boundary_rows=np.empty((0, *mesh.shape)),
     )
+
+
+def _check_scaling(alpha: float, lam0: float, mesh: Mesh) -> None:
+    """Refuse a time step tau or grid step h whose scheme coefficients
+    would leave the float range, naming the steps and the quantity.
+
+    The coefficients of the step (``_rhs_coefficients``) and the sweeps
+    (``trisolve.build_sweep_operator``) are products of tau, mu =
+    tau**(alpha + 1) / 2, c = mu lambda_0, h**2 and 1/h**2; they are
+    compared with ``_COEF_LIMIT`` by their logarithms, before any is formed.
+    """
+    tau = f"tau = final_time / N = {mesh.tau:.6g}"
+    h1 = f"h1 = domain[0] / M1 = {mesh.h1:.6g}"
+    h2 = f"h2 = domain[1] / M2 = {mesh.h2:.6g}"
+    log_tau, log_h1, log_h2 = (math.log(v)
+                               for v in (mesh.tau, mesh.h1, mesh.h2))
+    log_mu = (alpha + 1.0) * log_tau - math.log(2.0)
+    log_c = log_mu + math.log(lam0)
+    terms = (
+        ("h1**2", 2.0 * log_h1, (h1,)),
+        ("1 / h1**2", -2.0 * log_h1, (h1,)),
+        ("h2**2", 2.0 * log_h2, (h2,)),
+        ("1 / h2**2", -2.0 * log_h2, (h2,)),
+        ("tau", log_tau, (tau,)),
+        ("mu = tau**(alpha + 1) / 2", log_mu, (tau,)),
+        ("mu / h1**2", log_mu - 2.0 * log_h1, (tau, h1)),
+        ("mu / h2**2", log_mu - 2.0 * log_h2, (tau, h2)),
+        ("c**2 / h2**2", 2.0 * (log_c - log_h2), (tau, h2)),
+        ("c**2 / (h1 h2)**2", 2.0 * (log_c - log_h1 - log_h2),
+         (tau, h1, h2)),
+    )
+    for quantity, log_value, steps in terms:
+        if log_value > math.log(_COEF_LIMIT):
+            raise ValueError(
+                f"{quantity} is about 10**{log_value / math.log(10.0):.0f} "
+                f"for {', '.join(steps)}, over the limit {_COEF_LIMIT:g} of "
+                "a scheme coefficient; change final_time, domain or the "
+                "step counts"
+            )
 
 
 def _check_consistent(problem: ProblemSpec, mesh: Mesh) -> None:
@@ -279,17 +341,14 @@ def _check_consistent(problem: ProblemSpec, mesh: Mesh) -> None:
 
 
 def _memory_sum(state: SolverState) -> np.ndarray:
-    """S_n for the current level n, in the state's memory-sum plane: the
-    levels of n's own leaf, summed directly, plus the pending far field
-    stored in row n+1."""
+    """S_n for the current level n, in the state's memory-sum plane: one
+    product over history rows lo..n+1, the levels of n's own leaf (from
+    lo) and, weighted 1, the pending far field stored in row n+1."""
     n = state.current_level
-    history = state.history
     lo = n - n % _LEAF
-    leaf = history[lo:n + 1].reshape(n - lo + 1, -1)
+    rows = state.history[lo:n + 2].reshape(n - lo + 2, -1)
     out = state.work[5]
-    near = out.reshape(-1)
-    np.matmul(state.kappa[n - lo::-1], leaf, out=near)
-    near += history[n + 1].reshape(-1)
+    np.matmul(state.leaf_weights[lo - n - 2:], rows, out=out.reshape(-1))
     return out
 
 
@@ -334,25 +393,41 @@ def _rhs_raw(state: SolverState, f_next: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _boundary(state: SolverState, k: int) -> np.ndarray:
-    """Boundary samples of level k: a row of the state's block, sampled
-    from level k on once k runs past it.  The step writes the new level's
-    interior into the row."""
+def _edge_terms(state: SolverState, rows: np.ndarray) -> tuple:
+    """The sweeps' four boundary terms for every level of a block of
+    boundary samples: the x sweep's sx.off * u* on rows 0 and -1, where u*
+    = (Hy - c d2y) u^{n+1} is the y factor applied to the boundary trace,
+    and the y sweep's sy.off * u^{n+1} on columns 0 and -1."""
+    sx, sy = state.sweep_x, state.sweep_y
+    terms = []
+    for trace in (rows[:, 0], rows[:, -1]):
+        star = sy.diag * trace[:, 1:-1] + sy.off * (trace[:, :-2]
+                                                    + trace[:, 2:])
+        terms.append(sx.off * star)
+    terms += [sy.off * rows[:, 1:-1, 0], sy.off * rows[:, 1:-1, -1]]
+    return tuple(terms)
+
+
+def _boundary(state: SolverState, k: int) -> int:
+    """Index of level k in the state's boundary block, which is sampled on
+    the frame from level k on, with its edge terms, once k runs past it."""
     i = k - state.boundary_lo
     if not 0 <= i < len(state.boundary_rows):
         mesh = state.mesh
         hi = min(k + _block_levels(mesh), mesh.N + 1)
-        state.boundary_rows = _sample_levels(state.problem.boundary, mesh,
-                                             k, hi, "boundary")
+        rows = _sample_levels(state.problem.boundary, mesh, k, hi,
+                              "boundary", frame=True)
+        state.boundary_rows, state.edges = rows, _edge_terms(state, rows)
         state.boundary_lo, i = k, 0
-    return state.boundary_rows[i]
+    return i
 
 
 def _step(state: SolverState,
           interior: Callable[..., np.ndarray]) -> SolverState:
-    """Advance one level in place; ``interior(state, rhs, bvals)`` solves
-    for the interior nodes of the next level from the right-hand side and
-    that level's boundary samples."""
+    """Advance one level in place; ``interior(state, rhs, i)`` solves for
+    the interior nodes of the next level from the right-hand side and row
+    i of the state's boundary block (that level's samples and edge terms).
+    The new level is written straight into its history row."""
     t0 = time.perf_counter_ns()
     mesh = state.mesh
     n = state.current_level
@@ -360,22 +435,32 @@ def _step(state: SolverState,
         raise ValueError(f"state already at the final level {mesh.N}")
 
     f_next = state.forcing(n + 1)
-    vals = _boundary(state, n + 1)
+    i = _boundary(state, n + 1)
     rhs = _rhs_raw(state, f_next)
-    vals[1:-1, 1:-1] = interior(state, rhs, vals)
+    # row n+1 held the pending far field, which the memory sum has read
+    new, frame = state.history[n + 1], state.boundary_rows[i]
+    new[1:-1, 1:-1] = interior(state, rhs, i)
+    new[0], new[-1] = frame[0], frame[-1]
+    new[1:-1, 0], new[1:-1, -1] = frame[1:-1, 0], frame[1:-1, -1]
 
-    mag = np.abs(vals)
+    work = state.work
+    mag = np.abs(new, out=work[1])
     if not math.isfinite(mag.max()):
         raise SolverDivergenceError(n + 1)
-    state.history[n + 1] = vals
     _fold_far_field(state, n + 1)
     state.f_current = f_next
     state.current_level = n + 1
+    # the squares go to a contiguous stretch of plane 2: no grid temporary,
+    # and np.sum adds them in the order it takes on a fresh array
     rhs_int, cell = rhs[1:-1, 1:-1], mesh.h1 * mesh.h2
-    rhs_norm = float(np.sqrt(cell * np.sum(rhs_int * rhs_int)))
+    squares = work[2].reshape(-1)[:rhs_int.size].reshape(rhs_int.shape)
+    rhs_norm = float(np.sqrt(cell * np.sum(
+        np.multiply(rhs_int, rhs_int, out=squares))))
     if math.isinf(rhs_norm):  # the squares overflowed: scale by the max
         top = np.abs(rhs_int).max()
-        rhs_norm = float(top * np.sqrt(cell * np.sum((rhs_int / top) ** 2)))
+        np.divide(rhs_int, top, out=squares)
+        rhs_norm = float(top * np.sqrt(cell * np.sum(
+            np.multiply(squares, squares, out=squares))))
     state.last_report = StepReport(
         level=n + 1,
         wall_time_ns=time.perf_counter_ns() - t0,
@@ -385,23 +470,20 @@ def _step(state: SolverState,
     return state
 
 
-def _sweeps(state: SolverState, rhs: np.ndarray,
-            bvals: np.ndarray) -> np.ndarray:
-    """Interior of the next level by the x sweep, then the y sweep."""
+def _sweeps(state: SolverState, rhs: np.ndarray, i: int) -> np.ndarray:
+    """Interior of the next level by the x sweep, then the y sweep, with
+    the boundary terms of row i of the state's block."""
     sx, sy = state.sweep_x, state.sweep_y
-
-    # boundary traces of the intermediate unknown u* = (Hy - c d2y) u^{n+1}
-    star_lo = sy.diag * bvals[0, 1:-1] + sy.off * (bvals[0, :-2] + bvals[0, 2:])
-    star_hi = sy.diag * bvals[-1, 1:-1] + sy.off * (bvals[-1, :-2] + bvals[-1, 2:])
+    x_lo, x_hi, y_lo, y_hi = state.edges
 
     # F order: the x sweep solves its columns in place, without a copy
     r = np.array(rhs[1:-1, 1:-1], order="F")
-    r[0, :] -= sx.off * star_lo
-    r[-1, :] -= sx.off * star_hi
+    r[0, :] -= x_lo[i]
+    r[-1, :] -= x_hi[i]
     ustar = sx.solve(r)
 
-    ustar[:, 0] -= sy.off * bvals[1:-1, 0]
-    ustar[:, -1] -= sy.off * bvals[1:-1, -1]
+    ustar[:, 0] -= y_lo[i]
+    ustar[:, -1] -= y_hi[i]
     # ustar.T is C-ordered, so pttrs copies it to F order: the step's one
     # transpose
     return sy.solve(ustar.T).T

@@ -243,7 +243,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     if args.alpha is not None:  # a file's own alpha is checked once loaded
         check_alphas(alphas)
     ladder = _parse_list(args.ladder, lambda v: _number(v, "--ladder", int))
-    check_ladder(ladder)
+    check_ladder(ladder, args.axis)
     fixed = args.fixed
     if fixed is None:
         fixed = 16 if args.axis == "temporal" else 10000

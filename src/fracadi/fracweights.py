@@ -18,6 +18,13 @@ engine here, the blocked scheme of Hairer, Lubich & Schlichte (SIAM J. Sci.
 Stat. Comput. 6, 1985): exact up to summation order, O(n log^2 n) per
 column.  ``causal_convolve`` runs it over a whole array; the ADI solver's
 memory term runs it online through ``completed_block`` and ``fold_block``.
+Levels within a leaf of ``_LEAF`` = 16 are summed directly; older ones
+arrive in dyadic blocks of b = 16, 32, ... levels, each folded into the
+t <= b levels after it.  A block of up to ``_TOEPLITZ_MAX_BLOCK`` = 512
+levels is folded by one BLAS ``dgemm`` that adds the Toeplitz product into
+the target rows in place (beta = 1), over row chunks whose Toeplitz slice
+stays within ``_SCRATCH_BYTES``; a longer block by FFT of the smallest
+2^a 3^b 5^c length >= b + t, over contiguous, transposed column chunks.
 
 ``wsgd_integral`` applies the weighted-shifted Grunwald quadrature, which
 is the causal convolution with the lambda weights, to a sampled function;
@@ -31,18 +38,20 @@ import math
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg.blas import dgemm
 
 # Hard cap on weight-table length; 2**27 doubles is about 1 GiB per array.
 MAX_WEIGHT_COUNT = 2**27
 
 # levels of a causal convolution summed directly; older ones arrive in
 # dyadic blocks
-_LEAF = 32
+_LEAF = 16
 # blocks up to this size are applied as a dense Toeplitz product, which is
 # faster than the FFT and its set-up there
-_TOEPLITZ_MAX_BLOCK = 256
-# cap on the scratch of one block's column chunk
-_SCRATCH_BYTES = 2**20
+_TOEPLITZ_MAX_BLOCK = 512
+# cap on the scratch of one Toeplitz row chunk or FFT column chunk
+_SCRATCH_BYTES = 2**18
 
 
 def _check_alpha(alpha: float) -> float:
@@ -111,36 +120,62 @@ def completed_block(s: int) -> int:
     return 0 if r or not q else _LEAF * (q & -q)
 
 
+def _fft_length(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m, a length the FFT factors well."""
+    best = 1 << (m - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fold_block(kernel: np.ndarray, block: np.ndarray,
                targets: np.ndarray) -> None:
     """Add a block of b source levels to the t <= b target levels after it.
 
     ``block`` is (b, columns) and ``targets`` (t, columns); in place,
     targets[r] += sum_{i<b} kernel[b + r - i] * block[i].  Short blocks
-    use a dense Toeplitz product; long ones the tail of one length-2b
-    circular convolution, where no term wraps around.  Both run over column
-    chunks whose scratch stays near ``_SCRATCH_BYTES``.
+    use a dense Toeplitz product, added into the target rows by ``dgemm``;
+    long ones the tail of one circular convolution of length n >= b + t,
+    where no term wraps around.  Both keep their scratch near
+    ``_SCRATCH_BYTES``: Toeplitz row chunks, FFT column chunks.  Targets
+    that are not C-contiguous are folded through a contiguous copy.
     """
+    if not targets.flags.c_contiguous:
+        work = np.ascontiguousarray(targets)
+        fold_block(kernel, block, work)
+        targets[...] = work
+        return
     b, t = block.shape[0], targets.shape[0]
     if b <= _TOEPLITZ_MAX_BLOCK:
-        # row r is target level b+r, column i is source level i
-        toeplitz = kernel[b + np.arange(t)[:, None] - np.arange(b)]
+        # row r is target level b+r, column i is source level i: a window
+        # of the kernel read backwards, copied to C order (no index table)
+        rows = min(t, max(1, _SCRATCH_BYTES // (8 * b)))
+        scratch = np.empty((rows, b))
+        for r in range(0, t, rows):
+            hi = min(r + rows, t)
+            toeplitz = scratch[:hi - r]
+            np.copyto(toeplitz,
+                      sliding_window_view(kernel[r + 1:b + hi], b)[:, ::-1])
+            # targets.T is F-ordered, so dgemm adds into it without a copy
+            out = dgemm(1.0, block.T, toeplitz.T, beta=1.0,
+                        c=targets[r:hi].T, overwrite_c=1)
+            assert np.shares_memory(out, targets)
+        return
 
-        def contribution(cols: np.ndarray) -> np.ndarray:
-            return toeplitz @ cols
-    else:
-        # rfft of kernel_0..kernel_{2b-1} (zero past its last lag)
-        kernel_hat = np.fft.rfft(kernel[:2 * b], n=2 * b)[:, None]
-
-        def contribution(cols: np.ndarray) -> np.ndarray:
-            spec = np.fft.rfft(cols, n=2 * b, axis=0)
-            spec *= kernel_hat
-            return np.fft.irfft(spec, n=2 * b, axis=0)[b:b + t]
-
-    # FFT: padded input, rfft spectrum and irfft output, ~48*b bytes a column
-    chunk = max(1, _SCRATCH_BYTES // (48 * b))
+    n = _fft_length(b + t)
+    kernel_hat = np.fft.rfft(kernel[:b + t], n=n)
+    # a column's transposed copy, padded input, spectrum and output
+    chunk = max(1, _SCRATCH_BYTES // (8 * b + 32 * n))
     for c in range(0, block.shape[1], chunk):
-        targets[:, c:c + chunk] += contribution(block[:, c:c + chunk])
+        cols = np.ascontiguousarray(block[:, c:c + chunk].T)
+        spec = np.fft.rfft(cols, n=n)
+        spec *= kernel_hat
+        targets[:, c:c + chunk] += np.fft.irfft(spec, n=n)[:, b:b + t].T
 
 
 def causal_convolve(kernel: np.ndarray, samples: np.ndarray) -> np.ndarray:
@@ -159,7 +194,8 @@ def causal_convolve(kernel: np.ndarray, samples: np.ndarray) -> np.ndarray:
     if kernel.ndim != 1 or kernel.shape[0] < n:
         raise ValueError(f"kernel must be 1-D with at least {n} lags, "
                          f"got shape {kernel.shape}")
-    flat = samples.reshape(n, -1)
+    # fold_block adds into C-ordered rows of out in place
+    flat = np.ascontiguousarray(samples.reshape(n, -1))
     out = np.empty_like(flat)
     lags = np.arange(min(n, _LEAF))
     near = np.tril(kernel[np.abs(lags[:, None] - lags)])

@@ -2,11 +2,14 @@
 
 Each node becomes one colored cell; the palette is a five-anchor
 approximation of viridis.  Output is deterministic: the same field always
-produces byte-identical SVG.  Intended for quick visual inspection of
-solutions, not publication graphics.
+produces byte-identical SVG.  Every cell's colour is computed in one numpy
+pass, and each column's x and each row's y is formatted once.  Intended
+for quick visual inspection of solutions, not publication graphics.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 
@@ -28,15 +31,16 @@ _LEGEND_W = 18.0
 _LEGEND_STEPS = 64
 
 
-def _color(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    pos = t * (len(_ANCHORS) - 1)
-    lo = int(pos)
-    hi = min(lo + 1, len(_ANCHORS) - 1)
-    frac = pos - lo
+def _colors(t: np.ndarray) -> list[str]:
+    """Palette colours of the values t (clipped to [0, 1]) as #rrggbb."""
+    pos = np.clip(t, 0.0, 1.0).ravel() * (len(_ANCHORS) - 1)
+    lo = pos.astype(int)
+    hi = np.minimum(lo + 1, len(_ANCHORS) - 1)
+    frac = (pos - lo)[:, None]
     rgb = (1.0 - frac) * _ANCHORS[lo] + frac * _ANCHORS[hi]
-    r, g, b = (int(round(255 * v)) for v in rgb)
-    return f"#{r:02x}{g:02x}{b:02x}"
+    # rint rounds half to even, as round does
+    r, g, b = np.rint(255 * rgb).astype(int).T
+    return [f"#{code:06x}" for code in ((r << 16) | (g << 8) | b).tolist()]
 
 
 def emit_heatmap(u: GridFn, path, *, title: str | None = None) -> None:
@@ -67,15 +71,12 @@ def emit_heatmap(u: GridFn, path, *, title: str | None = None) -> None:
         )
 
     # field cells; j grows upward so row j sits at the bottom for j = 0
-    for i in range(nx):
-        px = _LEFT + i * cw
-        for j in range(ny):
-            t = (vals[i, j] - vmin) / span if span > 0.0 else 0.5
-            py = bottom - (j + 1) * ch
-            parts.append(
-                f'<rect x="{px:.2f}" y="{py:.2f}" width="{cw + 0.05:.2f}" '
-                f'height="{ch + 0.05:.2f}" fill="{_color(t)}"/>'
-            )
+    t = (vals - vmin) / span if span > 0.0 else np.full(vals.shape, 0.5)
+    size = f'width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}"'
+    xs = [f"{_LEFT + i * cw:.2f}" for i in range(nx)]
+    ys = [f"{bottom - (j + 1) * ch:.2f}" for j in range(ny)]
+    parts += [f'<rect x="{px}" y="{py}" {size} fill="{fill}"/>'
+              for (px, py), fill in zip(product(xs, ys), _colors(t))]
 
     # axes
     parts.append(
@@ -102,12 +103,13 @@ def emit_heatmap(u: GridFn, path, *, title: str | None = None) -> None:
     # legend: vertical color bar, max at the top
     lx = _LEFT + _PLOT + _LEGEND_GAP
     step_h = _PLOT / _LEGEND_STEPS
-    for k in range(_LEGEND_STEPS):
-        t = 1.0 - (k + 0.5) / _LEGEND_STEPS
+    legend = _colors(np.array([1.0 - (k + 0.5) / _LEGEND_STEPS
+                               for k in range(_LEGEND_STEPS)]))
+    for k, fill in enumerate(legend):
         parts.append(
             f'<rect x="{lx:.1f}" y="{_TOP + k * step_h:.2f}" '
             f'width="{_LEGEND_W:.1f}" height="{step_h + 0.05:.2f}" '
-            f'fill="{_color(t)}"/>'
+            f'fill="{fill}"/>'
         )
     parts.append(
         f'<rect x="{lx:.1f}" y="{_TOP:.1f}" width="{_LEGEND_W:.1f}" '

@@ -57,9 +57,11 @@ class ProblemSpec:
     used for error measurement and residual verification.
 
     The callables must broadcast over numpy arrays: x of shape (M1+1, 1), y
-    of shape (1, M2+1), and t a float or, for the boundary and the exact
-    solution, which are sampled a block of levels per call, an array of
-    shape (b, 1, 1).
+    of shape (1, M2+1), and t a float or, for the exact solution, which is
+    sampled a block of levels per call, an array of shape (b, 1, 1).  The
+    boundary is sampled a block of levels per call on the mesh's frame
+    only: x and y hold the F = 2 (M1 + M2) frame points, shape (1, F), and
+    t has shape (b, 1).
     """
 
     name: str
@@ -152,15 +154,35 @@ def sample_xy(func: Callable, mesh: Mesh, *, field: str = "data") -> np.ndarray:
     return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :])
 
 
-def sample_xyt(func: Callable, mesh: Mesh, t, *,
-               field: str = "data") -> np.ndarray:
+def sample_xyt(func: Callable, mesh: Mesh, t, *, field: str = "data",
+               frame: bool = False) -> np.ndarray:
     """Evaluate func(x, y, t) on all mesh nodes, as ``sample_xy`` does.
 
     ``t`` is one time, or an array of shape (b, 1, 1) for b levels in one
     call, which gives an array of shape (b, M1+1, M2+1); a non-finite
     value names its own t.
+
+    With ``frame``, func is called once on the 2 (M1 + M2) frame nodes
+    only, x and y of shape (1, F) and t of shape (b, 1), and the result
+    has the same shape with a zero interior: rows 0 and M1, then columns
+    0 and M2 between them.
     """
-    return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :], t)
+    if not frame:
+        return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :], t)
+    x, y = mesh.x, mesh.y
+    inner = mesh.M1 - 1
+    fx = np.concatenate((np.zeros_like(y), np.full_like(y, x[-1]),
+                         x[1:-1], x[1:-1]))
+    fy = np.concatenate((y, y, np.zeros(inner), np.full(inner, y[-1])))
+    vals = _evaluate(func, field, fx[None, :], fy[None, :],
+                     np.reshape(t, (-1, 1)))
+    out = np.zeros((len(vals), *mesh.shape))
+    row, col = mesh.M2 + 1, 2 * (mesh.M2 + 1)
+    out[:, 0] = vals[:, :row]
+    out[:, -1] = vals[:, row:col]
+    out[:, 1:-1, 0] = vals[:, col:col + inner]
+    out[:, 1:-1, -1] = vals[:, col + inner:]
+    return out.reshape(*np.shape(t)[:-2], *mesh.shape)
 
 
 def _number(value, label: str, kind: type = float):

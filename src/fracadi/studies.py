@@ -55,15 +55,19 @@ def check_alphas(alphas) -> None:
         raise ValueError(f"alphas must be distinct, repeated: {repeated}")
 
 
-def check_ladder(ladder) -> None:
+def check_ladder(ladder, axis: str) -> None:
     """Reject a ladder that is empty, has an entry that is not a positive
-    integer, or does not strictly increase."""
+    integer, does not strictly increase or, on the spatial axis, has an
+    entry below the mesh's two cells per axis."""
     if not ladder:
         raise ValueError("ladder must be nonempty")
     if any(int(v) != v or v < 1 for v in ladder):
         raise ValueError(f"ladder entries must be positive integers: {ladder}")
     if list(ladder) != sorted(set(ladder)):
         raise ValueError(f"ladder must be strictly increasing: {ladder}")
+    if axis == "spatial" and ladder[0] < 2:
+        raise ValueError(f"ladder entries of a spatial study (--ladder) are "
+                         f"cells per axis and must be >= 2: {ladder}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ class StudyConfig:
     def __post_init__(self) -> None:
         check_axis(self.axis)
         check_alphas(self.alphas)
-        check_ladder(self.ladder)
+        check_ladder(self.ladder, self.axis)
         if self.fixed < 1:
             raise ValueError(f"fixed resolution must be positive, got {self.fixed}")
         check_emit(self.emit, _EMIT_CHOICES)

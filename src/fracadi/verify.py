@@ -443,9 +443,12 @@ class _DenseOracle:
         self.coupling = rows[:, self.boundary_idx]
 
     def interior(self, state: SolverState, rhs: np.ndarray,
-                 bvals: np.ndarray) -> np.ndarray:
-        """Interior of the next level, the ``interior`` of ``_step``."""
+                 i: int) -> np.ndarray:
+        """Interior of the next level, the ``interior`` of ``_step``: the
+        boundary samples are row i of the state's block, read on the
+        frame."""
         mesh = state.mesh
+        bvals = state.boundary_rows[i]
         b = (rhs[1:-1, 1:-1].ravel()
              - self.coupling @ bvals.ravel()[self.boundary_idx])
         return lu_solve(self.lu, b).reshape(mesh.M1 - 1, mesh.M2 - 1)

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -295,6 +296,78 @@ class TestBlockSampling:
             assert (np.max(np.abs(block - per_level))
                     <= 8 * np.finfo(float).eps * scale), name
 
+    @pytest.mark.parametrize("which", ["example1", "json"])
+    def test_frame_equals_grid_on_the_frame(self, tmp_path, which):
+        if which == "example1":
+            p = make_example1(0.3)
+            mesh = mesh_for(p, 12, n=30)
+        else:
+            p, mesh = self._homogenized_json(tmp_path)
+        mesh = dataclasses.replace(mesh, M2=mesh.M2 + 3)  # not square
+        frame = adisolver._sample_levels(p.boundary, mesh, 4, 17,
+                                         "boundary", frame=True)
+        grid = adisolver._sample_levels(p.boundary, mesh, 4, 17, "boundary")
+        assert frame.shape == grid.shape == (13, *mesh.shape)
+        assert not frame[:, 1:-1, 1:-1].any()
+        on_frame = np.ones(mesh.shape, dtype=bool)
+        on_frame[1:-1, 1:-1] = False
+        # the same points in arrays of another length: a SIMD loop and a
+        # scalar one may differ in the last bit
+        scale = np.max(np.abs(grid))
+        assert (np.max(np.abs(frame - grid)[:, on_frame])
+                <= 8 * np.finfo(float).eps * scale)
+        one = sample_xyt(p.boundary, mesh, 0.25, frame=True)
+        assert one.shape == mesh.shape
+        assert np.array_equal(one, sample_xyt(p.boundary, mesh, [[[0.25]]],
+                                              frame=True)[0])
+
+    def test_frame_calls_once_on_frame_points(self):
+        p = make_example1(0.5)
+        mesh = Mesh(p.L1, p.L2, 5, 7, p.T, 4)
+        shapes = []
+
+        def boundary(x, y, t):
+            shapes.append((np.shape(x), np.shape(y), np.shape(t)))
+            return x + y + t
+
+        sample_xyt(boundary, mesh, np.zeros((3, 1, 1)), frame=True)
+        assert shapes == [((1, 24), (1, 24), (3, 1))]
+
+    def test_non_finite_frame_value_named(self):
+        p = make_example1(0.5)
+        mesh = mesh_for(p, 6, n=8)
+        x_bad, t_bad = mesh.x[3], 5 * mesh.tau
+
+        def bad(x, y, t):
+            return np.where((x == x_bad) & (y == mesh.y[-1]) & (t == t_bad),
+                            -np.inf, 0.0)
+
+        where = f"at t={t_bad!r}, (x, y) = ({x_bad:.17g}, {mesh.y[-1]:.17g})"
+        with pytest.raises(ValueError,
+                           match="^boundary is -inf " + re.escape(where)):
+            adisolver._sample_levels(bad, mesh, 1, 9, "boundary", frame=True)
+
+    def test_edge_terms_equal_per_level_formula(self):
+        # the sweeps' boundary terms of a block, bitwise, against one level
+        # at a time as the x and y sweeps once formed them
+        p = equivalence_problem(0.4)
+        mesh = _mesh(p, 7, 9, 20)
+        state = init_state(p, mesh)
+        rows = adisolver._sample_levels(p.boundary, mesh, 1, 21, "boundary",
+                                        frame=True)
+        terms = adisolver._edge_terms(state, rows)
+        sx, sy = state.sweep_x, state.sweep_y
+        for i, bvals in enumerate(rows):
+            lo = sy.diag * bvals[0, 1:-1] + sy.off * (bvals[0, :-2]
+                                                      + bvals[0, 2:])
+            hi = sy.diag * bvals[-1, 1:-1] + sy.off * (bvals[-1, :-2]
+                                                       + bvals[-1, 2:])
+            want = (sx.off * lo, sx.off * hi, sy.off * bvals[1:-1, 0],
+                    sy.off * bvals[1:-1, -1])
+            for got, ref in zip(terms, want):
+                assert np.array_equal(got[i].view(np.uint64),
+                                      ref.view(np.uint64))
+
     @pytest.mark.parametrize("name", ["boundary", "exact"])
     def test_non_finite_level_named(self, monkeypatch, name):
         # level 5 of 8, inside the one block of levels 1..8, is infinite
@@ -356,10 +429,19 @@ def _naive_memory_sum(state):
     return out
 
 
+# run lengths that straddle the leaf (one short of it, one leaf, one past
+# it, one past the second), earlier leaf sizes' edges, and past the first
+# FFT fold (a block of 2 * _TOEPLITZ_MAX_BLOCK levels)
+_L = fracweights._LEAF
+_N_STEPS = sorted({31, 32, 33, 65, 1000, 2000,
+                   _L - 1, _L, _L + 1, 2 * _L + 1})
+assert _N_STEPS[-1] > 2 * fracweights._TOEPLITZ_MAX_BLOCK + 1
+
+
 class TestMemoryConvolution:
     """The blocked memory sum against the naive full-history sum."""
 
-    @pytest.mark.parametrize("n_steps", [31, 32, 33, 65, 1000, 2000])
+    @pytest.mark.parametrize("n_steps", _N_STEPS)
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("method", ["adi", "direct"])
     def test_trajectory_matches_naive_sum(self, monkeypatch, method, alpha,
@@ -379,7 +461,8 @@ class TestMemoryConvolution:
         assert np.array_equal(fast.final.values, fast.state.history[n_steps])
 
     def test_column_chunks_do_not_change_the_sum(self, monkeypatch):
-        # N = 600 reaches Toeplitz blocks 32..256 and one FFT block of 512
+        # N = 600 reaches Toeplitz blocks up to 512: one dgemm per target
+        # row instead of a few
         p = equivalence_problem(0.5)
         mesh = _mesh(p, 5, 4, 600)
         whole = solve(p, mesh).final.values
@@ -418,7 +501,12 @@ class TestStepAllocation:
                                    / grid_bytes)
         finally:
             tracemalloc.stop()
-        assert len(peaks["plain"]) == 37 and len(peaks["refill"]) == 1
+        # levels 2..40: one refills the block (level 32), the levels that
+        # complete a leaf fold it and are skipped
+        folds = sum(1 for level in range(2, 41)
+                    if fracweights.completed_block(level))
+        assert folds == 40 // fracweights._LEAF
+        assert len(peaks["plain"]) == 38 - folds and len(peaks["refill"]) == 1
         assert max(peaks["plain"]) <= 6.0, max(peaks["plain"])
         assert max(peaks["refill"]) <= 2 * block + 6.0, peaks["refill"]
 

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -6,10 +7,13 @@ import sys
 import time
 import warnings
 import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracadi.cli as cli
 from fracadi.studies import StudyConfig, run_study
@@ -403,6 +407,8 @@ class TestSolveCommand:
             (("study", "--axis", "diagonal"), "axis must be"),
             (("study", "--emit", "pdf"), "unknown emit flags ['pdf']"),
             (("study", "--ladder", "4,2"), "ladder must be strictly increasing"),
+            (("study", "--axis", "spatial", "--ladder", "1,2", "--fixed", "4"),
+             "ladder entries of a spatial study (--ladder)"),
             (("study", "--alpha", "0.5,0.5"), "alphas must be distinct"),
             (("study", "--alpha", "1.5"),
              "alpha must lie strictly in (0, 1), got 1.5"),
@@ -435,6 +441,65 @@ class TestSolveCommand:
         assert code == 0, capsys.readouterr().err
         final = np.loadtxt(tmp_path / "out" / "final.csv", delimiter=",")
         assert final.shape == (9, 9) and np.all(np.isfinite(final))
+
+    # coefficients of the scheme beyond the float range: tau**(alpha+1),
+    # h**2 and 1/h**2 used to raise an unnamed OverflowError or print
+    # numpy's RuntimeWarnings before the JSON line
+    @pytest.mark.parametrize("key, value, named", [
+        ("final_time", 1e300, "tau = final_time / N = 1.25e+299"),
+        ("domain", [1e300, 1e300], "h1 = domain[0] / M1 = 1.25e+299"),
+        ("domain", [1e-300, 1e-300], "h1 = domain[0] / M1 = 1.25e-301"),
+    ], ids=["huge-time", "huge-domain", "tiny-domain"])
+    def test_out_of_range_scaling_named(self, tmp_path, capsys, key, value,
+                                        named):
+        prob = {"alpha": 0.5, "domain": [1.0, 1.0], "final_time": 1.0,
+                "phi": "0", "psi": "0", "boundary": "0",
+                "forcing": "sin(x)*sin(y)", key: value}
+        ppath = tmp_path / "extreme.json"
+        ppath.write_text(json.dumps(prob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("solve", "--problem", str(ppath), "--m", "8",
+                           "--n", "8")
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        assert named in err["message"] and "over the limit" in err["message"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(exponents=st.tuples(*[st.floats(-300.0, 300.0)] * 3),
+           alpha=st.floats(0.05, 0.95),
+           forcing=st.sampled_from(["1", "sin(x) * cos(y) * t",
+                                    "x + y + t", "exp(-t) * x * y"]))
+    def test_extreme_problem_files(self, tmp_path_factory, exponents, alpha,
+                                   forcing):
+        # a problem file scaled anywhere in 1e-300..1e300 solves, or fails
+        # with one named JSON line: never an overflow or an assertion, and
+        # never numpy's warnings
+        l1, l2, final_time = (10.0**e for e in exponents)
+        prob = {"alpha": alpha, "domain": [l1, l2], "final_time": final_time,
+                "phi": "0", "psi": "0", "boundary": "0", "forcing": forcing}
+        tmp = tmp_path_factory.mktemp("extreme")
+        ppath = tmp / "problem.json"
+        ppath.write_text(json.dumps(prob))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        started = time.perf_counter()
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(stdout), redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = run_cli("solve", "--problem", str(ppath), "--m", "4",
+                           "--n", "4")
+        assert time.perf_counter() - started < 10.0
+        assert not caught, [str(w.message) for w in caught]
+        lines = stderr.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert code == 1 and len(lines) == 1, lines
+            err = json.loads(lines[0])
+            assert err["error"] not in ("OverflowError", "AssertionError"), err
 
     def test_huge_forcing_solves(self, tmp_path, capsys):
         # a solution of the data's size, 1e198 here, is not a divergence

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from scipy.signal import convolve
 
 import fracadi
+from fracadi import fracweights
 from fracadi.fracweights import (
     MAX_WEIGHT_COUNT,
+    _fft_length,
     causal_convolve,
+    fold_block,
     grunwald_weights,
     rl_integral_oracle,
     scheme_weights,
@@ -233,6 +236,57 @@ class TestCausalConvolve:
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": path})
         assert run.stdout.strip() == "False"
+
+
+def _naive_fold(kernel, block, t):
+    """targets[r] = sum_{i<b} kernel[b + r - i] * block[i], row by row."""
+    b = block.shape[0]
+    lags = b - np.arange(b)
+    return np.array([kernel[lags + r] @ block for r in range(t)])
+
+
+_TMB = fracweights._TOEPLITZ_MAX_BLOCK
+
+
+class TestFoldBlock:
+    # the Toeplitz product at the largest dense block and a short one, the
+    # FFT just past it, each with fewer targets than sources and as many
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("b, t", [(16, 16), (16, 5), (_TMB, _TMB),
+                                      (_TMB, _TMB - 77), (2 * _TMB, 2 * _TMB),
+                                      (2 * _TMB, 301)])
+    def test_matches_naive_sum_in_place(self, b, t, order):
+        rng = np.random.default_rng(b + t)
+        kernel = rng.standard_normal(b + t)
+        block = np.asarray(rng.standard_normal((b, 7)), order=order)
+        store = np.asarray(rng.standard_normal((t + 3, 7)), order=order)
+        before = store.copy()
+        targets = store[1:t + 1]  # rows of a larger array, as the history's
+        fold_block(kernel, block, targets)
+        ref = before[1:t + 1] + _naive_fold(kernel, block, t)
+        assert np.max(np.abs(store[1:t + 1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # the fold wrote into the caller's rows and nowhere else
+        assert np.shares_memory(targets, store)
+        assert np.array_equal(store[0], before[0])
+        assert np.array_equal(store[t + 1:], before[t + 1:])
+
+    def test_toeplitz_chunks_do_not_change_the_sum(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        kernel = rng.standard_normal(2 * _TMB)
+        block = rng.standard_normal((_TMB, 3))
+        whole = np.zeros((_TMB, 3))
+        fold_block(kernel, block, whole)
+        # one target row per dgemm call
+        monkeypatch.setattr(fracweights, "_SCRATCH_BYTES", 1)
+        rows = np.zeros((_TMB, 3))
+        fold_block(kernel, block, rows)
+        assert np.max(np.abs(rows - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+    def test_fft_length_is_the_least_5_smooth_bound(self):
+        smooth = sorted(2**a * 3**b * 5**c for a in range(16)
+                        for b in range(10) for c in range(7))
+        for m in range(1, 20000, 7):
+            assert _fft_length(m) == next(n for n in smooth if n >= m), m
 
 
 class TestQuadratureOracle:

@@ -34,6 +34,7 @@ class TestStudyConfig:
         dict(fixed=0),
         dict(emit=("pdf",)),
         dict(alphas=(0.5, 0.5)),
+        dict(axis="spatial", ladder=(1, 2)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
