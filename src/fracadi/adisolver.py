@@ -30,11 +30,15 @@ frame, so it is sampled there alone (``sample_xyt(..., frame=True)``: one
 call on the 2 (M1 + M2) frame points), and the sweeps' four edge terms
 (``_edge_terms``) are formed for the whole block when it is sampled; a
 step subtracts its row of each.  The new level is written straight into
-its history row: the interior from the sweeps, the frame from the block.
-The finish takes |u^{n+1}| in one pass into a work plane: its max over all
-nodes is the overflow guard, which only a non-finite value (NaN too)
-fails, and its max over the interior is the step report's
-``solution_inf_norm``.  How large a run may be is the mesh's rule (see
+its history row: one copy of its block row (the frame, and a zero
+interior), then the interior from the sweeps.  The finish takes |u^{n+1}|
+in one pass into a work plane: its max over all nodes is the overflow
+guard, which only a non-finite value (NaN too) fails, and its max over the
+interior is the step report's ``solution_inf_norm``.  A step that fails
+the guard is refused with a message that names the level, its t and the
+largest of the data it took in (f^{n+1}, its boundary row, tau H phi), so
+finite data too large for the step's sums are named, not reported as a
+divergence of the scheme.  How large a run may be is the mesh's rule (see
 ``meshops``), checked when the mesh is built; how small or large tau and h
 may be, ``_check_scaling``, checked by ``init_state`` before any
 coefficient is formed.
@@ -57,8 +61,20 @@ product, adds each pair's y neighbours over the flat C-ordered view
 pass; tau Hx Hy phi is a per-run plane.  The value is that of the formula
 at the top up to rounding.  A step allocates no grid-sized temporary for
 it: the run state holds seven work planes, built once in ``init_state``.
-What a step still allocates are its forcing sample and the sweeps' arrays,
-and, once per block, the boundary block and its edge terms.
+
+Everything a level reads but never changes is built once per run too: the
+step plan (``StepPlan``, ``SolverState.plan``) holds every view of the
+work planes, the history and tau H phi that the fused pass, the memory sum
+and the finish read (the weighted planes and their neighbour-shifted
+views, the x pass's rows, the right-hand side's interior, the squares'
+stretch, the |u| interior, the flat history), and the mesh's x and y are
+computed once per mesh.  So a level makes only its arithmetic calls, its
+samples and the views that move with n (its history rows and its row of
+the boundary block).  What a step still allocates are its forcing sample
+and the sweeps' two arrays (the F-ordered copy of the right-hand side's
+interior, which the x sweep solves in place, and pttrs's F-ordered copy of
+its transpose, which the y sweep solves in place), and, once per block, the
+boundary block and its edge terms.
 
 The step keeps the trajectory u^0..u^n in one history array and forms the
 memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
@@ -193,6 +209,79 @@ def _rhs_coefficients(c: float, mu: float, tau: float, h1: float,
     return np.vstack([p[0], q[0], p[1], q[1]])
 
 
+@dataclass(frozen=True)
+class StepPlan:
+    """The views a step reads and writes, built once per run by
+    ``_step_plan`` over the state's work planes, history and
+    ``tau_h_phi``, so that a level makes only its arithmetic calls.
+
+    ``fields`` is work planes 4-6 flat, the fused pass's (u^n, S_n, D), of
+    which ``u_n`` and ``data`` are planes 4 and 6 and ``memory`` plane 5
+    flat; ``weighted`` is planes 0-3 flat, ``coef @ fields``.  ``centre``
+    is its rows 2-3 (the centre terms of P and Q) and ``below`` and
+    ``above`` its rows 0-1 one node before and after, the y neighbours that
+    ``centre`` adds.  The x pass writes ``rhs_mid``, rows 1..M1-1 of plane
+    0, from ``p_below`` and ``p_above`` (plane 2 one row before and after),
+    ``q_mid`` (plane 3) and ``phi_mid`` (``tau_h_phi``); ``rhs`` is plane 0
+    and ``rhs_int`` its interior.  The finish takes |u^{n+1}| into ``mag``
+    (plane 1, interior ``mag_int``) and the squares of ``rhs_int`` into
+    ``squares``, a contiguous stretch of plane 2, so that their sum is
+    taken in the order it takes on a fresh array.  ``levels`` is the
+    history with one flat row per level, and ``cell`` is h1 h2.
+    """
+
+    fields: np.ndarray
+    u_n: np.ndarray
+    memory: np.ndarray
+    data: np.ndarray
+    weighted: np.ndarray
+    centre: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    p_below: np.ndarray
+    p_above: np.ndarray
+    q_mid: np.ndarray
+    phi_mid: np.ndarray
+    rhs: np.ndarray
+    rhs_mid: np.ndarray
+    rhs_int: np.ndarray
+    mag: np.ndarray
+    mag_int: np.ndarray
+    squares: np.ndarray
+    levels: np.ndarray
+    cell: float
+
+
+def _step_plan(mesh: Mesh, work: np.ndarray, history: np.ndarray,
+               tau_h_phi: np.ndarray) -> StepPlan:
+    planes = work.reshape(len(work), -1)
+    weighted = planes[:4]
+    rhs, mag, p, q = work[:4]
+    rhs_int = rhs[1:-1, 1:-1]
+    return StepPlan(
+        fields=planes[4:],
+        u_n=work[4],
+        memory=planes[5],
+        data=work[6],
+        weighted=weighted,
+        centre=weighted[2:, 1:-1],
+        below=weighted[:2, :-2],
+        above=weighted[:2, 2:],
+        p_below=p[:-2],
+        p_above=p[2:],
+        q_mid=q[1:-1],
+        phi_mid=tau_h_phi[1:-1],
+        rhs=rhs,
+        rhs_mid=rhs[1:-1],
+        rhs_int=rhs_int,
+        mag=mag,
+        mag_int=mag[1:-1, 1:-1],
+        squares=planes[2, :rhs_int.size].reshape(rhs_int.shape),
+        levels=history.reshape(len(history), -1),
+        cell=mesh.h1 * mesh.h2,
+    )
+
+
 @dataclass
 class SolverState:
     """One run: its problem and mesh, the trajectory, and the per-run
@@ -223,7 +312,9 @@ class SolverState:
     planes 0-3 their weighted sums ``coef`` @ planes 4-6, after which plane
     0 receives the right-hand side, which the step's report reads after
     the sweeps; the finish then takes |u^{n+1}| into plane 1 and the
-    squares of the right-hand side into plane 2.
+    squares of the right-hand side into plane 2.  ``plan`` holds the views
+    of these planes, the history and ``tau_h_phi`` that a step reads (see
+    ``StepPlan``), built with them.
     """
 
     problem: ProblemSpec
@@ -241,6 +332,7 @@ class SolverState:
     leaf_weights: np.ndarray = field(repr=False)
     work: np.ndarray = field(repr=False)
     boundary_rows: np.ndarray = field(repr=False)
+    plan: StepPlan = field(repr=False)
     edges: tuple = field(default=(), repr=False)
     boundary_lo: int = 0
     current_level: int = 0
@@ -272,22 +364,27 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
     kappa = lam[:-1] + lam[1:]
     kappa[0] = lam[1]
     forcing = _forcing_source(problem, mesh)
+    f_current = forcing(0)
+    history = np.zeros((mesh.N + 1, *mesh.shape))
+    tau_h_phi = _tau_h_phi(problem, mesh)
+    work = np.empty((7, *mesh.shape))
     return SolverState(
         problem=problem,
         mesh=mesh,
         mu=mu,
         c=c,
-        history=np.zeros((mesh.N + 1, *mesh.shape)),
+        history=history,
         forcing=forcing,
-        f_current=forcing(0),
-        tau_h_phi=_tau_h_phi(problem, mesh),
+        f_current=f_current,
+        tau_h_phi=tau_h_phi,
         coef=_rhs_coefficients(c, mu, mesh.tau, mesh.h1, mesh.h2),
         sweep_x=build_sweep_operator(mesh.M1 - 1, mesh.h1, c),
         sweep_y=build_sweep_operator(mesh.M2 - 1, mesh.h2, c),
         kappa=kappa,
         leaf_weights=np.append(kappa[:_LEAF][::-1], 1.0),
-        work=np.empty((7, *mesh.shape)),
+        work=work,
         boundary_rows=np.empty((0, *mesh.shape)),
+        plan=_step_plan(mesh, work, history, tau_h_phi),
     )
 
 
@@ -346,22 +443,21 @@ def _memory_sum(state: SolverState) -> np.ndarray:
     lo) and, weighted 1, the pending far field stored in row n+1."""
     n = state.current_level
     lo = n - n % _LEAF
-    rows = state.history[lo:n + 2].reshape(n - lo + 2, -1)
-    out = state.work[5]
-    np.matmul(state.leaf_weights[lo - n - 2:], rows, out=out.reshape(-1))
-    return out
+    plan = state.plan
+    np.matmul(state.leaf_weights[lo - n - 2:], plan.levels[lo:n + 2],
+              out=plan.memory)
+    return state.work[5]
 
 
 def _fold_far_field(state: SolverState, s: int) -> None:
     """Once level s is stored, fold the block it completes (if any) into
     the pending rows of S_n for the levels n after it."""
     b = completed_block(s)
-    history = state.history
+    flat = state.plan.levels
     # targets stop at S_{N-1}, stored in the last row
-    t = min(b, history.shape[0] - s - 2)
+    t = min(b, len(flat) - s - 2)
     if t <= 0:
         return
-    flat = history.reshape(history.shape[0], -1)
     fold_block(state.kappa, flat[s + 1 - b:s + 1], flat[s + 2:s + 2 + t])
 
 
@@ -371,26 +467,23 @@ def _rhs_raw(state: SolverState, f_next: np.ndarray) -> np.ndarray:
     into work plane 0.  Only its interior nodes are read: the frame holds
     what the pass leaves there.
     """
-    work = state.work
-    rhs, _, p, q = work[:4]
-    planes = work.reshape(7, -1)
-    np.copyto(work[4], state.history[state.current_level])
+    plan = state.plan
+    np.copyto(plan.u_n, state.history[state.current_level])
     _memory_sum(state)
-    np.add(state.f_current, f_next, out=work[6])
+    np.add(state.f_current, f_next, out=plan.data)
 
     # rows (P_s, Q_s, P_m, Q_m), then P and Q in rows 2 and 3: each centre
     # term plus its neighbours along the flat view
-    weighted = planes[:4]
-    np.matmul(state.coef, planes[4:], out=weighted)
-    weighted[2:, 1:-1] += weighted[:2, :-2]
-    weighted[2:, 1:-1] += weighted[:2, 2:]
+    np.matmul(state.coef, plan.fields, out=plan.weighted)
+    np.add(plan.centre, plan.below, out=plan.centre)
+    np.add(plan.centre, plan.above, out=plan.centre)
 
     # the x pass: P_- + P_+ + Q, plus tau Hx Hy phi
-    inner = rhs[1:-1]
-    np.add(p[:-2], p[2:], out=inner)
-    inner += q[1:-1]
-    inner += state.tau_h_phi[1:-1]
-    return rhs
+    inner = plan.rhs_mid
+    np.add(plan.p_below, plan.p_above, out=inner)
+    np.add(inner, plan.q_mid, out=inner)
+    np.add(inner, plan.phi_mid, out=inner)
+    return plan.rhs
 
 
 def _edge_terms(state: SolverState, rows: np.ndarray) -> tuple:
@@ -424,10 +517,11 @@ def _boundary(state: SolverState, k: int) -> int:
 
 def _step(state: SolverState,
           interior: Callable[..., np.ndarray]) -> SolverState:
-    """Advance one level in place; ``interior(state, rhs, i)`` solves for
-    the interior nodes of the next level from the right-hand side and row
-    i of the state's boundary block (that level's samples and edge terms).
-    The new level is written straight into its history row."""
+    """Advance one level in place; ``interior(state, rhs_int, i)`` solves
+    for the interior nodes of the next level from the right-hand side's
+    interior and row i of the state's boundary block (that level's samples
+    and edge terms).  The new level is written straight into its history
+    row: the block row, then the interior."""
     t0 = time.perf_counter_ns()
     mesh = state.mesh
     n = state.current_level
@@ -436,48 +530,61 @@ def _step(state: SolverState,
 
     f_next = state.forcing(n + 1)
     i = _boundary(state, n + 1)
-    rhs = _rhs_raw(state, f_next)
-    # row n+1 held the pending far field, which the memory sum has read
-    new, frame = state.history[n + 1], state.boundary_rows[i]
-    new[1:-1, 1:-1] = interior(state, rhs, i)
-    new[0], new[-1] = frame[0], frame[-1]
-    new[1:-1, 0], new[1:-1, -1] = frame[1:-1, 0], frame[1:-1, -1]
+    _rhs_raw(state, f_next)
+    # row n+1 held the pending far field, which the memory sum has read;
+    # the block row's interior is zero until the solve overwrites it
+    plan = state.plan
+    new = state.history[n + 1]
+    np.copyto(new, state.boundary_rows[i])
+    rhs_int = plan.rhs_int
+    new[1:-1, 1:-1] = interior(state, rhs_int, i)
 
-    work = state.work
-    mag = np.abs(new, out=work[1])
-    if not math.isfinite(mag.max()):
-        raise SolverDivergenceError(n + 1)
+    if not math.isfinite(np.abs(new, out=plan.mag).max()):
+        raise _overflow_error(state, n + 1, f_next, i)
     _fold_far_field(state, n + 1)
     state.f_current = f_next
     state.current_level = n + 1
-    # the squares go to a contiguous stretch of plane 2: no grid temporary,
-    # and np.sum adds them in the order it takes on a fresh array
-    rhs_int, cell = rhs[1:-1, 1:-1], mesh.h1 * mesh.h2
-    squares = work[2].reshape(-1)[:rhs_int.size].reshape(rhs_int.shape)
-    rhs_norm = float(np.sqrt(cell * np.sum(
-        np.multiply(rhs_int, rhs_int, out=squares))))
+    squares, cell = plan.squares, plan.cell
+    rhs_norm = math.sqrt(cell * np.multiply(rhs_int, rhs_int,
+                                            out=squares).sum())
     if math.isinf(rhs_norm):  # the squares overflowed: scale by the max
         top = np.abs(rhs_int).max()
         np.divide(rhs_int, top, out=squares)
-        rhs_norm = float(top * np.sqrt(cell * np.sum(
-            np.multiply(squares, squares, out=squares))))
+        rhs_norm = float(top * math.sqrt(cell * np.multiply(
+            squares, squares, out=squares).sum()))
     state.last_report = StepReport(
         level=n + 1,
         wall_time_ns=time.perf_counter_ns() - t0,
         rhs_norm=rhs_norm,
-        solution_inf_norm=float(mag[1:-1, 1:-1].max()),
+        solution_inf_norm=float(plan.mag_int.max()),
     )
     return state
 
 
-def _sweeps(state: SolverState, rhs: np.ndarray, i: int) -> np.ndarray:
-    """Interior of the next level by the x sweep, then the y sweep, with
-    the boundary terms of row i of the state's block."""
+def _overflow_error(state: SolverState, level: int, f_next: np.ndarray,
+                    i: int) -> SolverDivergenceError:
+    """The error of a step whose new level left the float range: it names
+    the level, its t and the largest of the data the step took in, f at
+    that level, its boundary row (row i of the block) or tau H phi."""
+    t = f"t = {level * state.mesh.tau:.6g}"
+    data = ((f"the forcing f at {t}", f_next),
+            (f"the boundary at {t}", state.boundary_rows[i]),
+            ("tau H phi", state.tau_h_phi))
+    peak, name = max((float(np.abs(v).max()), name) for name, v in data)
+    return SolverDivergenceError(
+        level, f"the step to level {level} ({t}) overflowed the float "
+        f"range; its largest input is {name}, max |value| = {peak:.6g}")
+
+
+def _sweeps(state: SolverState, rhs_int: np.ndarray, i: int) -> np.ndarray:
+    """Interior of the next level by the x sweep, then the y sweep, from
+    the right-hand side's interior and the boundary terms of row i of the
+    state's block."""
     sx, sy = state.sweep_x, state.sweep_y
     x_lo, x_hi, y_lo, y_hi = state.edges
 
     # F order: the x sweep solves its columns in place, without a copy
-    r = np.array(rhs[1:-1, 1:-1], order="F")
+    r = np.array(rhs_int, order="F")
     r[0, :] -= x_lo[i]
     r[-1, :] -= x_hi[i]
     ustar = sx.solve(r)
@@ -522,9 +629,10 @@ def _run(state: SolverState,
     e_inf: float | None = None
     final_error: float | None = None
     block = _block_levels(mesh)
-    # data near the float range may overflow in a step; the finish's guard
-    # and its scaled rhs norm decide what that means, so the warning is noise
-    with np.errstate(over="ignore"):
+    # data near the float range may overflow in a step, and overflowed
+    # terms may cancel to NaN; the finish's guard and its scaled rhs norm
+    # decide what that means, so the warnings are noise
+    with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(1, mesh.N + 1, block):
             hi = min(lo + block, mesh.N + 1)
             for _ in range(lo, hi):

@@ -34,6 +34,7 @@ Riemann-Liouville integral, used to validate it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable
 
@@ -78,18 +79,19 @@ def _check_count(count: int) -> int:
 def grunwald_weights(alpha: float, count: int) -> np.ndarray:
     """Return ``omega_0 .. omega_count`` for order ``alpha`` (length count+1).
 
-    Computed by the stable ratio recurrence.  For alpha in (0, 1) every
-    entry is positive and the sequence is strictly decreasing; these are
-    the convolution-quadrature weights of the fractional integral of
-    order alpha.
+    Computed by the stable ratio recurrence, in Python floats straight
+    into the array.  For alpha in (0, 1) every entry is positive and the
+    sequence is strictly decreasing; these are the convolution-quadrature
+    weights of the fractional integral of order alpha.
     """
     alpha = _check_alpha(alpha)
     count = _check_count(count)
-    w = np.empty(count + 1)
-    w[0] = 1.0
-    for k in range(1, count + 1):
-        w[k] = w[k - 1] * (k - 1 + alpha) / k
-    return w
+    # each step rounds the product, then the quotient: a cumulative
+    # product of the ratios (k - 1 + alpha) / k rounds differently
+    steps = itertools.accumulate(range(1, count + 1),
+                                 lambda w, k: w * (k - 1 + alpha) / k,
+                                 initial=1.0)
+    return np.fromiter(steps, float, count + 1)
 
 
 def scheme_weights(alpha: float, count: int) -> np.ndarray:

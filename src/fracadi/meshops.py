@@ -19,12 +19,15 @@ norms of the energy analysis are built on these kernels in ``verify``.
 
 A ``Mesh`` applies the one run-size rule, (N+1)(M1+1)(M2+1) <=
 ``MAX_RUN_ENTRIES``, when it is built, so a run too large to keep is
-refused before anything is sampled on its mesh.
+refused before anything is sampled on its mesh.  Its node coordinates
+``x`` and ``y`` are computed once per mesh and are read-only: every sample
+on the mesh shares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,17 +81,22 @@ class Mesh:
     def tau(self) -> float:
         return self.T / self.N
 
-    @property
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.arange(self.M1 + 1) * self.h1
+        return _read_only(np.arange(self.M1 + 1) * self.h1)
 
-    @property
+    @cached_property
     def y(self) -> np.ndarray:
-        return np.arange(self.M2 + 1) * self.h2
+        return _read_only(np.arange(self.M2 + 1) * self.h2)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.M1 + 1, self.M2 + 1)
+
+
+def _read_only(vals: np.ndarray) -> np.ndarray:
+    vals.flags.writeable = False
+    return vals
 
 
 @dataclass(frozen=True)
@@ -175,8 +183,16 @@ def _zero_frame(vals: np.ndarray) -> np.ndarray:
 # plain-text persistence
 
 def write_csv(u: GridFn, path) -> None:
-    """Write values as CSV rows i = 0..M1; %.17g round-trips float64."""
-    np.savetxt(path, u.values, fmt="%.17g", delimiter=",")
+    """Write values as CSV rows i = 0..M1; %.17g round-trips float64.
+
+    One format string covers the whole array, so the file is formatted in
+    one call; its bytes are those of ``np.savetxt(path, u.values,
+    fmt="%.17g", delimiter=",")``.
+    """
+    rows, cols = u.values.shape
+    line = ",".join(["%.17g"] * cols) + "\n"
+    with open(path, "w") as fh:
+        fh.write(line * rows % tuple(u.values.ravel().tolist()))
 
 
 def read_csv(mesh: Mesh, path) -> GridFn:

@@ -56,7 +56,8 @@ class ProblemSpec:
     ``exact``, ``exact_dt``, ``exact_laplacian`` are optional closed forms
     used for error measurement and residual verification.
 
-    The callables must broadcast over numpy arrays: x of shape (M1+1, 1), y
+    The callables must broadcast over numpy arrays, which they must not
+    write into (the mesh's coordinates are read-only): x of shape (M1+1, 1), y
     of shape (1, M2+1), and t a float or, for the exact solution, which is
     sampled a block of levels per call, an array of shape (b, 1, 1).  The
     boundary is sampled a block of levels per call on the mesh's frame
@@ -120,9 +121,11 @@ class ProblemSpec:
         return self.domain[1]
 
 
-def _evaluate(func: Callable, field: str, x, y, *t) -> np.ndarray:
-    """func(x, y) or func(x, y, t) as a fresh float array of the shape of
-    the points (x, y), and t, broadcast together.
+def _evaluate(func: Callable, field: str, x, y, *t,
+              shape: tuple | None = None) -> np.ndarray:
+    """func(x, y) or func(x, y, t) as a fresh float array of ``shape``, by
+    default the shape of the points (x, y), and t, broadcast together; a
+    caller that knows it passes it.
 
     A non-finite value raises a ValueError naming ``field`` and the t and
     (x, y) of the first offending value, in place of numpy's floating-point
@@ -130,7 +133,8 @@ def _evaluate(func: Callable, field: str, x, y, *t) -> np.ndarray:
     """
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         out = np.asarray(func(x, y, *t), dtype=float)
-    shape = np.broadcast(x, y, *t).shape
+    if shape is None:
+        shape = np.broadcast(x, y, *t).shape
     if out.shape != shape:  # broadcast_to costs more than the copy
         out = np.broadcast_to(out, shape)
     out = out.astype(float, copy=True)
@@ -151,7 +155,8 @@ def sample_xy(func: Callable, mesh: Mesh, *, field: str = "data") -> np.ndarray:
     Always returns a fresh writable array.  A non-finite value raises a
     ValueError naming ``field`` and the first offending node.
     """
-    return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :])
+    return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :],
+                     shape=mesh.shape)
 
 
 def sample_xyt(func: Callable, mesh: Mesh, t, *, field: str = "data",
@@ -168,7 +173,9 @@ def sample_xyt(func: Callable, mesh: Mesh, t, *, field: str = "data",
     0 and M2 between them.
     """
     if not frame:
-        return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :], t)
+        shape = mesh.shape if isinstance(t, (int, float)) else None
+        return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :], t,
+                         shape=shape)
     x, y = mesh.x, mesh.y
     inner = mesh.M1 - 1
     fx = np.concatenate((np.zeros_like(y), np.full_like(y, x[-1]),

@@ -442,14 +442,14 @@ class _DenseOracle:
         self.lu = lu_factor(rows[:, self.interior_idx])
         self.coupling = rows[:, self.boundary_idx]
 
-    def interior(self, state: SolverState, rhs: np.ndarray,
+    def interior(self, state: SolverState, rhs_int: np.ndarray,
                  i: int) -> np.ndarray:
-        """Interior of the next level, the ``interior`` of ``_step``: the
-        boundary samples are row i of the state's block, read on the
-        frame."""
+        """Interior of the next level, the ``interior`` of ``_step``, from
+        the right-hand side's interior: the boundary samples are row i of
+        the state's block, read on the frame."""
         mesh = state.mesh
         bvals = state.boundary_rows[i]
-        b = (rhs[1:-1, 1:-1].ravel()
+        b = (rhs_int.ravel()
              - self.coupling @ bvals.ravel()[self.boundary_idx])
         return lu_solve(self.lu, b).reshape(mesh.M1 - 1, mesh.M2 - 1)
 

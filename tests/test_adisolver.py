@@ -203,6 +203,27 @@ class TestStepping:
             solve(huge, mesh_for(p, 6, n=4))
         assert info.value.level >= 1
 
+    @pytest.mark.parametrize("field, named", [
+        ("forcing_f", "the forcing f at t = 0.25"),
+        ("boundary", "the boundary at t = 0.25"),
+    ])
+    def test_overflow_names_largest_input(self, field, named):
+        # finite data too large for the step's sums: the error names the
+        # step, its t and the largest input, and does not say "diverged"
+        p = make_example1(0.5)
+        data = {"forcing_f": lambda x, y, t: 1.7e308 * np.sin(x) * np.sin(y),
+                "boundary": lambda x, y, t: (1.7e308 * np.minimum(1.0, 4.0 * t)
+                                             * np.cos(x * y / 20.0))}
+        huge = dataclasses.replace(p, exact=None, **{field: data[field]})
+        with pytest.raises(SolverDivergenceError) as info:
+            solve(huge, mesh_for(p, 6, n=4))
+        message = str(info.value)
+        assert info.value.level == 1
+        assert message.startswith("the step to level 1 (t = 0.25) overflowed "
+                                  "the float range")
+        assert named in message and "max |value| = 1." in message
+        assert "diverged" not in message
+
 
 def _count_samples(monkeypatch):
     """Count the solver's problem-data samples by field: the levels sampled
@@ -515,6 +536,59 @@ class TestStepAllocation:
             again = solve(p, mesh).state.history[:n + 1]
             assert np.array_equal(again.view(np.uint64),
                                   state.history[:n + 1].view(np.uint64))
+
+
+class TestStepPlan:
+    def test_views_share_the_run_arrays(self):
+        p = equivalence_problem(0.5)
+        mesh = _mesh(p, 6, 5, 40)
+        state = init_state(p, mesh)
+        plan = state.plan
+        owners = (state.work, state.history, state.tau_h_phi)
+        views = {f.name: getattr(plan, f.name)
+                 for f in dataclasses.fields(plan) if f.name != "cell"}
+        for name, view in views.items():
+            assert any(np.shares_memory(view, a) for a in owners), name
+        assert plan.cell == mesh.h1 * mesh.h2
+
+        # each view reads the right nodes: number every entry of the owners
+        for a in owners:
+            a[...] = np.arange(a.size).reshape(a.shape) + a.size
+        work, planes = state.work, state.work.reshape(7, -1)
+        rhs, mag, p_, q = work[:4]
+        want = {
+            "fields": planes[4:], "u_n": work[4], "memory": planes[5],
+            "data": work[6], "weighted": planes[:4],
+            "centre": planes[2:4, 1:-1], "below": planes[:2, :-2],
+            "above": planes[:2, 2:], "p_below": p_[:-2], "p_above": p_[2:],
+            "q_mid": q[1:-1], "phi_mid": state.tau_h_phi[1:-1],
+            "rhs": rhs, "rhs_mid": rhs[1:-1], "rhs_int": rhs[1:-1, 1:-1],
+            "mag": mag, "mag_int": mag[1:-1, 1:-1],
+            "levels": state.history.reshape(41, -1),
+        }
+        assert set(want) | {"squares"} == set(views)
+        for name, ref in want.items():
+            assert np.array_equal(views[name], ref), name
+        # the squares' stretch is contiguous, at the start of plane 2
+        assert plan.squares.flags.c_contiguous
+        assert plan.squares.shape == (mesh.M1 - 1, mesh.M2 - 1)
+        assert np.array_equal(plan.squares.ravel(),
+                              planes[2, :plan.squares.size])
+
+    def test_steps_keep_the_plan(self):
+        # a run steps through the same views, and gives the same bits as
+        # a run whose state was never read
+        p = equivalence_problem(0.3)
+        mesh = _mesh(p, 7, 6, 40)
+        state = init_state(p, mesh)
+        plan, ids = state.plan, [id(v) for v in vars(state.plan).values()]
+        while state.current_level < mesh.N:
+            adi_step(state)
+        assert state.plan is plan
+        assert ids == [id(v) for v in vars(state.plan).values()]
+        again = solve(p, mesh).state.history
+        assert np.array_equal(again.view(np.uint64),
+                              state.history.view(np.uint64))
 
 
 class TestProductForms:

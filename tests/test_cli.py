@@ -521,6 +521,33 @@ class TestSolveCommand:
                              delimiter=",", skiprows=1)
         assert np.all(np.isfinite(reports[:, 2:]))
 
+    # finite data whose step leaves the float range used to be reported as
+    # "solution diverged at level 8" (boundary) and "at level 1" (forcing)
+    @pytest.mark.parametrize("key, expr, step", [
+        ("boundary", "1e307*t*(1+x)",
+         "the step to level 8 (t = 1) overflowed the float range; its "
+         "largest input is the boundary at t = 1, max |value| = 2e+307"),
+        ("forcing", "1.7e308*sin(3.14159*x)*sin(3.14159*y)",
+         "the step to level 1 (t = 0.125) overflowed the float range; its "
+         "largest input is the forcing f at t = 0.125, max |value| = 1.7e+308"),
+    ], ids=["boundary", "forcing"])
+    def test_huge_data_overflow_named(self, tmp_path, capsys, key, expr,
+                                      step):
+        prob = {"alpha": 0.5, "domain": [1.0, 1.0], "final_time": 1.0,
+                "phi": "0", "psi": "0", "boundary": "0", "forcing": "0",
+                key: expr}
+        ppath = tmp_path / "huge.json"
+        ppath.write_text(json.dumps(prob))
+        code = run_cli("solve", "--problem", str(ppath), "--m", "8",
+                       "--n", "8")
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        err = json.loads(lines[0])
+        assert err["error"] == "SolverDivergenceError", err
+        assert err["message"].startswith(step), err
+        assert "diverged" not in err["message"]
+
     def test_run_too_large_refused_before_sampling(self, capsys,
                                                    no_wide_samples):
         # 2 * 16001**2 entries break the run-size rule: the mesh is

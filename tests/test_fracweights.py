@@ -26,7 +26,25 @@ from fracadi.fracweights import (
 ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
+def _recurrence_loop(alpha, count):
+    """The ratio recurrence one entry at a time into an array, the form
+    ``grunwald_weights`` had before it: the oracle of its bits."""
+    w = np.empty(count + 1)
+    w[0] = 1.0
+    for k in range(1, count + 1):
+        w[k] = w[k - 1] * (k - 1 + alpha) / k
+    return w
+
+
 class TestGrunwaldWeights:
+    @pytest.mark.parametrize("count", [0, 1, 80, 10_000])
+    def test_bitwise_equal_to_recurrence_loop(self, count):
+        for a in (*ALPHAS, 0.3, 1e-6, 0.999999):
+            got = grunwald_weights(a, count)
+            want = _recurrence_loop(a, count)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), a
+
     def test_known_values_alpha_half(self):
         w = grunwald_weights(0.5, 3)
         assert w[0] == 1.0

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -66,6 +67,20 @@ class TestMesh:
         b = Mesh(1.0, 1.0, 4, 4, 1.0, 2)
         assert a == b
         assert a != Mesh(1.0, 1.0, 4, 4, 1.0, 3)
+
+    def test_coordinates_built_once_and_read_only(self):
+        mesh = Mesh(2.0, 3.0, 4, 6, 1.5, 3)
+        assert mesh.x is mesh.x and mesh.y is mesh.y
+        assert np.array_equal(mesh.x, np.arange(5) * 0.5)
+        assert np.array_equal(mesh.y, np.arange(7) * 0.5)
+        for coords in (mesh.x, mesh.y, mesh.x[:, None]):
+            with pytest.raises(ValueError, match="read-only"):
+                coords[1] = 7.0
+        assert mesh.x[1] == 0.5 and mesh.y[1] == 0.5
+        # the cache is not a field: equality and hashing are unchanged
+        other = Mesh(2.0, 3.0, 4, 6, 1.5, 3)
+        assert other == mesh and hash(other) == hash(mesh)
+        assert other.x is not mesh.x
 
 
 class TestGridFn:
@@ -293,3 +308,31 @@ class TestCsvRoundTrip:
         other = Mesh(1.0, 1.5, 4, 4, 1.0, 4)
         with pytest.raises(ValueError, match="shape"):
             read_csv(other, path)
+
+    @pytest.mark.parametrize("case", ["random", "signed-zeros", "1e200",
+                                      "subnormal", "2x2", "65x65"])
+    def test_bytes_equal_savetxt(self, tmp_path, case):
+        # the one-format writer against numpy's row-by-row writer
+        rng = np.random.default_rng(7)
+        values = {
+            "random": rng.standard_normal((9, 7))
+            * 10.0 ** rng.integers(-300, 300, (9, 7)),
+            "signed-zeros": np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -1.0],
+                                      [-0.0, -0.0, 0.0]]),
+            "1e200": 1e200 * rng.choice([-1.0, 1.0], (5, 4)),
+            "subnormal": np.array([[5e-324, -5e-324, 2.2e-310],
+                                   [1e-320, -1e-315, 2.2250738585072014e-308],
+                                   [0.0, 1.0, -3e-320]]),
+            "2x2": rng.standard_normal((2, 2)),
+            "65x65": rng.standard_normal((65, 65)),
+        }[case]
+        # a mesh has at least 3 nodes per axis, so the 2x2 case stands in
+        # for a GridFn with the one attribute the writer reads
+        m1, m2 = values.shape
+        u = (GridFn(Mesh(1.0, 1.0, m1 - 1, m2 - 1, 1.0, 1), values)
+             if min(m1, m2) >= 3 else SimpleNamespace(values=values))
+        write_csv(u, tmp_path / "fast.csv")
+        np.savetxt(tmp_path / "numpy.csv", values, fmt="%.17g", delimiter=",")
+        got = (tmp_path / "fast.csv").read_bytes()
+        assert got == (tmp_path / "numpy.csv").read_bytes()
+        assert got.count(b"\n") == m1

@@ -16,6 +16,7 @@ from fracadi import (
     load_problem,
     make_example1,
     mesh_for,
+    solve,
 )
 from fracadi.fracweights import rl_integral_oracle
 from fracadi.problems import (
@@ -157,6 +158,32 @@ class TestSampling:
                                     mesh, ti))
         assert np.all(sample_xyt(lambda x, y, t: 2.5, mesh, t) == 2.5)
         assert sample_xyt(_zero_xyt, mesh, t).shape == (3, *mesh.shape)
+
+    def test_callable_writing_into_its_points_fails(self):
+        # the mesh's coordinates are shared and read-only: a callable that
+        # writes into them fails loudly and the mesh keeps its nodes
+        mesh = Mesh(1.0, 2.0, 2, 4, 1.0, 2)
+        x0, y0 = mesh.x.copy(), mesh.y.copy()
+
+        def shift_x(x, y, t):
+            x += 1.0
+            return x + y + t
+
+        with pytest.raises(ValueError, match="read-only"):
+            sample_xyt(shift_x, mesh, 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            sample_xy(lambda x, y: np.multiply(y, 2.0, out=y), mesh)
+        spec = ProblemSpec(name="writes-x", alpha=0.5, domain=(1.0, 2.0),
+                           T=1.0, phi=_zero_xy, psi=_zero_xy,
+                           boundary=_zero_xyt, forcing_f=shift_x)
+        with pytest.raises(ValueError, match="read-only"):
+            solve(spec, mesh)
+        assert np.array_equal(mesh.x, x0) and np.array_equal(mesh.y, y0)
+        # samples are fresh writable arrays, not the coordinates
+        vals = sample_xy(lambda x, y: x + 0.0 * y, mesh)
+        vals[1] = -1.0
+        assert vals.flags.writeable and np.array_equal(mesh.x, x0)
+        assert sample_xyt(lambda x, y, t: x, mesh, 0.5).flags.writeable
 
     def test_non_finite_value_names_its_level(self):
         # the t, x and y of the first non-finite value, at the second of
