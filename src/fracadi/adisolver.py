@@ -17,31 +17,9 @@ order in time, fourth order in space, and unconditionally stable for alpha
 in (0, 1).
 
 ``adi_step`` takes only the run's ``SolverState``.  Its skeleton
-(``_step``) holds the level guard, the right-hand side, the boundary values
-and the finish, and takes the interior solve as an argument: the sweeps
-here, or the dense LU of the unsplit system in ``verify.solve_direct``, the
-small-grid oracle that cross-checks the splitting.  The forcing is sampled
-once per level: the step keeps f^n from the previous level and fetches
-f^{n+1}.  The boundary values (in the step) and the exact solution (in
-``_run``, for the error) are sampled a block of levels per call, t of shape
-(b, 1, 1), with b = max(1, _BLOCK_BYTES // (8 (M1+1)(M2+1))): about 450
-levels at M = 16, one at M = 256.  The step reads the boundary only on the
-frame, so it is sampled there alone (``sample_xyt(..., frame=True)``: one
-call on the 2 (M1 + M2) frame points), and the sweeps' four edge terms
-(``_edge_terms``) are formed for the whole block when it is sampled; a
-step subtracts its row of each.  The new level is written straight into
-its history row: one copy of its block row (the frame, and a zero
-interior), then the interior from the sweeps.  The finish takes |u^{n+1}|
-in one pass into a work plane: its max over all nodes is the overflow
-guard, which only a non-finite value (NaN too) fails, and its max over the
-interior is the step report's ``solution_inf_norm``.  A step that fails
-the guard is refused with a message that names the level, its t and the
-largest of the data it took in (f^{n+1}, its boundary row, tau H phi), so
-finite data too large for the step's sums are named, not reported as a
-divergence of the scheme.  How large a run may be is the mesh's rule (see
-``meshops``), checked when the mesh is built; how small or large tau and h
-may be, ``_check_scaling``, checked by ``init_state`` before any
-coefficient is formed.
+(``_step``) takes the interior solve as an argument: the sweeps here, or
+the dense LU of the unsplit system in ``verify.solve_direct``, the
+small-grid oracle that cross-checks the splitting.
 
 The right-hand side is one fused pass.  On interior nodes, with D = f^n +
 f^{n+1} and S_n the memory sum below, it is
@@ -59,41 +37,25 @@ in ``meshops``.  A step forms the four weighted planes by one matrix
 product, adds each pair's y neighbours over the flat C-ordered view
 (columns 0 and -1 take wrapped values that nothing reads) and takes one x
 pass; tau Hx Hy phi is a per-run plane.  The value is that of the formula
-at the top up to rounding.  A step allocates no grid-sized temporary for
-it: the run state holds seven work planes, built once in ``init_state``.
-
-Everything a level reads but never changes is built once per run too: the
-step plan (``StepPlan``, ``SolverState.plan``) holds every view of the
-work planes, the history and tau H phi that the fused pass, the memory sum
-and the finish read (the weighted planes and their neighbour-shifted
-views, the x pass's rows, the right-hand side's interior, the squares'
-stretch, the |u| interior, the flat history), and the mesh's x and y are
-computed once per mesh.  So a level makes only its arithmetic calls, its
-samples and the views that move with n (its history rows and its row of
-the boundary block).  What a step still allocates are its forcing sample
-and the sweeps' two arrays (the F-ordered copy of the right-hand side's
-interior, which the x sweep solves in place, and pttrs's F-ordered copy of
-its transpose, which the y sweep solves in place), and, once per block, the
-boundary block and its edge terms.
+at the top up to rounding; the pass writes only into the run's work
+planes (see ``StepPlan``).
 
 The step keeps the trajectory u^0..u^n in one history array and forms the
 memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
 convolution with kappa_0 = lambda_1 and kappa_j = lambda_j + lambda_{j+1};
 L is linear and fixed in time, so it is applied once per step to the sum.
 S_n is evaluated exactly, only in a different summation order, by the
-blocked causal convolution of ``fracweights`` (Hairer, Lubich & Schlichte,
-SIAM J. Sci. Stat. Comput. 6, 1985), run online: levels in the current leaf
-of ``_LEAF`` are summed directly, and the step that completes a left dyadic
-block folds it into the pending sums of the levels after it
+blocked causal convolution of ``fracweights``, run online: levels in the
+current leaf of ``_LEAF`` are summed directly, and the step that completes
+a left dyadic block folds it into the pending sums of the levels after it
 (``fold_block``, in place in the history rows).  Row n+1 holds the pending
 far field of S_n until the step overwrites it with u^{n+1}, so S_n is one
 vector-matrix product of (kappa_{n-lo}, ..., kappa_0, 1) with history rows
 lo..n+1, lo the start of n's leaf.  A run of N steps costs O(N log^2 N)
 per grid node in the memory term, and no buffer beyond the history itself
-grows with N.  Snapshots of the run are rows of the history.
+grows with N.
 
-States are advanced in place: step functions return the same object with
-``current_level`` incremented.  A solve run is deterministic; identical
+States are advanced in place, and a solve is deterministic: identical
 inputs give bitwise-identical trajectories.
 """
 
@@ -137,11 +99,12 @@ _COEF_LIMIT = 1e300
 
 
 class SolverDivergenceError(RuntimeError):
-    """Raised when a step produces non-finite values."""
+    """Raised when the new level of a step left the float range; the
+    message names the level and the step's largest input."""
 
-    def __init__(self, level: int, message: str | None = None) -> None:
+    def __init__(self, level: int, message: str) -> None:
         self.level = level
-        super().__init__(message or f"solution diverged at level {level}")
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -515,6 +478,10 @@ def _boundary(state: SolverState, k: int) -> int:
     return i
 
 
+# data near the float range may overflow in a step, and overflowed terms
+# may cancel to NaN; the finish's guard and its scaled rhs norm decide what
+# that means, so the warnings are noise
+@np.errstate(over="ignore", invalid="ignore")
 def _step(state: SolverState,
           interior: Callable[..., np.ndarray]) -> SolverState:
     """Advance one level in place; ``interior(state, rhs_int, i)`` solves
@@ -629,22 +596,21 @@ def _run(state: SolverState,
     e_inf: float | None = None
     final_error: float | None = None
     block = _block_levels(mesh)
-    # data near the float range may overflow in a step, and overflowed
-    # terms may cancel to NaN; the finish's guard and its scaled rhs norm
-    # decide what that means, so the warnings are noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(1, mesh.N + 1, block):
-            hi = min(lo + block, mesh.N + 1)
-            for _ in range(lo, hi):
-                stepper(state)
-                reports.append(state.last_report)
-            if problem.exact is not None:
-                err = _sample_levels(problem.exact, mesh, lo, hi,
-                                     "exact")[:, 1:-1, 1:-1]
+    for lo in range(1, mesh.N + 1, block):
+        hi = min(lo + block, mesh.N + 1)
+        for _ in range(lo, hi):
+            stepper(state)
+            reports.append(state.last_report)
+        if problem.exact is not None:
+            err = _sample_levels(problem.exact, mesh, lo, hi,
+                                 "exact")[:, 1:-1, 1:-1]
+            # finite levels near the float range may differ by more than
+            # it holds: that error is inf, not a warning
+            with np.errstate(over="ignore"):
                 np.subtract(state.history[lo:hi, 1:-1, 1:-1], err, out=err)
-                level_err = np.abs(err, out=err).max(axis=(1, 2))
-                final_error = float(level_err[-1])
-                e_inf = max(e_inf or 0.0, float(level_err.max()))
+            level_err = np.abs(err, out=err).max(axis=(1, 2))
+            final_error = float(level_err[-1])
+            e_inf = max(e_inf or 0.0, float(level_err.max()))
 
     return SolveResult(
         final=state.u_current,

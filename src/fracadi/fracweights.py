@@ -18,13 +18,14 @@ engine here, the blocked scheme of Hairer, Lubich & Schlichte (SIAM J. Sci.
 Stat. Comput. 6, 1985): exact up to summation order, O(n log^2 n) per
 column.  ``causal_convolve`` runs it over a whole array; the ADI solver's
 memory term runs it online through ``completed_block`` and ``fold_block``.
-Levels within a leaf of ``_LEAF`` = 16 are summed directly; older ones
-arrive in dyadic blocks of b = 16, 32, ... levels, each folded into the
-t <= b levels after it.  A block of up to ``_TOEPLITZ_MAX_BLOCK`` = 512
-levels is folded by one BLAS ``dgemm`` that adds the Toeplitz product into
-the target rows in place (beta = 1), over row chunks whose Toeplitz slice
-stays within ``_SCRATCH_BYTES``; a longer block by FFT of the smallest
-2^a 3^b 5^c length >= b + t, over contiguous, transposed column chunks.
+Levels within a leaf of ``_LEAF`` levels are summed directly; older ones
+arrive in dyadic blocks of b = ``_LEAF``, 2 ``_LEAF``, ... levels, each
+folded into the t <= b levels after it.  A block of up to
+``_TOEPLITZ_MAX_BLOCK`` levels is folded by one BLAS ``dgemm`` that adds the
+Toeplitz product into the target rows in place (beta = 1), over row chunks
+whose Toeplitz slice stays within ``_SCRATCH_BYTES``; a longer block by
+``scipy.fft`` along axis 0, at ``next_fast_len(b + t)``, over column chunks
+of the block and its targets.
 
 ``wsgd_integral`` applies the weighted-shifted Grunwald quadrature, which
 is the causal convolution with the lambda weights, to a sampled function;
@@ -122,36 +123,17 @@ def completed_block(s: int) -> int:
     return 0 if r or not q else _LEAF * (q & -q)
 
 
-def _fft_length(m: int) -> int:
-    """The smallest 2^a 3^b 5^c >= m, a length the FFT factors well."""
-    best = 1 << (m - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-m // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def fold_block(kernel: np.ndarray, block: np.ndarray,
                targets: np.ndarray) -> None:
     """Add a block of b source levels to the t <= b target levels after it.
 
-    ``block`` is (b, columns) and ``targets`` (t, columns); in place,
-    targets[r] += sum_{i<b} kernel[b + r - i] * block[i].  Short blocks
-    use a dense Toeplitz product, added into the target rows by ``dgemm``;
-    long ones the tail of one circular convolution of length n >= b + t,
-    where no term wraps around.  Both keep their scratch near
-    ``_SCRATCH_BYTES``: Toeplitz row chunks, FFT column chunks.  Targets
-    that are not C-contiguous are folded through a contiguous copy.
+    ``block`` is (b, columns) and ``targets`` (t, columns) C-ordered rows;
+    in place, targets[r] += sum_{i<b} kernel[b + r - i] * block[i].  Short
+    blocks use a dense Toeplitz product, added into the target rows by
+    ``dgemm``; long ones the tail of one circular convolution of length n
+    >= b + t, where no term wraps around.  Both keep their scratch near
+    ``_SCRATCH_BYTES``: Toeplitz row chunks, FFT column chunks.
     """
-    if not targets.flags.c_contiguous:
-        work = np.ascontiguousarray(targets)
-        fold_block(kernel, block, work)
-        targets[...] = work
-        return
     b, t = block.shape[0], targets.shape[0]
     if b <= _TOEPLITZ_MAX_BLOCK:
         # row r is target level b+r, column i is source level i: a window
@@ -169,15 +151,19 @@ def fold_block(kernel: np.ndarray, block: np.ndarray,
             assert np.shares_memory(out, targets)
         return
 
-    n = _fft_length(b + t)
-    kernel_hat = np.fft.rfft(kernel[:b + t], n=n)
-    # a column's transposed copy, padded input, spectrum and output
+    # imported here, not with the module: only runs of more than
+    # 2 * _TOEPLITZ_MAX_BLOCK levels get here, and the import costs the
+    # others about 30 ms of start-up
+    import scipy.fft
+
+    n = scipy.fft.next_fast_len(b + t, real=True)
+    kernel_hat = scipy.fft.rfft(kernel[:b + t], n=n)[:, None]
+    # a column's input, padded input, spectrum and output
     chunk = max(1, _SCRATCH_BYTES // (8 * b + 32 * n))
     for c in range(0, block.shape[1], chunk):
-        cols = np.ascontiguousarray(block[:, c:c + chunk].T)
-        spec = np.fft.rfft(cols, n=n)
+        spec = scipy.fft.rfft(block[:, c:c + chunk], n=n, axis=0)
         spec *= kernel_hat
-        targets[:, c:c + chunk] += np.fft.irfft(spec, n=n)[:, b:b + t].T
+        targets[:, c:c + chunk] += scipy.fft.irfft(spec, n=n, axis=0)[b:b + t]
 
 
 def causal_convolve(kernel: np.ndarray, samples: np.ndarray) -> np.ndarray:

@@ -224,6 +224,19 @@ class TestStepping:
         assert named in message and "max |value| = 1." in message
         assert "diverged" not in message
 
+    def test_direct_step_overflow_named_without_warning(self):
+        # adi_step outside solve: the overflowing step raises the named
+        # error, not numpy's RuntimeWarning (an error under this suite)
+        p = make_example1(0.5)
+        huge = dataclasses.replace(
+            p, exact=None, boundary=lambda x, y, t: 1.7e308 * t + 0.0 * x * y)
+        state = init_state(huge, mesh_for(p, 6, n=8))
+        with pytest.raises(SolverDivergenceError) as info:
+            for _ in range(8):
+                adi_step(state)
+        assert info.value.level == state.current_level + 1
+        assert "the boundary at t = " in str(info.value)
+
 
 def _count_samples(monkeypatch):
     """Count the solver's problem-data samples by field: the levels sampled
@@ -416,6 +429,9 @@ class TestForcingTable:
         p = dataclasses.replace(make_example1(0.5), forcing_f=None)
         mesh = mesh_for(p, 16, n=2000)
         table_bytes = 8 * (mesh.N + 1) * (mesh.M1 + 1) * (mesh.M2 + 1)
+        # the table's FFT folds load scipy.fft; a process's first import of
+        # it allocates about 0.6 MB of modules, which are not the fold's
+        import scipy.fft  # noqa: F401
         tracemalloc.start()
         try:
             forcing = adisolver._wsgd_forcing_levels(p, mesh)

@@ -14,7 +14,6 @@ import fracadi
 from fracadi import fracweights
 from fracadi.fracweights import (
     MAX_WEIGHT_COUNT,
-    _fft_length,
     causal_convolve,
     fold_block,
     grunwald_weights,
@@ -248,12 +247,18 @@ class TestCausalConvolve:
             "solve(p, mesh_for(p, 4, n=40))\n"
             "print('scipy.signal' in sys.modules)\n"
         )
-        src = str(Path(fracadi.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        run = subprocess.run([sys.executable, "-c", code], check=True,
-                             capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": path})
-        assert run.stdout.strip() == "False"
+        assert _run_fresh(code) == "False"
+
+
+def _run_fresh(code):
+    """What ``code`` prints when run in a fresh interpreter on this
+    package, stripped."""
+    src = str(Path(fracadi.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return run.stdout.strip()
 
 
 def _naive_fold(kernel, block, t):
@@ -268,7 +273,8 @@ _TMB = fracweights._TOEPLITZ_MAX_BLOCK
 
 class TestFoldBlock:
     # the Toeplitz product at the largest dense block and a short one, the
-    # FFT just past it, each with fewer targets than sources and as many
+    # FFT just past it, each with fewer targets than sources and as many,
+    # from a C- or F-ordered block into C-ordered rows
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("b, t", [(16, 16), (16, 5), (_TMB, _TMB),
                                       (_TMB, _TMB - 77), (2 * _TMB, 2 * _TMB),
@@ -277,7 +283,7 @@ class TestFoldBlock:
         rng = np.random.default_rng(b + t)
         kernel = rng.standard_normal(b + t)
         block = np.asarray(rng.standard_normal((b, 7)), order=order)
-        store = np.asarray(rng.standard_normal((t + 3, 7)), order=order)
+        store = rng.standard_normal((t + 3, 7))
         before = store.copy()
         targets = store[1:t + 1]  # rows of a larger array, as the history's
         fold_block(kernel, block, targets)
@@ -300,11 +306,17 @@ class TestFoldBlock:
         fold_block(kernel, block, rows)
         assert np.max(np.abs(rows - whole)) <= 1e-13 * np.max(np.abs(whole))
 
-    def test_fft_length_is_the_least_5_smooth_bound(self):
-        smooth = sorted(2**a * 3**b * 5**c for a in range(16)
-                        for b in range(10) for c in range(7))
-        for m in range(1, 20000, 7):
-            assert _fft_length(m) == next(n for n in smooth if n >= m), m
+    def test_short_runs_do_not_import_scipy_fft(self):
+        # only a block longer than _TOEPLITZ_MAX_BLOCK loads scipy.fft, so
+        # importing the package and a short solve do not pay for it
+        code = (
+            "import sys\n"
+            "from fracadi import make_example1, mesh_for, solve\n"
+            "p = make_example1(0.5)\n"
+            "solve(p, mesh_for(p, 8, n=80))\n"
+            "print('scipy.fft' in sys.modules)\n"
+        )
+        assert _run_fresh(code) == "False"
 
 
 class TestQuadratureOracle:
