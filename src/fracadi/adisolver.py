@@ -90,8 +90,8 @@ from .meshops import (
 from .problems import _COMPAT_TOL, ProblemSpec, sample_xy, sample_xyt
 from .trisolve import TridiagOperator, build_sweep_operator
 
-# Bytes of one block of boundary or exact-solution samples: a sample call
-# covers as many levels as fit, and at least one
+# Bytes of one block of boundary, exact-solution or caputo-forcing samples:
+# a sample call covers as many levels as fit, and at least one
 _BLOCK_BYTES = 2**20
 # Largest magnitude a scheme coefficient may take, so that the step's sums
 # of a few weighted fields stay finite for data of ordinary size
@@ -116,7 +116,8 @@ class StepReport:
 
 
 def _block_levels(mesh: Mesh) -> int:
-    """Levels per block of boundary or exact-solution samples."""
+    """Levels per block of boundary, exact-solution or caputo-forcing
+    samples."""
     return max(1, _BLOCK_BYTES // (8 * (mesh.M1 + 1) * (mesh.M2 + 1)))
 
 
@@ -129,11 +130,14 @@ def _sample_levels(func: Callable, mesh: Mesh, lo: int, hi: int,
 
 
 def _wsgd_forcing_levels(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
-    """Tabulate f^k = I^alpha g(t_k) for all levels by the WSGD quadrature."""
+    """Tabulate f^k = I^alpha g(t_k) for all levels by the WSGD quadrature,
+    sampling g a block of levels per call."""
     g = np.empty((mesh.N + 1, *mesh.shape))
-    for k in range(mesh.N + 1):
-        g[k] = sample_xyt(problem.caputo_forcing, mesh, k * mesh.tau,
-                          field="caputo_forcing")
+    block = _block_levels(mesh)
+    for lo in range(0, mesh.N + 1, block):
+        hi = min(lo + block, mesh.N + 1)
+        g[lo:hi] = _sample_levels(problem.caputo_forcing, mesh, lo, hi,
+                                  "caputo_forcing")
     return wsgd_integral(g, problem.alpha, mesh.tau)
 
 

@@ -20,6 +20,7 @@ synthesized randomly for stress tests.
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -27,7 +28,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
 
 from .fracweights import _check_alpha, rl_integral_oracle
 from .meshops import Mesh
@@ -497,11 +497,27 @@ def verify_manufactured(
 # ---------------------------------------------------------------------------
 # JSON problem files with expression strings
 
+# cached: an import statement costs about 0.65 us a call, and a forcing may
+# call gamma at every level
+@functools.cache
+def _scipy_gamma():
+    from scipy.special import gamma
+
+    return gamma
+
+
+def _gamma(x):
+    """scipy.special.gamma(x), loaded on the first call."""
+    return _scipy_gamma()(x)
+
+
+# gamma loads scipy.special on its first call, not with the package: it is
+# about 3.8 MB of resident memory that only expressions calling gamma need
 _EXPR_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
     "sinh": np.sinh, "cosh": np.cosh, "tanh": np.tanh,
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
-    "gamma": _gamma_fn,
+    "gamma": _gamma,
 }
 _EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _EXPR_UNARYOPS = (ast.UAdd, ast.USub)

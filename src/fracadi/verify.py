@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve, toeplitz
-from scipy.special import gammaln
 
 from .adisolver import (
     SolveResult,
@@ -98,6 +97,9 @@ def check_weights_oracle(
     the log-gamma magnitudes; any real defect in the recurrence would blow
     past it by many orders.
     """
+    # loaded here, on first use: nothing else in the package needs it
+    from scipy.special import gammaln
+
     eps = np.finfo(float).eps
     worst_ratio = 0.0
     min_lam = math.inf

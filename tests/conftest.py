@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import fracadi
 from fracadi import GridFn, Mesh
 
 
@@ -16,6 +22,17 @@ def small_mesh():
 
 def random_field(mesh: Mesh, rng: np.random.Generator) -> GridFn:
     return GridFn(mesh, rng.standard_normal(mesh.shape))
+
+
+def run_fresh(code):
+    """What ``code`` prints when run in a fresh interpreter on this
+    package, stripped."""
+    src = str(Path(fracadi.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    run = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    return run.stdout.strip()
 
 
 # the largest mesh side a test may sample problem data on

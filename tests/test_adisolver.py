@@ -253,8 +253,9 @@ def _count_samples(monkeypatch):
 
 class TestSamplingCounts:
     """Each level's data is sampled once: the forcing at all N+1 levels, one
-    level per call, the boundary and exact solution at levels 1..N, a block
-    of levels per call, phi and psi once."""
+    level per call (a caputo_forcing table a block of levels per call), the
+    boundary and exact solution at levels 1..N, a block of levels per call,
+    phi and psi once."""
 
     def test_forcing_given(self, monkeypatch):
         p = make_example1(0.5)
@@ -280,12 +281,21 @@ class TestSamplingCounts:
         assert calls["boundary"] == calls["exact"] == math.ceil(40 / 7)
 
     def test_caputo_forcing_only(self, monkeypatch):
+        # the table's N+1 levels in blocks too: one call, then with blocks
+        # of seven levels ceil(41 / 7)
         p = dataclasses.replace(make_example1(0.5), forcing_f=None)
+        mesh = mesh_for(p, 6, n=40)
         levels, calls = _count_samples(monkeypatch)
-        solve(p, mesh_for(p, 6, n=40))
-        assert levels == {"caputo_forcing": 41, "boundary": 40, "exact": 40,
-                          "phi": 1, "psi": 1}
-        assert calls["boundary"] == calls["exact"] == 1
+        for block_bytes in (adisolver._BLOCK_BYTES, 7 * 8 * 7 * 7):
+            monkeypatch.setattr(adisolver, "_BLOCK_BYTES", block_bytes)
+            b = adisolver._block_levels(mesh)
+            levels.clear()
+            calls.clear()
+            solve(p, mesh)
+            assert levels == {"caputo_forcing": 41, "boundary": 40,
+                              "exact": 40, "phi": 1, "psi": 1}
+            assert calls["caputo_forcing"] == math.ceil(41 / b)
+            assert calls["boundary"] == calls["exact"] == math.ceil(40 / b)
 
 
 class TestBlockSampling:

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import convolve
 
-import fracadi
 from fracadi import fracweights
 from fracadi.fracweights import (
     MAX_WEIGHT_COUNT,
@@ -21,6 +16,7 @@ from fracadi.fracweights import (
     scheme_weights,
     wsgd_integral,
 )
+from conftest import run_fresh
 
 ALPHAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 
@@ -247,18 +243,7 @@ class TestCausalConvolve:
             "solve(p, mesh_for(p, 4, n=40))\n"
             "print('scipy.signal' in sys.modules)\n"
         )
-        assert _run_fresh(code) == "False"
-
-
-def _run_fresh(code):
-    """What ``code`` prints when run in a fresh interpreter on this
-    package, stripped."""
-    src = str(Path(fracadi.__file__).resolve().parents[1])
-    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    run = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": path})
-    return run.stdout.strip()
+        assert run_fresh(code) == "False"
 
 
 def _naive_fold(kernel, block, t):
@@ -307,16 +292,22 @@ class TestFoldBlock:
         assert np.max(np.abs(rows - whole)) <= 1e-13 * np.max(np.abs(whole))
 
     def test_short_runs_do_not_import_scipy_fft(self):
-        # only a block longer than _TOEPLITZ_MAX_BLOCK loads scipy.fft, so
-        # importing the package and a short solve do not pay for it
+        # only a block longer than _TOEPLITZ_MAX_BLOCK loads scipy.fft, and
+        # only a call of gamma loads scipy.special, so importing the
+        # package, a solve of 2 * _TOEPLITZ_MAX_BLOCK levels and a short
+        # temporal study pay for neither
         code = (
             "import sys\n"
-            "from fracadi import make_example1, mesh_for, solve\n"
+            "from fracadi import (StudyConfig, make_example1, mesh_for,\n"
+            "                     run_study, solve)\n"
             "p = make_example1(0.5)\n"
-            "solve(p, mesh_for(p, 8, n=80))\n"
-            "print('scipy.fft' in sys.modules)\n"
+            f"solve(p, mesh_for(p, 8, n={2 * _TMB}))\n"
+            "run_study(StudyConfig(alphas=(0.5,), axis='temporal',\n"
+            "                      ladder=(5, 10), fixed=8, emit=()))\n"
+            "print([m for m in ('scipy.fft', 'scipy.special')\n"
+            "       if m in sys.modules])\n"
         )
-        assert _run_fresh(code) == "False"
+        assert run_fresh(code) == "[]"
 
 
 class TestQuadratureOracle:

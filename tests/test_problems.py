@@ -29,6 +29,7 @@ from fracadi.problems import (
     sample_xyt,
     verify_manufactured,
 )
+from conftest import run_fresh
 
 
 class TestExample1:
@@ -369,6 +370,32 @@ class TestCompileExpression:
     def test_alpha_and_pi(self):
         f = compile_expression("alpha * pi + gamma(4)", alpha=0.25)
         assert f(0, 0, 0) == pytest.approx(0.25 * math.pi + 6.0)
+
+    def test_gamma_loads_scipy_special_on_first_call(self):
+        # a fresh interpreter: compiling an expression does not load
+        # scipy.special, its first gamma does, and the values are the
+        # same bits, a pole's inf among them
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fracadi.problems import compile_expression\n"
+            "f = compile_expression('gamma(x)', alpha=0.5)\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "x = np.array([-2.5, -0.5, 0.0, 1e-3, 0.5, 1.0, 4.5, 171.5, 172.0])\n"
+            "got = f(x, 0.0, 0.0)\n"
+            "after = 'scipy.special' in sys.modules\n"
+            "from scipy.special import gamma\n"
+            "print(before, after, got.tobytes() == gamma(x).tobytes(),\n"
+            "      got[2], f(4.0, 0.0, 0.0))\n"
+        )
+        assert run_fresh(code) == "False True True inf 6.0"
+
+    def test_gamma_pole_names_the_field(self):
+        mesh = Mesh(L1=1.0, L2=1.0, M1=4, M2=4, T=1.0, N=2)
+        f = compile_expression("gamma(x) * t", alpha=0.5)
+        with pytest.raises(ValueError, match="^forcing is inf at t=1, "
+                                             "\\(x, y\\) = \\(0, "):
+            sample_xyt(f, mesh, 1.0, field="forcing")
 
     def test_vectorized(self):
         f = compile_expression("x*y + t", alpha=0.5)
