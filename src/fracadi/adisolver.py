@@ -190,11 +190,11 @@ class StepPlan:
     ``centre`` adds.  The x pass writes ``rhs_mid``, rows 1..M1-1 of plane
     0, from ``p_below`` and ``p_above`` (plane 2 one row before and after),
     ``q_mid`` (plane 3) and ``phi_mid`` (``tau_h_phi``); ``rhs`` is plane 0
-    and ``rhs_int`` its interior.  The finish takes |u^{n+1}| into ``mag``
-    (plane 1, interior ``mag_int``) and the squares of ``rhs_int`` into
-    ``squares``, a contiguous stretch of plane 2, so that their sum is
-    taken in the order it takes on a fresh array.  ``levels`` is the
-    history with one flat row per level, and ``cell`` is h1 h2.
+    and ``rhs_int`` its interior.  The finish takes the interior's
+    |u^{n+1}| into ``mag_int`` (plane 1's interior) and the squares of
+    ``rhs_int`` into ``squares``, a contiguous stretch of plane 2, so that
+    their sum is taken in the order it takes on a fresh array.  ``levels``
+    is the history with one flat row per level, and ``cell`` is h1 h2.
     """
 
     fields: np.ndarray
@@ -212,7 +212,6 @@ class StepPlan:
     rhs: np.ndarray
     rhs_mid: np.ndarray
     rhs_int: np.ndarray
-    mag: np.ndarray
     mag_int: np.ndarray
     squares: np.ndarray
     levels: np.ndarray
@@ -241,7 +240,6 @@ def _step_plan(mesh: Mesh, work: np.ndarray, history: np.ndarray,
         rhs=rhs,
         rhs_mid=rhs[1:-1],
         rhs_int=rhs_int,
-        mag=mag,
         mag_int=mag[1:-1, 1:-1],
         squares=planes[2, :rhs_int.size].reshape(rhs_int.shape),
         levels=history.reshape(len(history), -1),
@@ -278,10 +276,10 @@ class SolverState:
     step overwrites: planes 4-6 the fields u^n, S_n and D = f^n + f^{n+1};
     planes 0-3 their weighted sums ``coef`` @ planes 4-6, after which plane
     0 receives the right-hand side, which the step's report reads after
-    the sweeps; the finish then takes |u^{n+1}| into plane 1 and the
-    squares of the right-hand side into plane 2.  ``plan`` holds the views
-    of these planes, the history and ``tau_h_phi`` that a step reads (see
-    ``StepPlan``), built with them.
+    the sweeps; the finish then takes the interior's |u^{n+1}| into plane 1
+    and the squares of the right-hand side into plane 2.  ``plan`` holds the
+    views of these planes, the history and ``tau_h_phi`` that a step reads
+    (see ``StepPlan``), built with them.
     """
 
     problem: ProblemSpec
@@ -508,9 +506,13 @@ def _step(state: SolverState,
     new = state.history[n + 1]
     np.copyto(new, state.boundary_rows[i])
     rhs_int = plan.rhs_int
-    new[1:-1, 1:-1] = interior(state, rhs_int, i)
+    new_int = new[1:-1, 1:-1]
+    new_int[...] = interior(state, rhs_int, i)
 
-    if not math.isfinite(np.abs(new, out=plan.mag).max()):
+    # the frame holds boundary samples, which sampling has checked are
+    # finite, so the interior's max is both the overflow guard and the norm
+    peak = float(np.abs(new_int, out=plan.mag_int).max())
+    if not math.isfinite(peak):
         raise _overflow_error(state, n + 1, f_next, i)
     _fold_far_field(state, n + 1)
     state.f_current = f_next
@@ -527,7 +529,7 @@ def _step(state: SolverState,
         level=n + 1,
         wall_time_ns=time.perf_counter_ns() - t0,
         rhs_norm=rhs_norm,
-        solution_inf_norm=float(plan.mag_int.max()),
+        solution_inf_norm=peak,
     )
     return state
 

@@ -46,7 +46,13 @@ from .studies import (
     emit_table,
     run_study,
 )
-from .verify import format_results, run_checks
+from .verify import (
+    SPATIAL_N,
+    TEMPORAL_LADDER,
+    TEMPORAL_M,
+    format_results,
+    run_checks,
+)
 
 _SOLVE_EMIT = ("csv", "svg", "reports", "snapshots")
 # alpha of a builtin problem when neither --alpha nor --config sets one
@@ -93,11 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
                          "builtin)")
     pt.add_argument("--axis", default="temporal",
                     help="temporal or spatial (default: temporal)")
-    pt.add_argument("--ladder", default="5,10,20,40,80",
-                    help="comma list of N (temporal) or M (spatial) values")
+    pt.add_argument("--ladder", default=TEMPORAL_LADDER,
+                    help="comma list of N (temporal) or M (spatial) values "
+                         f"(default: {','.join(map(str, TEMPORAL_LADDER))})")
     pt.add_argument("--fixed", default=None,
                     help="fixed M for temporal axis / fixed N for spatial "
-                         "(defaults: 16 / 10000)")
+                         f"(defaults: {TEMPORAL_M} / {SPATIAL_N})")
     pt.add_argument("--out", default="out")
     pt.add_argument("--emit", default="table",
                     help="comma list from table,csv,svg")
@@ -175,14 +182,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     problem = get_problem(args.problem, alphas[0])
     mesh = mesh_for(problem, m, n=n)
 
-    # the solver wants zero initial displacement; reduce and add back
+    # the solver wants zero initial displacement; reduce, then add psi back
     reduced = homogenize_initial(problem, mesh)
-    psi_vals = np.zeros(mesh.shape)
-    if reduced is not problem:
-        psi_vals = sample_xy(problem.psi, mesh, field="psi")
-
+    psi = (0.0 if reduced is problem
+           else sample_xy(problem.psi, mesh, field="psi"))
     result = solve(reduced, mesh)
-    final = GridFn(mesh, result.final.values + psi_vals)
+    final = GridFn(mesh, result.final.values + psi)
 
     print(f"problem {problem.name}  alpha={problem.alpha:g}  "
           f"grid {mesh.M1}x{mesh.M2}  steps {mesh.N}")
@@ -228,7 +233,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         history = result.state.history
         for level in sorted({*range(0, mesh.N + 1, every), mesh.N}):
             path = out / f"snapshot_{level:05d}.csv"
-            write_csv(GridFn(mesh, history[level] + psi_vals), path)
+            write_csv(GridFn(mesh, history[level] + psi), path)
             written.append(path)
     for path in written:
         print(f"wrote {path}")
@@ -246,7 +251,7 @@ def cmd_study(args: argparse.Namespace) -> int:
     check_ladder(ladder, args.axis)
     fixed = args.fixed
     if fixed is None:
-        fixed = 16 if args.axis == "temporal" else 10000
+        fixed = TEMPORAL_M if args.axis == "temporal" else SPATIAL_N
     # a temporal study fixes M (two cells at least), a spatial one N
     fixed = _count(fixed, "--fixed", 2 if args.axis == "temporal" else 1)
     emit = _parse_list(args.emit, str)

@@ -275,7 +275,11 @@ def make_example1(alpha: float) -> ProblemSpec:
     )
 
 
-def make_random_problem(seed: int, modes: int = 3) -> ProblemSpec:
+# sine modes per axis in each field of ``make_random_problem``
+_RANDOM_MODES = 3
+
+
+def make_random_problem(seed: int) -> ProblemSpec:
     """Seeded problem on (0, 1)^2 with zero boundary and initial data.
 
     phi and the forcing are low-order sine polynomials with coefficients
@@ -284,15 +288,15 @@ def make_random_problem(seed: int, modes: int = 3) -> ProblemSpec:
     robustness probes.
     """
     rng = np.random.default_rng(seed)
-    amp = rng.uniform(-1.0, 1.0, size=(4, modes, modes))
-    pq = np.arange(1, modes + 1)
+    amp = rng.uniform(-1.0, 1.0, size=(4, _RANDOM_MODES, _RANDOM_MODES))
+    pq = np.arange(1, _RANDOM_MODES + 1)
     amp /= pq[None, :, None] * pq[None, None, :]
 
     def trig_sum(coeffs, x, y):
         out = 0.0
-        for p in range(modes):
+        for p in range(_RANDOM_MODES):
             sx = np.sin((p + 1) * math.pi * x)
-            for q in range(modes):
+            for q in range(_RANDOM_MODES):
                 out = out + coeffs[p, q] * sx * np.sin((q + 1) * math.pi * y)
         return out
 
@@ -333,18 +337,34 @@ def _max_abs_psi(spec: ProblemSpec, mesh: Mesh | None = None) -> float:
     return worst
 
 
+def _shifted(func: Callable | None, term: Callable) -> Callable | None:
+    """func + term as a field of (x, y, t), both called with t as a float
+    array; a missing field (None) stays None."""
+    if func is None:
+        return None
+
+    def shifted(x, y, t):
+        t = np.asarray(t, dtype=float)
+        return func(x, y, t) + term(x, y, t)
+
+    return shifted
+
+
 def homogenize_initial(spec: ProblemSpec,
                        mesh: Mesh | None = None) -> ProblemSpec:
     """Return an equivalent problem with psi == 0.
 
     Subtracting psi from the solution leaves phi alone, shifts the boundary
-    data and any exact solution down by psi, and adds the memory term
+    data and any exact solution down by psi (and its Laplacian down by
+    Laplacian(psi)), and adds the memory term
     Laplacian(psi) * t**alpha / Gamma(1 + alpha) to the transformed forcing
     (equivalently, adds Laplacian(psi) to the Caputo-form source).  A
     problem whose psi vanishes on the probe grid of ``_max_abs_psi`` and,
     when ``mesh`` is given, on the run's mesh nodes is returned itself (the
-    same object), so the map is idempotent.  Pass the mesh the problem will be solved on:
-    a psi such as sin(32 x) can vanish on the probe and not on the mesh.
+    same object), so the map is idempotent.  Pass the mesh the problem will
+    be solved on: a psi such as sin(32 x) can vanish on the probe and not on
+    the mesh.  The solution of the original problem is the reduced one plus
+    psi sampled on the mesh.
     """
     if _max_abs_psi(spec, mesh) <= _COMPAT_TOL:
         return spec
@@ -353,48 +373,20 @@ def homogenize_initial(spec: ProblemSpec,
             "homogenize_initial needs psi_laplacian for a nonzero psi"
         )
 
-    psi, psi_lap = spec.psi, spec.psi_laplacian
-    alpha = spec.alpha
-    inv_gamma = 1.0 / math.gamma(1.0 + alpha)
-    old_forcing = spec.forcing_f
-    old_caputo = spec.caputo_forcing
-    old_boundary = spec.boundary
-    old_exact = spec.exact
-    old_exact_lap = spec.exact_laplacian
-
-    def boundary(x, y, t):
-        return old_boundary(x, y, t) - psi(x, y)
-
-    forcing_f = None
-    if old_forcing is not None:
-        def forcing_f(x, y, t):
-            t = np.asarray(t, dtype=float)
-            return old_forcing(x, y, t) + psi_lap(x, y) * t**alpha * inv_gamma
-
-    caputo_forcing = None
-    if old_caputo is not None:
-        def caputo_forcing(x, y, t):
-            return old_caputo(x, y, t) + psi_lap(x, y) + 0.0 * t
-
-    exact = None
-    if old_exact is not None:
-        def exact(x, y, t):
-            return old_exact(x, y, t) - psi(x, y)
-
-    exact_laplacian = None
-    if old_exact_lap is not None:
-        def exact_laplacian(x, y, t):
-            return old_exact_lap(x, y, t) - psi_lap(x, y)
-
+    psi, lap = spec.psi, spec.psi_laplacian
+    alpha, inv_gamma = spec.alpha, 1.0 / math.gamma(1.0 + spec.alpha)
     return replace(
         spec,
         psi=_zero_xy,
         psi_laplacian=_zero_xy,
-        boundary=boundary,
-        forcing_f=forcing_f,
-        caputo_forcing=caputo_forcing,
-        exact=exact,
-        exact_laplacian=exact_laplacian,
+        boundary=_shifted(spec.boundary, lambda x, y, t: -psi(x, y)),
+        exact=_shifted(spec.exact, lambda x, y, t: -psi(x, y)),
+        exact_laplacian=_shifted(spec.exact_laplacian,
+                                 lambda x, y, t: -lap(x, y)),
+        forcing_f=_shifted(spec.forcing_f, lambda x, y, t:
+                           lap(x, y) * t**alpha * inv_gamma),
+        caputo_forcing=_shifted(spec.caputo_forcing,
+                                lambda x, y, t: lap(x, y)),
     )
 
 
@@ -647,7 +639,8 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
         except ValueError as exc:
             raise ValueError(f"problem file {path}, key {key!r}: {exc}") from exc
 
-    fields: dict = {}
+    # a missing or null phi, psi or boundary is zero
+    fields: dict = {"phi": _zero_xy, "psi": _zero_xy, "boundary": _zero_xyt}
     for key in _SPACE_ONLY:
         fn = compiled(key, ("x", "y"))
         if fn is not None:
@@ -663,15 +656,7 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
         domain=tuple(_number(v, f"problem file {path}, key 'domain'")
                      for v in domain),
         T=_number(data["final_time"], f"problem file {path}, key 'final_time'"),
-        phi=fields.get("phi", _zero_xy),
-        psi=fields.get("psi", _zero_xy),
-        boundary=fields.get("boundary", _zero_xyt),
-        forcing_f=fields.get("forcing_f"),
-        caputo_forcing=fields.get("caputo_forcing"),
-        exact=fields.get("exact"),
-        psi_laplacian=fields.get("psi_laplacian"),
-        exact_dt=fields.get("exact_dt"),
-        exact_laplacian=fields.get("exact_laplacian"),
+        **fields,
     )
 
 

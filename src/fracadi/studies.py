@@ -152,8 +152,11 @@ def run_study(config: StudyConfig) -> StudyResult:
         runs += [(problem, mesh_for(problem, m, n=n)) for m, n in sizes]
 
     for problem, mesh in runs:
-        # the solver wants zero initial displacement; reduce per mesh
+        # the solver wants zero initial displacement; reduce per mesh, then
+        # add psi back to the kept final field as the CLI's solve does
         reduced = homogenize_initial(problem, mesh)
+        psi = (0.0 if reduced is problem
+               else sample_xy(problem.psi, mesh, field="psi"))
         result = solve(reduced, mesh)
         e = _round_sig(result.e_inf)
         prev = rows[-1] if rows and rows[-1].alpha == problem.alpha else None
@@ -163,11 +166,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         rows.append(ConvergenceRow(
             alpha=problem.alpha, h=mesh.h1, tau=mesh.tau, e_inf=e, rate=rate,
         ))
-        final = result.final
-        if reduced is not problem:
-            final = GridFn(mesh, final.values + sample_xy(
-                problem.psi, mesh, field="psi"))
-        finals[problem.alpha] = final
+        finals[problem.alpha] = GridFn(mesh, result.final.values + psi)
     return StudyResult(rows=rows, finals=finals)
 
 

@@ -589,7 +589,7 @@ class TestStepPlan:
             "above": planes[:2, 2:], "p_below": p_[:-2], "p_above": p_[2:],
             "q_mid": q[1:-1], "phi_mid": state.tau_h_phi[1:-1],
             "rhs": rhs, "rhs_mid": rhs[1:-1], "rhs_int": rhs[1:-1, 1:-1],
-            "mag": mag, "mag_int": mag[1:-1, 1:-1],
+            "mag_int": mag[1:-1, 1:-1],
             "levels": state.history.reshape(41, -1),
         }
         assert set(want) | {"squares"} == set(views)

@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracadi.cli as cli
+from fracadi import get_problem, homogenize_initial, mesh_for, solve
+from fracadi.problems import sample_xy
 from fracadi.studies import StudyConfig, run_study
-from fracadi.verify import CheckResult
+from fracadi.verify import SPATIAL_N, TEMPORAL_LADDER, TEMPORAL_M, CheckResult
 
 
 def run_cli(*argv):
@@ -608,6 +610,41 @@ class TestStudyCommand:
         assert np.array_equal(final, np.loadtxt(out / "final.csv",
                                                 delimiter=","))
 
+    @pytest.mark.parametrize("nonzero_psi", [True, False],
+                             ids=["psi", "zero-psi"])
+    def test_psi_restored_by_one_rule(self, tmp_path, nonzero_psi):
+        # solve's final and snapshots and study's kept final are the reduced
+        # problem's solution plus psi on the mesh (plus 0.0 when psi is
+        # zero), bit for bit
+        ref = "example1"
+        if nonzero_psi:
+            ref = str(tmp_path / "psi.json")
+            Path(ref).write_text(json.dumps(_PSI_PROBLEM))
+        problem = get_problem(ref, 0.5)
+        mesh = mesh_for(problem, 8, n=10)
+        reduced = homogenize_initial(problem, mesh)
+        assert (reduced is not problem) == nonzero_psi
+        psi = (sample_xy(problem.psi, mesh) if nonzero_psi
+               else np.zeros(mesh.shape))
+        history = solve(reduced, mesh).state.history
+        want = history + psi
+
+        out = tmp_path / "solve"
+        code = run_cli("solve", "--problem", ref, "--alpha", "0.5", "--m",
+                       "8", "--n", "10", "--emit", "csv,snapshots",
+                       "--snapshot-every", "5", "--out", str(out))
+        assert code == 0
+        for level, name in ((10, "final.csv"), (0, "snapshot_00000.csv"),
+                            (5, "snapshot_00005.csv"),
+                            (10, "snapshot_00010.csv")):
+            got = np.loadtxt(out / name, delimiter=",")
+            assert got.tobytes() == want[level].tobytes(), name
+
+        config = StudyConfig(alphas=(0.5,), axis="temporal", ladder=(10,),
+                             fixed=8, problem=ref)
+        kept = run_study(config).finals[0.5].values
+        assert kept.tobytes() == want[10].tobytes()
+
     def test_table_and_csv(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = run_cli("study", "--alpha", "0.5", "--axis", "temporal",
@@ -730,6 +767,28 @@ class TestParser:
         text = capsys.readouterr().out
         for word in ("solve", "study", "verify"):
             assert word in text
+
+    @pytest.mark.parametrize("axis, fixed", [("temporal", TEMPORAL_M),
+                                             ("spatial", SPATIAL_N)])
+    def test_study_defaults_are_the_reference_sizes(self, monkeypatch, capsys,
+                                                    axis, fixed):
+        # study's --ladder and --fixed default to the frozen reference
+        # ladders' sizes, and its help says so
+        seen = []
+
+        def fake_run_study(config):
+            seen.append(config)
+            raise RuntimeError("stop")
+
+        monkeypatch.setattr(cli, "run_study", fake_run_study)
+        assert run_cli("study", "--axis", axis) == 1
+        assert (seen[0].ladder, seen[0].fixed) == (TEMPORAL_LADDER, fixed)
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            cli.build_parser().parse_args(["study", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: 5,10,20,40,80)" in text
+        assert "(defaults: 16 / 10000)" in text
 
     @pytest.mark.parametrize("argv", [
         ("study", "--axis", "diagonal", "--ladder", "2,4", "--fixed", "4"),

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -263,6 +264,32 @@ class TestHomogenize:
         ref = sample_xyt(base.caputo_forcing, mesh, 0.7)
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "t", [0.7, np.array([0.0, 0.3, 1.0])[:, None, None]],
+        ids=["float", "block"])
+    def test_each_shift_is_its_formula(self, t):
+        # every shifted field is the original field plus its psi term, bit
+        # for bit, for one time and for a block of levels
+        alpha = 0.4
+        base = _shifted_problem(alpha)
+        p = replace(base, boundary=lambda x, y, t: base.psi(x, y) + t * x * y)
+        reduced = homogenize_initial(p)
+        mesh = mesh_for(p, 9, n=1)
+        x, y, ta = mesh.x[:, None], mesh.y[None, :], np.asarray(t)
+        psi, lap = p.psi(x, y), p.psi_laplacian(x, y)
+        memory = lap * ta**alpha * (1.0 / math.gamma(1.0 + alpha))
+        want = {
+            "boundary": p.boundary(x, y, ta) - psi,
+            "exact": p.exact(x, y, ta) - psi,
+            "exact_laplacian": p.exact_laplacian(x, y, ta) - lap,
+            "forcing_f": p.forcing_f(x, y, ta) + memory,
+            "caputo_forcing": p.caputo_forcing(x, y, ta) + lap,
+        }
+        for name, ref in want.items():
+            got = sample_xyt(getattr(reduced, name), mesh, t, field=name)
+            ref = np.broadcast_to(ref, got.shape)
+            assert got.tobytes() == ref.tobytes(), name
+
     def test_psi_decided_on_the_mesh(self):
         # psi vanishes on the 33x33 probe of (0, pi)^2, not on M=64 nodes
         base = make_example1(0.5)
@@ -281,6 +308,9 @@ class TestHomogenize:
         assert homogenize_initial(p, mesh_for(p, 32, n=1)) is p
         reduced = homogenize_initial(p, mesh_for(p, 64, n=1))
         assert reduced is not p
+        # the fields the problem lacks stay missing
+        assert reduced.caputo_forcing is None and reduced.exact is None
+        assert reduced.exact_laplacian is None
         assert np.max(np.abs(sample_xy(reduced.psi, mesh_for(p, 64)))) == 0.0
 
     def test_non_finite_probe_value_named(self):
@@ -513,6 +543,19 @@ class TestLoadProblem:
         with pytest.raises(ValueError, match="alpha"):
             load_problem(path)
         assert load_problem(path, alpha=0.5).alpha == 0.5
+
+    def test_null_means_zero(self, tmp_path):
+        # a JSON null phi, psi or boundary is the zero field; a null
+        # optional field is absent
+        data = dict(EXAMPLE_JSON, phi=None, psi=None, boundary=None,
+                    exact=None, caputo_forcing=None)
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data))
+        loaded = load_problem(path)
+        assert loaded.phi is _zero_xy and loaded.psi is _zero_xy
+        assert loaded.boundary is _zero_xyt
+        assert loaded.exact is None and loaded.caputo_forcing is None
+        assert loaded.forcing_f is not None
 
     def test_time_in_space_only_field(self, tmp_path):
         data = dict(EXAMPLE_JSON)
