@@ -41,19 +41,13 @@ at the top up to rounding; the pass writes only into the run's work
 planes (see ``StepPlan``).
 
 The step keeps the trajectory u^0..u^n in one history array and forms the
-memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m is a causal
-convolution with kappa_0 = lambda_1 and kappa_j = lambda_j + lambda_{j+1};
-L is linear and fixed in time, so it is applied once per step to the sum.
-S_n is evaluated exactly, only in a different summation order, by the
-blocked causal convolution of ``fracweights``, run online: levels in the
-current leaf of ``_LEAF`` are summed directly, and the step that completes
-a left dyadic block folds it into the pending sums of the levels after it
-(``fold_block``, in place in the history rows).  Row n+1 holds the pending
-far field of S_n until the step overwrites it with u^{n+1}, so S_n is one
-vector-matrix product of (kappa_{n-lo}, ..., kappa_0, 1) with history rows
-lo..n+1, lo the start of n's leaf.  A run of N steps costs O(N log^2 N)
-per grid node in the memory term, and no buffer beyond the history itself
-grows with N.
+memory term mu * L S_n, where S_n = sum_{m<=n} kappa_{n-m} u^m with kappa_0
+= lambda_1 and kappa_j = lambda_j + lambda_{j+1}; L is linear and fixed in
+time, so it is applied once per step to the sum.  S_n is the blocked causal
+convolution of ``fracweights``, run online and exact up to summation order:
+row n+1 of the history holds the pending far field of S_n until the step
+overwrites it with u^{n+1} (see ``SolverState``), and no buffer beyond the
+history grows with N.
 
 States are advanced in place, and a solve is deterministic: identical
 inputs give bitwise-identical trajectories.
@@ -152,14 +146,6 @@ def _forcing_source(problem: ProblemSpec,
     return lambda k: sample_xyt(forcing, mesh, k * mesh.tau, field="forcing")
 
 
-def _tau_h_phi(problem: ProblemSpec, mesh: Mesh) -> np.ndarray:
-    # bench/tracer.py labels a sample taken directly in init_state as psi,
-    # and phi and psi can be one function, so phi is sampled here
-    out = _avgx(_avgy(sample_xy(problem.phi, mesh, field="phi")))
-    out *= mesh.tau
-    return out
-
-
 def _rhs_coefficients(c: float, mu: float, tau: float, h1: float,
                       h2: float) -> np.ndarray:
     """The fused pass's 4x3 weights: rows (P_s, Q_s, P_m, Q_m), the y
@@ -178,25 +164,42 @@ def _rhs_coefficients(c: float, mu: float, tau: float, h1: float,
 
 @dataclass(frozen=True)
 class StepPlan:
-    """The views a step reads and writes, built once per run by
-    ``_step_plan`` over the state's work planes, history and
-    ``tau_h_phi``, so that a level makes only its arithmetic calls.
+    """What a level reads but never changes, built once per run by
+    ``_step_plan``, so that a level makes only its arithmetic calls.
 
-    ``fields`` is work planes 4-6 flat, the fused pass's (u^n, S_n, D), of
-    which ``u_n`` and ``data`` are planes 4 and 6 and ``memory`` plane 5
-    flat; ``weighted`` is planes 0-3 flat, ``coef @ fields``.  ``centre``
-    is its rows 2-3 (the centre terms of P and Q) and ``below`` and
-    ``above`` its rows 0-1 one node before and after, the y neighbours that
-    ``centre`` adds.  The x pass writes ``rhs_mid``, rows 1..M1-1 of plane
-    0, from ``p_below`` and ``p_above`` (plane 2 one row before and after),
-    ``q_mid`` (plane 3) and ``phi_mid`` (``tau_h_phi``); ``rhs`` is plane 0
-    and ``rhs_int`` its interior.  The finish takes the interior's
-    |u^{n+1}| into ``mag_int`` (plane 1's interior) and the squares of
-    ``rhs_int`` into ``squares``, a contiguous stretch of plane 2, so that
-    their sum is taken in the order it takes on a fresh array.  ``levels``
-    is the history with one flat row per level, and ``cell`` is h1 h2.
+    The run's constants: ``coef``, the fused pass's 4x3 weights (see
+    ``_rhs_coefficients``); the memory kernel ``kappa`` (kappa_0 = lambda_1,
+    kappa_j = lambda_j + lambda_{j+1}) and ``leaf_weights`` = (kappa_{_LEAF-1},
+    ..., kappa_0, 1), the weights of the memory sum's leaf rows and its
+    pending row; the x and y sweep factors; ``tau_h_phi``, tau Hx Hy phi on
+    the mesh; and ``cell`` = h1 h2.
+
+    ``work`` holds the seven work planes, shape (7, M1+1, M2+1), that a step
+    overwrites, and the other fields are views of them, of the history and
+    of ``tau_h_phi``.  Planes 4-6 are the fused pass's fields (u^n, S_n, D =
+    f^n + f^{n+1}): ``fields`` flat, ``u_n`` and ``data`` planes 4 and 6 and
+    ``memory`` plane 5 flat.  Planes 0-3 take ``weighted`` = ``coef @
+    fields``, flat; ``centre`` is its rows 2-3 (the centre terms of P and Q)
+    and ``below`` and ``above`` its rows 0-1 one node before and after, the
+    y neighbours that ``centre`` adds.  The x pass writes ``rhs_mid``, rows
+    1..M1-1 of plane 0, from ``p_below`` and ``p_above`` (plane 2 one row
+    before and after), ``q_mid`` (plane 3) and ``phi_mid`` (of
+    ``tau_h_phi``); ``rhs`` is plane 0, the right-hand side, and ``rhs_int``
+    its interior, which the step's report reads after the sweeps.  The
+    finish takes the interior's |u^{n+1}| into ``mag_int`` (plane 1's
+    interior) and the squares of ``rhs_int`` into ``squares``, a contiguous
+    stretch of plane 2, so that their sum is taken in the order it takes on
+    a fresh array.  ``levels`` is the history with one flat row per level.
     """
 
+    coef: np.ndarray
+    kappa: np.ndarray
+    leaf_weights: np.ndarray
+    sweep_x: TridiagOperator
+    sweep_y: TridiagOperator
+    tau_h_phi: np.ndarray
+    cell: float
+    work: np.ndarray
     fields: np.ndarray
     u_n: np.ndarray
     memory: np.ndarray
@@ -215,16 +218,33 @@ class StepPlan:
     mag_int: np.ndarray
     squares: np.ndarray
     levels: np.ndarray
-    cell: float
 
 
-def _step_plan(mesh: Mesh, work: np.ndarray, history: np.ndarray,
-               tau_h_phi: np.ndarray) -> StepPlan:
+def _step_plan(problem: ProblemSpec, mesh: Mesh, lam: np.ndarray,
+               history: np.ndarray) -> StepPlan:
+    """The run's ``StepPlan``, from its scheme weights lam and history."""
+    mu = mesh.tau ** (problem.alpha + 1.0) / 2.0
+    c = mu * lam[0]
+    kappa = lam[:-1] + lam[1:]
+    kappa[0] = lam[1]
+    # bench/tracer.py labels a sample taken directly in init_state as psi,
+    # and phi and psi can be one function, so phi is sampled here
+    tau_h_phi = _avgx(_avgy(sample_xy(problem.phi, mesh, field="phi")))
+    tau_h_phi *= mesh.tau
+    work = np.empty((7, *mesh.shape))
     planes = work.reshape(len(work), -1)
     weighted = planes[:4]
     rhs, mag, p, q = work[:4]
     rhs_int = rhs[1:-1, 1:-1]
     return StepPlan(
+        coef=_rhs_coefficients(c, mu, mesh.tau, mesh.h1, mesh.h2),
+        kappa=kappa,
+        leaf_weights=np.append(kappa[:_LEAF][::-1], 1.0),
+        sweep_x=build_sweep_operator(mesh.M1 - 1, mesh.h1, c),
+        sweep_y=build_sweep_operator(mesh.M2 - 1, mesh.h2, c),
+        tau_h_phi=tau_h_phi,
+        cell=mesh.h1 * mesh.h2,
+        work=work,
         fields=planes[4:],
         u_n=work[4],
         memory=planes[5],
@@ -243,14 +263,13 @@ def _step_plan(mesh: Mesh, work: np.ndarray, history: np.ndarray,
         mag_int=mag[1:-1, 1:-1],
         squares=planes[2, :rhs_int.size].reshape(rhs_int.shape),
         levels=history.reshape(len(history), -1),
-        cell=mesh.h1 * mesh.h2,
     )
 
 
 @dataclass
 class SolverState:
-    """One run: its problem and mesh, the trajectory, and the per-run
-    operators every step reuses.
+    """One run: its problem and mesh, the trajectory, the problem data a
+    step reads, and ``plan``, the ``StepPlan`` every step reuses.
 
     ``history[k]`` is the accepted level-k solution for k <= current_level;
     ``u_current`` is a view of row ``current_level`` and always satisfies the
@@ -265,39 +284,16 @@ class SolverState:
     boundary samples of levels ``boundary_lo`` on, one block (see
     ``_block_levels``) sampled on the frame only, which the step refills
     once it runs past them; ``edges`` holds the sweeps' four boundary terms
-    for the same levels (see ``_edge_terms``).  The x and y sweep factors,
-    ``tau_h_phi`` (tau Hx Hy phi on the mesh), the fused pass's weights
-    ``coef`` (see ``_rhs_coefficients``) and the memory kernel kappa
-    (kappa_0 = lambda_1, kappa_j = lambda_j + lambda_{j+1}) live here too;
-    ``leaf_weights`` is (kappa_{_LEAF-1}, ..., kappa_0, 1), the weights of
-    the memory sum's leaf rows and its pending row.  ``c`` is mu * lambda_0.
-
-    ``work`` holds the per-run work planes, shape (7, M1+1, M2+1), that a
-    step overwrites: planes 4-6 the fields u^n, S_n and D = f^n + f^{n+1};
-    planes 0-3 their weighted sums ``coef`` @ planes 4-6, after which plane
-    0 receives the right-hand side, which the step's report reads after
-    the sweeps; the finish then takes the interior's |u^{n+1}| into plane 1
-    and the squares of the right-hand side into plane 2.  ``plan`` holds the
-    views of these planes, the history and ``tau_h_phi`` that a step reads
-    (see ``StepPlan``), built with them.
+    for the same levels (see ``_edge_terms``).
     """
 
     problem: ProblemSpec
     mesh: Mesh
-    mu: float
-    c: float
     history: np.ndarray
     forcing: Callable[[int], np.ndarray] = field(repr=False)
     f_current: np.ndarray = field(repr=False)
-    tau_h_phi: np.ndarray = field(repr=False)
-    coef: np.ndarray = field(repr=False)
-    sweep_x: TridiagOperator = field(repr=False)
-    sweep_y: TridiagOperator = field(repr=False)
-    kappa: np.ndarray = field(repr=False)
-    leaf_weights: np.ndarray = field(repr=False)
-    work: np.ndarray = field(repr=False)
-    boundary_rows: np.ndarray = field(repr=False)
     plan: StepPlan = field(repr=False)
+    boundary_rows: np.ndarray = field(repr=False)
     edges: tuple = field(default=(), repr=False)
     boundary_lo: int = 0
     current_level: int = 0
@@ -324,32 +320,17 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
 
     lam = scheme_weights(problem.alpha, mesh.N + 1)
     _check_scaling(problem.alpha, lam[0], mesh)
-    mu = mesh.tau ** (problem.alpha + 1.0) / 2.0
-    c = mu * lam[0]
-    kappa = lam[:-1] + lam[1:]
-    kappa[0] = lam[1]
     forcing = _forcing_source(problem, mesh)
     f_current = forcing(0)
     history = np.zeros((mesh.N + 1, *mesh.shape))
-    tau_h_phi = _tau_h_phi(problem, mesh)
-    work = np.empty((7, *mesh.shape))
     return SolverState(
         problem=problem,
         mesh=mesh,
-        mu=mu,
-        c=c,
         history=history,
         forcing=forcing,
         f_current=f_current,
-        tau_h_phi=tau_h_phi,
-        coef=_rhs_coefficients(c, mu, mesh.tau, mesh.h1, mesh.h2),
-        sweep_x=build_sweep_operator(mesh.M1 - 1, mesh.h1, c),
-        sweep_y=build_sweep_operator(mesh.M2 - 1, mesh.h2, c),
-        kappa=kappa,
-        leaf_weights=np.append(kappa[:_LEAF][::-1], 1.0),
-        work=work,
+        plan=_step_plan(problem, mesh, lam, history),
         boundary_rows=np.empty((0, *mesh.shape)),
-        plan=_step_plan(mesh, work, history, tau_h_phi),
     )
 
 
@@ -403,15 +384,15 @@ def _check_consistent(problem: ProblemSpec, mesh: Mesh) -> None:
 
 
 def _memory_sum(state: SolverState) -> np.ndarray:
-    """S_n for the current level n, in the state's memory-sum plane: one
+    """S_n for the current level n, in the plan's memory-sum plane: one
     product over history rows lo..n+1, the levels of n's own leaf (from
     lo) and, weighted 1, the pending far field stored in row n+1."""
     n = state.current_level
     lo = n - n % _LEAF
     plan = state.plan
-    np.matmul(state.leaf_weights[lo - n - 2:], plan.levels[lo:n + 2],
+    np.matmul(plan.leaf_weights[lo - n - 2:], plan.levels[lo:n + 2],
               out=plan.memory)
-    return state.work[5]
+    return plan.work[5]
 
 
 def _fold_far_field(state: SolverState, s: int) -> None:
@@ -423,7 +404,7 @@ def _fold_far_field(state: SolverState, s: int) -> None:
     t = min(b, len(flat) - s - 2)
     if t <= 0:
         return
-    fold_block(state.kappa, flat[s + 1 - b:s + 1], flat[s + 2:s + 2 + t])
+    fold_block(state.plan.kappa, flat[s + 1 - b:s + 1], flat[s + 2:s + 2 + t])
 
 
 def _rhs_raw(state: SolverState, f_next: np.ndarray) -> np.ndarray:
@@ -439,7 +420,7 @@ def _rhs_raw(state: SolverState, f_next: np.ndarray) -> np.ndarray:
 
     # rows (P_s, Q_s, P_m, Q_m), then P and Q in rows 2 and 3: each centre
     # term plus its neighbours along the flat view
-    np.matmul(state.coef, plan.fields, out=plan.weighted)
+    np.matmul(plan.coef, plan.fields, out=plan.weighted)
     np.add(plan.centre, plan.below, out=plan.centre)
     np.add(plan.centre, plan.above, out=plan.centre)
 
@@ -456,7 +437,7 @@ def _edge_terms(state: SolverState, rows: np.ndarray) -> tuple:
     boundary samples: the x sweep's sx.off * u* on rows 0 and -1, where u*
     = (Hy - c d2y) u^{n+1} is the y factor applied to the boundary trace,
     and the y sweep's sy.off * u^{n+1} on columns 0 and -1."""
-    sx, sy = state.sweep_x, state.sweep_y
+    sx, sy = state.plan.sweep_x, state.plan.sweep_y
     terms = []
     for trace in (rows[:, 0], rows[:, -1]):
         star = sy.diag * trace[:, 1:-1] + sy.off * (trace[:, :-2]
@@ -542,7 +523,7 @@ def _overflow_error(state: SolverState, level: int, f_next: np.ndarray,
     t = f"t = {level * state.mesh.tau:.6g}"
     data = ((f"the forcing f at {t}", f_next),
             (f"the boundary at {t}", state.boundary_rows[i]),
-            ("tau H phi", state.tau_h_phi))
+            ("tau H phi", state.plan.tau_h_phi))
     peak, name = max((float(np.abs(v).max()), name) for name, v in data)
     return SolverDivergenceError(
         level, f"the step to level {level} ({t}) overflowed the float "
@@ -553,7 +534,7 @@ def _sweeps(state: SolverState, rhs_int: np.ndarray, i: int) -> np.ndarray:
     """Interior of the next level by the x sweep, then the y sweep, from
     the right-hand side's interior and the boundary terms of row i of the
     state's block."""
-    sx, sy = state.sweep_x, state.sweep_y
+    sx, sy = state.plan.sweep_x, state.plan.sweep_y
     x_lo, x_hi, y_lo, y_hi = state.edges
 
     # F order: the x sweep solves its columns in place, without a copy

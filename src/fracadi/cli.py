@@ -37,6 +37,7 @@ from .problems import (
 )
 from .studies import (
     _EMIT_CHOICES as _STUDY_EMIT,
+    _FIXED_LEAST,
     StudyConfig,
     check_alphas,
     check_axis,
@@ -241,31 +242,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    # --axis, --alpha, --ladder, --fixed and --emit are checked before the
-    # problem is loaded, by StudyConfig's own rules or as the mesh's counts
+    # --axis, --alpha, --ladder, --fixed and --emit are checked by
+    # StudyConfig's own rules before the problem is loaded
     check_axis(args.axis)
     alphas = _alphas(args)
-    if args.alpha is not None:  # a file's own alpha is checked once loaded
+    if alphas != (None,):  # a file's own alpha is checked when it loads
         check_alphas(alphas)
     ladder = _parse_list(args.ladder, lambda v: _number(v, "--ladder", int))
     check_ladder(ladder, args.axis)
     fixed = args.fixed
     if fixed is None:
         fixed = TEMPORAL_M if args.axis == "temporal" else SPATIAL_N
-    # a temporal study fixes M (two cells at least), a spatial one N
-    fixed = _count(fixed, "--fixed", 2 if args.axis == "temporal" else 1)
+    fixed = _count(fixed, "--fixed", _FIXED_LEAST[args.axis])
     emit = _parse_list(args.emit, str)
     check_emit(emit, _STUDY_EMIT)
 
-    config = StudyConfig(
-        alphas=tuple(get_problem(args.problem, a).alpha for a in alphas),
-        axis=args.axis,
-        ladder=ladder,
-        fixed=fixed,
-        problem=args.problem,
-        out_dir=str(args.out),
-        emit=emit,
-    )
+    problem = args.problem
+    if alphas == (None,):  # the file's own alpha: load the file once
+        problem = get_problem(problem)
+        alphas = (problem.alpha,)
+    config = StudyConfig(alphas=alphas, axis=args.axis, ladder=ladder,
+                         fixed=fixed, problem=problem, out_dir=str(args.out),
+                         emit=emit)
     result = run_study(config)
     if "table" in emit or not emit:
         print(emit_table(result.rows), end="")

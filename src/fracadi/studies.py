@@ -28,6 +28,8 @@ from .problems import (
 
 _EMIT_CHOICES = ("table", "csv", "svg")
 _AXES = ("temporal", "spatial")
+# least fixed resolution per axis: two cells (temporal), one step (spatial)
+_FIXED_LEAST = {"temporal": 2, "spatial": 1}
 
 
 def check_emit(emit, choices: tuple[str, ...]) -> None:
@@ -93,8 +95,10 @@ class StudyConfig:
         check_axis(self.axis)
         check_alphas(self.alphas)
         check_ladder(self.ladder, self.axis)
-        if self.fixed < 1:
-            raise ValueError(f"fixed resolution must be positive, got {self.fixed}")
+        least = _FIXED_LEAST[self.axis]
+        if int(self.fixed) != self.fixed or self.fixed < least:
+            raise ValueError(f"fixed must be an integer >= {least} on the "
+                             f"{self.axis} axis, got {self.fixed}")
         check_emit(self.emit, _EMIT_CHOICES)
         if isinstance(self.problem, ProblemSpec):
             if tuple(self.alphas) != (self.problem.alpha,):

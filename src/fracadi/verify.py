@@ -470,7 +470,9 @@ def solve_direct(problem: ProblemSpec, mesh: Mesh) -> SolveResult:
             "the direct path is a small-grid reference only"
         )
     state = init_state(problem, mesh)
-    oracle = _DenseOracle(mesh, state.c)
+    # c = mu lambda_0, formed here rather than read from the solver's plan
+    mu = mesh.tau ** (problem.alpha + 1.0) / 2.0
+    oracle = _DenseOracle(mesh, mu * scheme_weights(problem.alpha, 0)[0])
     return _run(state, lambda s: _step(s, oracle.interior))
 
 

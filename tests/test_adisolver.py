@@ -46,6 +46,13 @@ def _mesh(problem, m1, m2, n):
     return Mesh(problem.L1, problem.L2, m1, m2, problem.T, n)
 
 
+def _mu_c(problem, mesh):
+    # the scheme's mu = tau^(alpha+1)/2 and c = mu lambda_0, formed here
+    # rather than read from the solver
+    mu = mesh.tau ** (problem.alpha + 1.0) / 2.0
+    return mu, mu * fracweights.scheme_weights(problem.alpha, 0)[0]
+
+
 class TestInitState:
     def test_initial_contents(self):
         p = make_example1(0.5)
@@ -56,8 +63,14 @@ class TestInitState:
         assert state.history.shape == (5, 7, 7)
         assert np.all(state.history == 0.0)
         assert np.shares_memory(state.u_current.values, state.history[0])
-        assert len(state.kappa) == mesh.N + 1
-        assert state.mu == pytest.approx(mesh.tau ** 1.5 / 2.0)
+        assert len(state.plan.kappa) == mesh.N + 1
+
+    def test_state_holds_only_the_run(self):
+        # what a level reads but never changes lives in the plan
+        names = [f.name for f in dataclasses.fields(adisolver.SolverState)]
+        assert names == ["problem", "mesh", "history", "forcing",
+                         "f_current", "plan", "boundary_rows", "edges",
+                         "boundary_lo", "current_level", "last_report"]
 
     def test_nonzero_psi_rejected(self):
         p = make_example1(0.5)
@@ -121,12 +134,11 @@ class TestStepping:
 
         # independent reassembly from the stored levels
         lam = fracweights.scheme_weights(p.alpha, n_steps + 1)
-        c = state.mu * lam[0]
-        assert state.c == c
+        mu, c = _mu_c(p, mesh)
         ref = split_product_apply(fields[n], c, sign=+1).values.copy()
         for m in range(n + 1):
             coef = lam[n + 1 - m] + (lam[n - m] if m <= n - 1 else 0.0)
-            ref += state.mu * coef * lambda_op(fields[m]).values
+            ref += mu * coef * lambda_op(fields[m]).values
         phi_grid = GridFn(mesh, sample_xy(p.phi, mesh))
         ref += mesh.tau * compact_h(phi_grid).values
         fsum = sample_xyt(p.forcing_f, mesh, n * mesh.tau) \
@@ -156,8 +168,9 @@ class TestStepping:
 
         phi = GridFn(mesh, sample_xy(p.phi, mesh))
         fsum = GridFn(mesh, state.f_current + f_next)
-        ref = (split_product_apply(state.u_current, state.c, +1).values
-               + state.mu * lambda_op(memory).values
+        mu, c = _mu_c(p, mesh)
+        ref = (split_product_apply(state.u_current, c, +1).values
+               + mu * lambda_op(memory).values
                + mesh.tau * compact_h(phi).values
                + 0.5 * mesh.tau * compact_h(fsum).values)[1:-1, 1:-1]
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -400,7 +413,7 @@ class TestBlockSampling:
         rows = adisolver._sample_levels(p.boundary, mesh, 1, 21, "boundary",
                                         frame=True)
         terms = adisolver._edge_terms(state, rows)
-        sx, sy = state.sweep_x, state.sweep_y
+        sx, sy = state.plan.sweep_x, state.plan.sweep_y
         for i, bvals in enumerate(rows):
             lo = sy.diag * bvals[0, 1:-1] + sy.off * (bvals[0, :-2]
                                                       + bvals[0, 2:])
@@ -467,11 +480,11 @@ _lambda_table = functools.lru_cache(fracweights.scheme_weights)
 
 def _naive_memory_sum(state):
     """The memory sum as one tensordot over the whole trajectory, written
-    where the step reads S_n: the memory-sum work plane."""
+    where the step reads S_n: the plan's memory-sum work plane."""
     n = state.current_level
     lam = _lambda_table(state.problem.alpha, state.mesh.N + 1)
     coef = _memory_coefficients(lam, n)
-    out = state.work[5]
+    out = state.plan.work[5]
     out[...] = np.tensordot(coef, state.history[:n + 1], axes=1)
     return out
 
@@ -570,9 +583,11 @@ class TestStepPlan:
         mesh = _mesh(p, 6, 5, 40)
         state = init_state(p, mesh)
         plan = state.plan
-        owners = (state.work, state.history, state.tau_h_phi)
+        owners = (plan.work, state.history, plan.tau_h_phi)
+        constants = {"coef", "kappa", "leaf_weights", "sweep_x", "sweep_y",
+                     "tau_h_phi", "cell", "work"}
         views = {f.name: getattr(plan, f.name)
-                 for f in dataclasses.fields(plan) if f.name != "cell"}
+                 for f in dataclasses.fields(plan) if f.name not in constants}
         for name, view in views.items():
             assert any(np.shares_memory(view, a) for a in owners), name
         assert plan.cell == mesh.h1 * mesh.h2
@@ -580,14 +595,14 @@ class TestStepPlan:
         # each view reads the right nodes: number every entry of the owners
         for a in owners:
             a[...] = np.arange(a.size).reshape(a.shape) + a.size
-        work, planes = state.work, state.work.reshape(7, -1)
+        work, planes = plan.work, plan.work.reshape(7, -1)
         rhs, mag, p_, q = work[:4]
         want = {
             "fields": planes[4:], "u_n": work[4], "memory": planes[5],
             "data": work[6], "weighted": planes[:4],
             "centre": planes[2:4, 1:-1], "below": planes[:2, :-2],
             "above": planes[:2, 2:], "p_below": p_[:-2], "p_above": p_[2:],
-            "q_mid": q[1:-1], "phi_mid": state.tau_h_phi[1:-1],
+            "q_mid": q[1:-1], "phi_mid": plan.tau_h_phi[1:-1],
             "rhs": rhs, "rhs_mid": rhs[1:-1], "rhs_int": rhs[1:-1, 1:-1],
             "mag_int": mag[1:-1, 1:-1],
             "levels": state.history.reshape(41, -1),

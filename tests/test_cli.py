@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracadi.cli as cli
-from fracadi import get_problem, homogenize_initial, mesh_for, solve
+from fracadi import get_problem, homogenize_initial, mesh_for, problems, solve
 from fracadi.problems import sample_xy
 from fracadi.studies import StudyConfig, run_study
 from fracadi.verify import SPATIAL_N, TEMPORAL_LADDER, TEMPORAL_M, CheckResult
@@ -580,6 +580,17 @@ _PSI_PROBLEM = {
                "(t**alpha / gamma(1 + alpha) + gamma(alpha + 4) "
                "/ gamma(2 * alpha + 4) * t**(2 * alpha + 3)))",
 }
+# a problem file whose own alpha differs from the builtins' default
+_ALPHA_PROBLEM = {
+    "alpha": 0.3,
+    "domain": [1.0, 1.0],
+    "final_time": 1.0,
+    "phi": "0",
+    "psi": "0",
+    "boundary": "0",
+    "forcing": "x * y",
+    "exact": "x * y * t",
+}
 
 
 class TestStudyCommand:
@@ -682,24 +693,35 @@ class TestStudyCommand:
     ], ids=["file", "flag"])
     def test_problem_file_alpha(self, tmp_path, capsys, flags, shown):
         # the file's alpha holds unless --alpha overrides it
-        prob = {
-            "alpha": 0.3,
-            "domain": [1.0, 1.0],
-            "final_time": 1.0,
-            "phi": "0",
-            "psi": "0",
-            "boundary": "0",
-            "forcing": "x * y",
-            "exact": "x * y * t",
-        }
         ppath = tmp_path / "alpha.json"
-        ppath.write_text(json.dumps(prob))
+        ppath.write_text(json.dumps(_ALPHA_PROBLEM))
         code = run_cli("study", "--problem", str(ppath), "--ladder", "2,4",
                        "--fixed", "4", "--emit", "table",
                        "--out", str(tmp_path / "out"), *flags)
         assert code == 0
         rows = capsys.readouterr().out.splitlines()[1:3]
         assert [row.split()[0] for row in rows] == [shown, shown]
+
+    @pytest.mark.parametrize("flags, alphas", [
+        ((), ["0.3", "0.3"]),
+        (("--alpha", "0.3,0.6"), ["0.3", "0.3", "0.6", "0.6"]),
+    ], ids=["file", "flag"])
+    def test_problem_file_loaded_once_per_alpha(self, tmp_path, monkeypatch,
+                                                flags, alphas):
+        ppath = tmp_path / "alpha.json"
+        ppath.write_text(json.dumps(_ALPHA_PROBLEM))
+        loads = []
+        load = problems.load_problem
+        monkeypatch.setattr(problems, "load_problem", lambda *args, **kw: (
+            loads.append(kw.get("alpha")) or load(*args, **kw)))
+        out = tmp_path / "out"
+        code = run_cli("study", "--problem", str(ppath), "--ladder", "2,4",
+                       "--fixed", "4", "--emit", "csv", "--out", str(out),
+                       *flags)
+        assert code == 0
+        assert len(loads) == len(set(alphas)), loads
+        rows = (out / "study.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == alphas
 
     def test_builtin_alpha_default(self, tmp_path, capsys):
         code = run_cli("study", "--ladder", "2,4", "--fixed", "4",

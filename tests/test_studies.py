@@ -35,10 +35,20 @@ class TestStudyConfig:
         dict(emit=("pdf",)),
         dict(alphas=(0.5, 0.5)),
         dict(axis="spatial", ladder=(1, 2)),
+        dict(fixed=1),
+        dict(axis="spatial", ladder=(2, 4), fixed=0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             tiny_config(**kwargs)
+
+    def test_fixed_floor_named(self):
+        # the CLI's floors: two cells on the temporal axis, one step on the
+        # spatial axis
+        with pytest.raises(ValueError, match=r"^fixed must be an integer "
+                           r">= 2 on the temporal axis, got 1$"):
+            tiny_config(fixed=1)
+        tiny_config(axis="spatial", ladder=(2, 4), fixed=1)
 
     def test_spec_alpha_mismatch(self):
         p = make_example1(0.5)
