@@ -118,7 +118,8 @@ def _block_levels(mesh: Mesh) -> int:
 def _sample_levels(func: Callable, mesh: Mesh, lo: int, hi: int,
                    field: str, *, frame: bool = False) -> np.ndarray:
     """func at levels lo..hi-1 in one call, shape (hi-lo, M1+1, M2+1);
-    with ``frame``, on the frame nodes only (see ``sample_xyt``)."""
+    with ``frame``, on the F frame nodes only, shape (hi-lo, F) (see
+    ``sample_xyt``)."""
     t = np.arange(lo, hi) * mesh.tau
     return sample_xyt(func, mesh, t[:, None, None], field=field, frame=frame)
 
@@ -186,8 +187,7 @@ class StepPlan:
     before and after), ``q_mid`` (plane 3) and ``phi_mid`` (of
     ``tau_h_phi``); ``rhs`` is plane 0, the right-hand side, and ``rhs_int``
     its interior, which the step's report reads after the sweeps.  The
-    finish takes the interior's |u^{n+1}| into ``mag_int`` (plane 1's
-    interior) and the squares of ``rhs_int`` into ``squares``, a contiguous
+    finish takes the squares of ``rhs_int`` into ``squares``, a contiguous
     stretch of plane 2, so that their sum is taken in the order it takes on
     a fresh array.  ``levels`` is the history with one flat row per level.
     """
@@ -215,7 +215,6 @@ class StepPlan:
     rhs: np.ndarray
     rhs_mid: np.ndarray
     rhs_int: np.ndarray
-    mag_int: np.ndarray
     squares: np.ndarray
     levels: np.ndarray
 
@@ -234,7 +233,7 @@ def _step_plan(problem: ProblemSpec, mesh: Mesh, lam: np.ndarray,
     work = np.empty((7, *mesh.shape))
     planes = work.reshape(len(work), -1)
     weighted = planes[:4]
-    rhs, mag, p, q = work[:4]
+    rhs, _, p, q = work[:4]
     rhs_int = rhs[1:-1, 1:-1]
     return StepPlan(
         coef=_rhs_coefficients(c, mu, mesh.tau, mesh.h1, mesh.h2),
@@ -260,7 +259,6 @@ def _step_plan(problem: ProblemSpec, mesh: Mesh, lam: np.ndarray,
         rhs=rhs,
         rhs_mid=rhs[1:-1],
         rhs_int=rhs_int,
-        mag_int=mag[1:-1, 1:-1],
         squares=planes[2, :rhs_int.size].reshape(rhs_int.shape),
         levels=history.reshape(len(history), -1),
     )
@@ -282,9 +280,10 @@ class SolverState:
     ``forcing(k)`` gives f at level k (see ``_forcing_source``) and
     ``f_current`` is f at ``current_level``.  ``boundary_rows`` holds the
     boundary samples of levels ``boundary_lo`` on, one block (see
-    ``_block_levels``) sampled on the frame only, which the step refills
-    once it runs past them; ``edges`` holds the sweeps' four boundary terms
-    for the same levels (see ``_edge_terms``).
+    ``_block_levels``) of b levels on the F nodes of ``mesh.frame``, shape
+    (b, F), which the step refills once it runs past them; ``edges`` holds
+    the sweeps' four boundary terms for the same levels (see
+    ``_edge_terms``).
     """
 
     problem: ProblemSpec
@@ -330,7 +329,7 @@ def init_state(problem: ProblemSpec, mesh: Mesh) -> SolverState:
         forcing=forcing,
         f_current=f_current,
         plan=_step_plan(problem, mesh, lam, history),
-        boundary_rows=np.empty((0, *mesh.shape)),
+        boundary_rows=np.empty((0, 0)),
     )
 
 
@@ -433,18 +432,20 @@ def _rhs_raw(state: SolverState, f_next: np.ndarray) -> np.ndarray:
 
 
 def _edge_terms(state: SolverState, rows: np.ndarray) -> tuple:
-    """The sweeps' four boundary terms for every level of a block of
-    boundary samples: the x sweep's sx.off * u* on rows 0 and -1, where u*
-    = (Hy - c d2y) u^{n+1} is the y factor applied to the boundary trace,
-    and the y sweep's sy.off * u^{n+1} on columns 0 and -1."""
+    """The sweeps' four boundary terms for every level of a block of frame
+    samples, shape (b, F): the x sweep's sx.off * u* on rows 0 and -1,
+    where u* = (Hy - c d2y) u^{n+1} is the y factor applied to the boundary
+    trace (the frame's first two stretches of M2+1 nodes), and the y
+    sweep's sy.off * u^{n+1} on columns 0 and -1 (its last two stretches of
+    M1-1 nodes)."""
     sx, sy = state.plan.sweep_x, state.plan.sweep_y
-    terms = []
-    for trace in (rows[:, 0], rows[:, -1]):
-        star = sy.diag * trace[:, 1:-1] + sy.off * (trace[:, :-2]
-                                                    + trace[:, 2:])
-        terms.append(sx.off * star)
-    terms += [sy.off * rows[:, 1:-1, 0], sy.off * rows[:, 1:-1, -1]]
-    return tuple(terms)
+    b, cols = len(rows), state.mesh.M2 + 1
+    traces = rows[:, :2 * cols].reshape(b, 2, cols)
+    star = sy.diag * traces[..., 1:-1] + sy.off * (traces[..., :-2]
+                                                   + traces[..., 2:])
+    sides = rows[:, 2 * cols:].reshape(b, 2, -1)
+    return (*np.swapaxes(sx.off * star, 0, 1),
+            *np.swapaxes(sy.off * sides, 0, 1))
 
 
 def _boundary(state: SolverState, k: int) -> int:
@@ -471,7 +472,7 @@ def _step(state: SolverState,
     for the interior nodes of the next level from the right-hand side's
     interior and row i of the state's boundary block (that level's samples
     and edge terms).  The new level is written straight into its history
-    row: the block row, then the interior."""
+    row: the block row on the frame, then the interior."""
     t0 = time.perf_counter_ns()
     mesh = state.mesh
     n = state.current_level
@@ -482,17 +483,16 @@ def _step(state: SolverState,
     i = _boundary(state, n + 1)
     _rhs_raw(state, f_next)
     # row n+1 held the pending far field, which the memory sum has read;
-    # the block row's interior is zero until the solve overwrites it
+    # the frame and the interior overwrite all of it
     plan = state.plan
-    new = state.history[n + 1]
-    np.copyto(new, state.boundary_rows[i])
+    plan.levels[n + 1][mesh.frame[2]] = state.boundary_rows[i]
     rhs_int = plan.rhs_int
-    new_int = new[1:-1, 1:-1]
-    new_int[...] = interior(state, rhs_int, i)
-
+    sol = interior(state, rhs_int, i)
     # the frame holds boundary samples, which sampling has checked are
-    # finite, so the interior's max is both the overflow guard and the norm
-    peak = float(np.abs(new_int, out=plan.mag_int).max())
+    # finite, so the interior's max |u| is both the overflow guard (a NaN
+    # fails it) and the norm
+    peak = float(max(abs(sol.max()), abs(sol.min())))
+    state.history[n + 1, 1:-1, 1:-1] = sol
     if not math.isfinite(peak):
         raise _overflow_error(state, n + 1, f_next, i)
     _fold_far_field(state, n + 1)

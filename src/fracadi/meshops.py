@@ -20,8 +20,9 @@ norms of the energy analysis are built on these kernels in ``verify``.
 A ``Mesh`` applies the one run-size rule, (N+1)(M1+1)(M2+1) <=
 ``MAX_RUN_ENTRIES``, when it is built, so a run too large to keep is
 refused before anything is sampled on its mesh.  Its node coordinates
-``x`` and ``y`` are computed once per mesh and are read-only: every sample
-on the mesh shares them.
+``x`` and ``y``, and its ``frame`` (the boundary nodes, on which the
+Dirichlet data are sampled and written), are computed once per mesh and
+are read-only: every sample on the mesh shares them.
 """
 
 from __future__ import annotations
@@ -88,6 +89,18 @@ class Mesh:
     @cached_property
     def y(self) -> np.ndarray:
         return _read_only(np.arange(self.M2 + 1) * self.h2)
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The F = 2 (M1 + M2) boundary nodes, rows 0 and M1, then columns
+        0 and M2 between them: their x and y, shape (1, F), and their flat
+        indices into the (M1+1) x (M2+1) grid; read-only."""
+        cols = self.M2 + 1
+        inner = np.arange(1, self.M1) * cols
+        index = np.concatenate((np.arange(cols), self.M1 * cols
+                                + np.arange(cols), inner, inner + self.M2))
+        return (_read_only(self.x[None, index // cols]),
+                _read_only(self.y[None, index % cols]), _read_only(index))
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -167,29 +167,18 @@ def sample_xyt(func: Callable, mesh: Mesh, t, *, field: str = "data",
     call, which gives an array of shape (b, M1+1, M2+1); a non-finite
     value names its own t.
 
-    With ``frame``, func is called once on the 2 (M1 + M2) frame nodes
-    only, x and y of shape (1, F) and t of shape (b, 1), and the result
-    has the same shape with a zero interior: rows 0 and M1, then columns
-    0 and M2 between them.
+    With ``frame``, func is called once on the F = 2 (M1 + M2) nodes of
+    ``mesh.frame`` only, x and y of shape (1, F) and t of shape (b, 1), and
+    the result holds those nodes' values in the frame's order, shape (b, F)
+    for an array t and (F,) for one time.
     """
     if not frame:
         shape = mesh.shape if isinstance(t, (int, float)) else None
         return _evaluate(func, field, mesh.x[:, None], mesh.y[None, :], t,
                          shape=shape)
-    x, y = mesh.x, mesh.y
-    inner = mesh.M1 - 1
-    fx = np.concatenate((np.zeros_like(y), np.full_like(y, x[-1]),
-                         x[1:-1], x[1:-1]))
-    fy = np.concatenate((y, y, np.zeros(inner), np.full(inner, y[-1])))
-    vals = _evaluate(func, field, fx[None, :], fy[None, :],
-                     np.reshape(t, (-1, 1)))
-    out = np.zeros((len(vals), *mesh.shape))
-    row, col = mesh.M2 + 1, 2 * (mesh.M2 + 1)
-    out[:, 0] = vals[:, :row]
-    out[:, -1] = vals[:, row:col]
-    out[:, 1:-1, 0] = vals[:, col:col + inner]
-    out[:, 1:-1, -1] = vals[:, col + inner:]
-    return out.reshape(*np.shape(t)[:-2], *mesh.shape)
+    x, y, _ = mesh.frame
+    vals = _evaluate(func, field, x, y, np.reshape(t, (-1, 1)))
+    return vals.reshape(*np.shape(t)[:-2], -1)
 
 
 def _number(value, label: str, kind: type = float):

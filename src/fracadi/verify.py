@@ -435,24 +435,18 @@ class _DenseOracle:
             - c * (np.kron(dx, hy) + np.kron(hx, dy))
             + c * c * np.kron(dx, dy)
         )
-        mask = np.zeros((m1, m2), dtype=bool)
-        mask[1:-1, 1:-1] = True
-        flat = mask.ravel()
-        self.interior_idx = np.nonzero(flat)[0]
-        self.boundary_idx = np.nonzero(~flat)[0]
-        rows = full[self.interior_idx]
-        self.lu = lu_factor(rows[:, self.interior_idx])
-        self.coupling = rows[:, self.boundary_idx]
+        interior_idx = np.arange(m1 * m2).reshape(m1, m2)[1:-1, 1:-1].ravel()
+        rows = full[interior_idx]
+        self.lu = lu_factor(rows[:, interior_idx])
+        self.coupling = rows[:, mesh.frame[2]]
 
     def interior(self, state: SolverState, rhs_int: np.ndarray,
                  i: int) -> np.ndarray:
         """Interior of the next level, the ``interior`` of ``_step``, from
         the right-hand side's interior: the boundary samples are row i of
-        the state's block, read on the frame."""
+        the state's block, in the order of ``mesh.frame``."""
         mesh = state.mesh
-        bvals = state.boundary_rows[i]
-        b = (rhs_int.ravel()
-             - self.coupling @ bvals.ravel()[self.boundary_idx])
+        b = rhs_int.ravel() - self.coupling @ state.boundary_rows[i]
         return lu_solve(self.lu, b).reshape(mesh.M1 - 1, mesh.M2 - 1)
 
 

@@ -103,6 +103,19 @@ class TestStepping:
         assert np.array_equal(u[:, 0], bvals[:, 0])
         assert np.array_equal(u[:, -1], bvals[:, -1])
 
+    def test_new_level_frame_equals_block_row(self):
+        # each level's frame is its row of the boundary block, bitwise, on
+        # the nodes of mesh.frame
+        p = equivalence_problem(0.4)
+        mesh = _mesh(p, 7, 9, 12)
+        state = init_state(p, mesh)
+        index = mesh.frame[2]
+        for k in range(1, mesh.N + 1):
+            adi_step(state)
+            row = state.boundary_rows[k - state.boundary_lo]
+            got = state.history[k].ravel()[index]
+            assert np.array_equal(got.view(np.uint64), row.view(np.uint64))
+
     def test_history_matches_operator(self):
         # the history stores the accepted fields; u_current views the last
         p = equivalence_problem(0.3)
@@ -188,6 +201,15 @@ class TestStepping:
         r1 = solve(p, mesh)
         r2 = solve_direct(p, mesh)
         assert np.max(np.abs(r1.final.values - r2.final.values)) < 1e-12
+
+    def test_adi_equals_direct_one_interior_row(self):
+        # M1 = 2: the x sweep solves one row, and the frame's columns hold
+        # one node each
+        p = equivalence_problem(0.5)
+        mesh = _mesh(p, 2, 3, 6)
+        adi = solve(p, mesh).state.history
+        dense = solve_direct(p, mesh).state.history
+        assert np.max(np.abs(adi - dense)) <= 1e-11
 
     # criterion 3's tolerance, on every level of random non-square runs
     @settings(max_examples=40, deadline=None)
@@ -364,17 +386,17 @@ class TestBlockSampling:
         frame = adisolver._sample_levels(p.boundary, mesh, 4, 17,
                                          "boundary", frame=True)
         grid = adisolver._sample_levels(p.boundary, mesh, 4, 17, "boundary")
-        assert frame.shape == grid.shape == (13, *mesh.shape)
-        assert not frame[:, 1:-1, 1:-1].any()
-        on_frame = np.ones(mesh.shape, dtype=bool)
-        on_frame[1:-1, 1:-1] = False
+        nodes = 2 * (mesh.M1 + mesh.M2)
+        assert grid.shape == (13, *mesh.shape)
+        assert frame.shape == (13, nodes)
+        on_frame = grid.reshape(13, -1)[:, mesh.frame[2]]
         # the same points in arrays of another length: a SIMD loop and a
         # scalar one may differ in the last bit
         scale = np.max(np.abs(grid))
-        assert (np.max(np.abs(frame - grid)[:, on_frame])
+        assert (np.max(np.abs(frame - on_frame))
                 <= 8 * np.finfo(float).eps * scale)
         one = sample_xyt(p.boundary, mesh, 0.25, frame=True)
-        assert one.shape == mesh.shape
+        assert one.shape == (nodes,)
         assert np.array_equal(one, sample_xyt(p.boundary, mesh, [[[0.25]]],
                                               frame=True)[0])
 
@@ -414,7 +436,9 @@ class TestBlockSampling:
                                         frame=True)
         terms = adisolver._edge_terms(state, rows)
         sx, sy = state.plan.sweep_x, state.plan.sweep_y
-        for i, bvals in enumerate(rows):
+        for i, row in enumerate(rows):
+            bvals = np.zeros(mesh.shape)
+            bvals.flat[mesh.frame[2]] = row
             lo = sy.diag * bvals[0, 1:-1] + sy.off * (bvals[0, :-2]
                                                       + bvals[0, 2:])
             hi = sy.diag * bvals[-1, 1:-1] + sy.off * (bvals[-1, :-2]
@@ -596,7 +620,7 @@ class TestStepPlan:
         for a in owners:
             a[...] = np.arange(a.size).reshape(a.shape) + a.size
         work, planes = plan.work, plan.work.reshape(7, -1)
-        rhs, mag, p_, q = work[:4]
+        rhs, _, p_, q = work[:4]
         want = {
             "fields": planes[4:], "u_n": work[4], "memory": planes[5],
             "data": work[6], "weighted": planes[:4],
@@ -604,7 +628,6 @@ class TestStepPlan:
             "above": planes[:2, 2:], "p_below": p_[:-2], "p_above": p_[2:],
             "q_mid": q[1:-1], "phi_mid": plan.tau_h_phi[1:-1],
             "rhs": rhs, "rhs_mid": rhs[1:-1], "rhs_int": rhs[1:-1, 1:-1],
-            "mag_int": mag[1:-1, 1:-1],
             "levels": state.history.reshape(41, -1),
         }
         assert set(want) | {"squares"} == set(views)

@@ -83,6 +83,29 @@ class TestMesh:
         assert other.x is not mesh.x
 
 
+    @pytest.mark.parametrize("m1, m2", [(5, 7), (2, 2)])
+    def test_frame_nodes(self, m1, m2):
+        mesh = Mesh(2.0, 3.0, m1, m2, 1.5, 3)
+        x, y, index = mesh.frame
+        assert mesh.frame is mesh.frame
+        nodes = 2 * (m1 + m2)
+        assert x.shape == y.shape == (1, nodes) and index.shape == (nodes,)
+        # the complement of the interior: rows 0 and M1, then columns 0
+        # and M2 between them
+        grid = np.arange((m1 + 1) * (m2 + 1)).reshape(m1 + 1, m2 + 1)
+        want = np.concatenate((grid[0], grid[-1], grid[1:-1, 0],
+                               grid[1:-1, -1]))
+        assert np.array_equal(index, want)
+        assert np.array_equal(np.sort(np.concatenate(
+            (index, grid[1:-1, 1:-1].ravel()))), grid.ravel())
+        i, j = np.divmod(index, m2 + 1)
+        assert np.array_equal(x[0], mesh.x[i])
+        assert np.array_equal(y[0], mesh.y[j])
+        for vals in (x, y, index):
+            with pytest.raises(ValueError, match="read-only"):
+                vals[..., 0] = 7
+
+
 class TestGridFn:
     def test_shape_check(self, small_mesh):
         with pytest.raises(ValueError, match="shape"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracadi import StudyConfig, make_example1, run_study, studies
-from fracadi.problems import make_random_problem
+from fracadi.problems import ProblemSpec, make_random_problem
 from fracadi.studies import (
     ConvergenceRow,
     emit_csv,
@@ -109,6 +109,60 @@ class TestRunStudy:
         with pytest.raises(ValueError, match="run-size limit"):
             run_study(config)
         assert calls == []
+
+
+def _shifted_dirichlet_problem(alpha):
+    """u = S (1 + t**(alpha+3)) + H on (0, pi) x (0, 2), with S =
+    sin(x + 0.7) sin(1.2 y + 0.4) (so -Laplacian S = 2.44 S) and H a
+    harmonic polynomial: a time-dependent boundary and a nonzero psi =
+    S + H, which the study's reduction shifts away."""
+    k = 1.0 + 1.2**2
+    memory_coef = math.gamma(alpha + 4.0) / math.gamma(2.0 * alpha + 4.0)
+
+    def s(x, y):
+        return np.sin(x + 0.7) * np.sin(1.2 * y + 0.4)
+
+    def h(x, y):
+        return 0.3 + 0.5 * x - 0.2 * y + 0.4 * (x**2 - y**2) + 0.25 * x * y
+
+    def u(x, y, t):
+        return s(x, y) * (1.0 + t ** (alpha + 3.0)) + h(x, y)
+
+    def forcing(x, y, t):
+        # u_t + I^alpha(-Laplacian u), with I^alpha t**(alpha+3) =
+        # memory_coef t**(2 alpha + 3)
+        memory = (t**alpha / math.gamma(1.0 + alpha)
+                  + memory_coef * t ** (2.0 * alpha + 3.0))
+        return s(x, y) * ((alpha + 3.0) * t ** (alpha + 2.0) + k * memory)
+
+    return ProblemSpec(
+        name="shifted-dirichlet", alpha=alpha, domain=(math.pi, 2.0), T=1.0,
+        phi=lambda x, y: 0.0 * x * y, psi=lambda x, y: s(x, y) + h(x, y),
+        boundary=u, forcing_f=forcing, exact=u,
+        psi_laplacian=lambda x, y: -k * s(x, y),
+    )
+
+
+class TestOrdersOnShiftedDirichletData:
+    """The paper's orders on a nonzero, time-dependent boundary and a
+    nonzero psi: the frame sampling, the sweeps' edge terms and the psi
+    shift all enter every level.  Same rate windows as the acceptance
+    criteria on example1, whose boundary and psi are zero."""
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5])
+    def test_temporal_order_two(self, alpha):
+        result = run_study(StudyConfig(
+            alphas=(alpha,), axis="temporal", ladder=(10, 20, 40, 80),
+            fixed=32, problem=_shifted_dirichlet_problem(alpha), emit=()))
+        rates = [row.rate for row in result.rows[1:]]
+        assert all(1.93 <= r <= 2.07 for r in rates), rates
+
+    def test_spatial_order_four(self):
+        result = run_study(StudyConfig(
+            alphas=(0.5,), axis="spatial", ladder=(4, 8, 16), fixed=2000,
+            problem=_shifted_dirichlet_problem(0.5), emit=()))
+        rates = [row.rate for row in result.rows[1:]]
+        assert all(3.8 <= r <= 4.2 for r in rates), rates
 
 
 class TestEmission:
