@@ -7,8 +7,9 @@ Three subcommands:
   study    run a refinement ladder and tabulate errors and observed orders
   verify   run the numerical self-check suite (quick or full)
 
-A JSON config file can be passed with --config; its entries override any
-flags given on the command line.  Failures print one machine-readable JSON
+A JSON config file can be passed to solve and study with --config; its
+entries override any flags given on the command line, each read as the
+text its flag would carry.  Failures print one machine-readable JSON
 line to stderr and exit nonzero.
 """
 
@@ -65,7 +66,8 @@ _SIGPIPE_EXIT = 141
 
 def build_parser() -> argparse.ArgumentParser:
     # argparse only splits argv: each value is checked by the code that
-    # uses it, so a bad flag and a bad --config entry fail alike
+    # uses it, so a bad flag and a bad --config entry fail alike.  Every
+    # value is flag text, defaults included
     parser = argparse.ArgumentParser(
         prog="fracadi",
         description="compact ADI solver for time-fractional diffusion-wave "
@@ -79,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--alpha", default=None,
                     help="fractional order in (0, 1) (default: the problem "
                          f"file's alpha; {_BUILTIN_ALPHA} for a builtin)")
-    ps.add_argument("--m", default=16,
+    ps.add_argument("--m", default="16",
                     help="cells per spatial axis (default: 16)")
-    ps.add_argument("--n", default=10,
+    ps.add_argument("--n", default="10",
                     help="time steps (default: 10)")
     ps.add_argument("--out", default="out", help="output directory")
     ps.add_argument("--emit", default="",
@@ -100,9 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "builtin)")
     pt.add_argument("--axis", default="temporal",
                     help="temporal or spatial (default: temporal)")
-    pt.add_argument("--ladder", default=TEMPORAL_LADDER,
+    pt.add_argument("--ladder", default=",".join(map(str, TEMPORAL_LADDER)),
                     help="comma list of N (temporal) or M (spatial) values "
-                         f"(default: {','.join(map(str, TEMPORAL_LADDER))})")
+                         "(default: %(default)s)")
     pt.add_argument("--fixed", default=None,
                     help="fixed M for temporal axis / fixed N for spatial "
                          f"(defaults: {TEMPORAL_M} / {SPATIAL_N})")
@@ -134,13 +136,13 @@ def _apply_config(args: argparse.Namespace) -> None:
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest in ("func", "command", "config"):
             raise ValueError(f"config {path}: unknown key {key!r}")
-        setattr(args, dest, value)
+        if value is not None:  # read as the text its flag would carry
+            setattr(args, dest, ",".join(map(str, value))
+                    if isinstance(value, list) else str(value))
 
 
-def _parse_list(value, cast):
-    if isinstance(value, (list, tuple)):
-        return tuple(cast(v) for v in value)
-    value = str(value).strip()
+def _parse_list(value: str, cast):
+    value = value.strip()
     if not value:
         return ()
     return tuple(cast(v.strip()) for v in value.split(","))
@@ -262,7 +264,7 @@ def cmd_study(args: argparse.Namespace) -> int:
         problem = get_problem(problem)
         alphas = (problem.alpha,)
     config = StudyConfig(alphas=alphas, axis=args.axis, ladder=ladder,
-                         fixed=fixed, problem=problem, out_dir=str(args.out),
+                         fixed=fixed, problem=problem, out_dir=args.out,
                          emit=emit)
     result = run_study(config)
     if "table" in emit or not emit:

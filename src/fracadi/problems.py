@@ -23,7 +23,7 @@ import ast
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -88,9 +88,13 @@ class ProblemSpec:
             raise ValueError(f"domain extents must be positive, got {self.domain}")
         if not (self.T > 0 and math.isfinite(self.T)):
             raise ValueError(f"final time must be positive, got {self.T}")
-        for field in ("phi", "psi", "boundary"):
-            if not callable(getattr(self, field)):
-                raise ValueError(f"{field} must be callable")
+        # a field declared Callable holds one when it is required (its
+        # default is MISSING) or given (it is not its default, None)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if ("Callable" in str(f.type) and value is not f.default
+                    and not callable(value)):
+                raise ValueError(f"{f.name} must be callable, got {value!r}")
         if self.forcing_f is None and self.caputo_forcing is None:
             raise ValueError("either forcing_f or caputo_forcing must be given")
         self._check_compatibility()
@@ -502,6 +506,9 @@ _EXPR_FUNCS = {
 }
 _EXPR_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 _EXPR_UNARYOPS = (ast.UAdd, ast.USub)
+# nodes admitted as they are; an operator is checked at its own node
+_EXPR_STRUCTURE = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Load,
+                   *_EXPR_BINOPS, *_EXPR_UNARYOPS)
 
 
 def compile_expression(source: str, *, alpha: float,
@@ -509,10 +516,13 @@ def compile_expression(source: str, *, alpha: float,
                        label: str = "expression") -> Callable:
     """Compile an arithmetic expression string into a vectorized callable.
 
-    Only literals, the listed variables, ``alpha``, ``pi``, arithmetic
-    operators, and a small set of elementary functions are admitted; any
-    other syntax raises ValueError.  The returned callable always takes
-    (x, y, t) regardless of which variables the expression mentions.
+    Only literals, the listed variables, ``alpha``, ``pi``, the operators
+    ``+ - * / **`` and unary ``+ -``, and one-argument calls of a small set
+    of elementary functions are admitted; a function's name may stand only
+    as the function of a call.  Anything else raises a ValueError naming
+    it, checked at its own node in one walk of the tree.  The returned
+    callable always takes (x, y, t) regardless of which variables the
+    expression mentions.
     Integer literals become floats, so a power such as ``9**9**9`` overflows
     at once instead of growing a big integer; an arithmetic error or a
     complex value during evaluation is raised as a ValueError that starts
@@ -528,9 +538,10 @@ def compile_expression(source: str, *, alpha: float,
                          f"too deeply to parse") from exc
 
     allowed_names = set(variables) | {"alpha", "pi"}
+    # the walk reaches a call before its function's name, which the Call
+    # branch checks against _EXPR_FUNCS; every other name is a value
+    callees = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Expression):
-            continue
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
                 raise ValueError(f"disallowed literal {node.value!r} in {source!r}")
@@ -539,14 +550,8 @@ def compile_expression(source: str, *, alpha: float,
             except OverflowError as exc:
                 raise ValueError(f"literal too large in {source!r}") from exc
         elif isinstance(node, ast.Name):
-            if node.id not in allowed_names and node.id not in _EXPR_FUNCS:
+            if node not in callees and node.id not in allowed_names:
                 raise ValueError(f"unknown name {node.id!r} in {source!r}")
-        elif isinstance(node, ast.BinOp):
-            if not isinstance(node.op, _EXPR_BINOPS):
-                raise ValueError(f"disallowed operator in {source!r}")
-        elif isinstance(node, ast.UnaryOp):
-            if not isinstance(node.op, _EXPR_UNARYOPS):
-                raise ValueError(f"disallowed operator in {source!r}")
         elif isinstance(node, ast.Call):
             if (not isinstance(node.func, ast.Name)
                     or node.func.id not in _EXPR_FUNCS
@@ -555,7 +560,8 @@ def compile_expression(source: str, *, alpha: float,
             if len(node.args) != 1:
                 raise ValueError(f"{node.func.id} takes one argument, got "
                                  f"{len(node.args)} in {source!r}")
-        elif isinstance(node, (ast.Load, *_EXPR_BINOPS, *_EXPR_UNARYOPS)):
+            callees.add(node.func)
+        elif isinstance(node, _EXPR_STRUCTURE):
             continue
         else:
             raise ValueError(
@@ -593,7 +599,8 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
     Required keys: domain (pair), final_time, phi, psi, boundary, and at
     least one of forcing / caputo_forcing; alpha is required in the file
     unless supplied as an override here.  Space-only fields may not mention
-    t.  Malformed files raise ValueError naming the offending key.
+    t.  Malformed files and any other key raise ValueError naming the
+    offending key.
     """
     path = Path(path)
     try:
@@ -602,6 +609,9 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
         raise ValueError(f"problem file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"problem file {path} must contain a JSON object")
+    for key in sorted(data.keys() - {"name", "alpha", "domain", "final_time",
+                                     *_SPACE_ONLY, *_SPACE_TIME}):
+        raise ValueError(f"problem file {path}: unknown key {key!r}")
 
     if alpha is None:
         if "alpha" not in data:
@@ -628,16 +638,16 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
         except ValueError as exc:
             raise ValueError(f"problem file {path}, key {key!r}: {exc}") from exc
 
-    # a missing or null phi, psi or boundary is zero
-    fields: dict = {"phi": _zero_xy, "psi": _zero_xy, "boundary": _zero_xyt}
+    # a null phi, psi or boundary is zero (a missing one was refused above)
+    funcs: dict = {"phi": _zero_xy, "psi": _zero_xy, "boundary": _zero_xyt}
     for key in _SPACE_ONLY:
         fn = compiled(key, ("x", "y"))
         if fn is not None:
-            fields[key] = (lambda g: (lambda x, y: g(x, y, 0.0)))(fn)
+            funcs[key] = (lambda g: (lambda x, y: g(x, y, 0.0)))(fn)
     for key in _SPACE_TIME:
         fn = compiled(key, ("x", "y", "t"))
         if fn is not None:
-            fields["forcing_f" if key == "forcing" else key] = fn
+            funcs["forcing_f" if key == "forcing" else key] = fn
 
     return ProblemSpec(
         name=str(data.get("name", path.stem)),
@@ -645,7 +655,7 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
         domain=tuple(_number(v, f"problem file {path}, key 'domain'")
                      for v in domain),
         T=_number(data["final_time"], f"problem file {path}, key 'final_time'"),
-        **fields,
+        **funcs,
     )
 
 
@@ -655,8 +665,14 @@ BUILTIN_PROBLEMS: dict[str, Callable[[float], ProblemSpec]] = {
 
 
 def get_problem(ref, alpha: float | None = None) -> ProblemSpec:
-    """Resolve a reference: a ProblemSpec, a builtin name, or a JSON path."""
+    """Resolve a reference: a ProblemSpec, a builtin name, or a JSON path.
+
+    A ProblemSpec fixes its own alpha: a different ``alpha`` is refused.
+    """
     if isinstance(ref, ProblemSpec):
+        if alpha is not None and alpha != ref.alpha:
+            raise ValueError(f"problem {ref.name!r} has alpha {ref.alpha}, "
+                             f"not {alpha}")
         return ref
     if isinstance(ref, str) and ref in BUILTIN_PROBLEMS:
         if alpha is None:

@@ -354,9 +354,48 @@ class TestSolveCommand:
         text = capsys.readouterr().out
         assert "alpha=0.25  grid 6x6  steps 3" in text
 
+    @pytest.mark.parametrize("value, shown", [(123, "'123'"),
+                                              (["a", "b"], "'a,b'")],
+                             ids=["number", "list"])
+    def test_config_problem_is_flag_text(self, tmp_path, monkeypatch, capsys,
+                                         value, shown):
+        # a config entry is the text its flag would carry, so a problem
+        # that is not a name is refused as one, not by a TypeError
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"problem": value}))
+        code = run_cli("solve", "--m", "4", "--n", "2", "--config", str(cfg))
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"unknown problem {shown}: ")
+
+    def test_config_out_is_flag_text(self, tmp_path, monkeypatch, capsys):
+        # {"out": 5} writes where --out 5 does
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": 5}))
+        written = []
+        for argv in (("--config", str(cfg)), ("--out", "5")):
+            code = run_cli("solve", "--m", "4", "--n", "2", "--emit", "csv",
+                           *argv)
+            assert code == 0
+            assert "wrote 5/final.csv" in capsys.readouterr().out
+            written.append((tmp_path / "5" / "final.csv").read_bytes())
+            (tmp_path / "5" / "final.csv").unlink()
+        assert written[0] == written[1]
+
+    def test_config_null_entry_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"m": None, "n": 2}))
+        code = run_cli("solve", "--config", str(cfg))
+        assert code == 0
+        assert "grid 16x16  steps 2" in capsys.readouterr().out
+
     @pytest.mark.parametrize("command, entries, flag", [
         ("solve", {"m": 8.7}, "--m"),
         ("solve", {"n": True}, "--n"),
+        ("solve", {"m": True}, "--m"),
         ("solve", {"alpha": "0.5x"}, "--alpha"),
         ("solve", {"snapshot_every": 2.5, "emit": "snapshots"},
          "--snapshot-every"),
@@ -364,9 +403,9 @@ class TestSolveCommand:
         ("study", {"ladder": "2,x"}, "--ladder"),
         ("study", {"fixed": 4.5}, "--fixed"),
         ("study", {"alpha": [0.5, "x"]}, "--alpha"),
-    ], ids=["m-fraction", "n-bool", "alpha-string", "snapshot-fraction",
-            "ladder-fraction", "ladder-string", "fixed-fraction",
-            "alpha-list-string"])
+    ], ids=["m-fraction", "n-bool", "m-bool", "alpha-string",
+            "snapshot-fraction", "ladder-fraction", "ladder-string",
+            "fixed-fraction", "alpha-list-string"])
     def test_config_bad_number_named(self, tmp_path, capsys, command,
                                      entries, flag):
         # a config number is never truncated or reported without its flag
@@ -779,6 +818,13 @@ class TestVerifyCommand:
 
 
 class TestParser:
+    @pytest.mark.parametrize("command", ["solve", "study", "verify"])
+    def test_defaults_are_flag_text(self, command):
+        # every value a command reads is text, as from argv or --config
+        args = vars(cli.build_parser().parse_args([command]))
+        assert all(v is None or isinstance(v, str)
+                   for k, v in args.items() if k != "func")
+
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args([])

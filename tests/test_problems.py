@@ -111,6 +111,22 @@ class TestProblemSpecValidation:
                 phi=_zero_xy, psi=_zero_xy, boundary=_zero_xyt,
             )
 
+    @pytest.mark.parametrize("field, value", [
+        *((f, 3.0) for f in ("forcing_f", "caputo_forcing", "exact",
+                             "psi_laplacian", "exact_dt", "exact_laplacian")),
+        *((f, None) for f in ("phi", "psi", "boundary")),
+    ])
+    def test_non_callable_field_named(self, field, value):
+        # each optional field when given, and each required one, is checked
+        # when the spec is built, not where the solve first calls it
+        data = dict(name="p", alpha=0.5, domain=(1.0, 1.0), T=1.0,
+                    phi=_zero_xy, psi=_zero_xy, boundary=_zero_xyt,
+                    forcing_f=_zero_xyt)
+        data[field] = value
+        with pytest.raises(ValueError,
+                           match=f"^{field} must be callable, got {value}$"):
+            ProblemSpec(**data)
+
     @pytest.mark.parametrize("kwargs", [
         dict(alpha=0.0), dict(alpha=1.5), dict(domain=(0.0, 1.0)),
         dict(domain=(1.0,)), dict(T=-1.0),
@@ -451,6 +467,15 @@ class TestCompileExpression:
         with pytest.raises(ValueError):
             compile_expression(src, alpha=0.5)
 
+    @pytest.mark.parametrize("src, value", [
+        ("-x", -0.5),
+        ("+pi", math.pi),
+        ("sin(x)**2 + gamma(alpha+1)*t", math.sin(0.5)**2 + math.gamma(1.5)*2),
+    ], ids=["minus", "plus", "calls"])
+    def test_operators_and_calls_accepted(self, src, value):
+        f = compile_expression(src, alpha=0.5)
+        assert f(0.5, 0.25, 2.0) == pytest.approx(value, rel=1e-15)
+
     def test_integer_literals_are_floats(self):
         f = compile_expression("x*0 + 9**9**9", alpha=0.5, label="forcing")
         with pytest.raises(ValueError, match="^forcing: .*9\\*\\*9"):
@@ -600,6 +625,47 @@ class TestLoadProblem:
         assert str(path) in str(info.value)
         assert f"key {key!r}" in str(info.value)
 
+    @pytest.mark.parametrize("src, named", [
+        ("x % 2", "disallowed syntax Mod in 'x % 2'"),
+        ("x // 2", "disallowed syntax FloorDiv in 'x // 2'"),
+        ("~x", "disallowed syntax Invert in '~x'"),
+        ("not x", "disallowed syntax Not in 'not x'"),
+        ("x @ y", "disallowed syntax MatMult in 'x @ y'"),
+        ("x < y", "disallowed syntax Compare in 'x < y'"),
+        # a function's name is a value only as the function of a call
+        ("sin + x", "unknown name 'sin' in 'sin + x'"),
+        ("sin", "unknown name 'sin' in 'sin'"),
+        ("sin(sin)", "unknown name 'sin' in 'sin(sin)'"),
+        ("gamma * t", "unknown name 'gamma' in 'gamma * t'"),
+        ("x(1)", "disallowed function call in 'x(1)'"),
+    ], ids=["mod", "floordiv", "invert", "not", "matmul", "compare",
+            "func-in-sum", "func-alone", "func-as-argument", "func-times",
+            "call-of-variable"])
+    def test_refused_expression_named(self, tmp_path, src, named):
+        # refused when the file loads, before anything is sampled, with the
+        # file, the key and the refused syntax or name in the message
+        data = dict(EXAMPLE_JSON, forcing=src)
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as info:
+            load_problem(path)
+        assert str(info.value) == (
+            f"problem file {path}, key 'forcing': {named}")
+
+    @pytest.mark.parametrize("key, typo", [("exact", "exactt"),
+                                           ("forcing", "forcnig")])
+    def test_unknown_key_named(self, tmp_path, key, typo):
+        # a misspelled key is refused before anything compiles (this phi
+        # would be refused too), not dropped: a lost exact would skip error
+        # tracking, a lost forcing would run the caputo_forcing table
+        data = dict(EXAMPLE_JSON, phi="x % 2", caputo_forcing="0")
+        data[typo] = data.pop(key)
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as info:
+            load_problem(path)
+        assert str(info.value) == f"problem file {path}: unknown key {typo!r}"
+
     def test_name_defaults_to_stem(self, tmp_path):
         data = dict(EXAMPLE_JSON)
         del data["name"]
@@ -620,6 +686,13 @@ class TestGetProblem:
     def test_spec_passthrough(self):
         p = make_example1(0.3)
         assert get_problem(p) is p
+
+    def test_spec_fixes_its_alpha(self):
+        p = make_example1(0.5)
+        assert get_problem(p, 0.5) is p
+        with pytest.raises(ValueError, match="^problem 'example1' has alpha "
+                                             "0.5, not 0.3$"):
+            get_problem(p, 0.3)
 
     def test_path(self, tmp_path):
         path = tmp_path / "prob.json"
