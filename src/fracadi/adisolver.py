@@ -101,7 +101,7 @@ class SolverDivergenceError(RuntimeError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepReport:
     level: int
     wall_time_ns: int

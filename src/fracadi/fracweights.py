@@ -24,8 +24,8 @@ folded into the t <= b levels after it.  A block of up to
 ``_TOEPLITZ_MAX_BLOCK`` levels is folded by one BLAS ``dgemm`` that adds the
 Toeplitz product into the target rows in place (beta = 1), over row chunks
 whose Toeplitz slice stays within ``_SCRATCH_BYTES``; a longer block by
-``scipy.fft`` along axis 0, at ``next_fast_len(b + t)``, over column chunks
-of the block and its targets.
+``numpy.fft`` along axis 0, at the smallest 2^a 3^b 5^c length that holds
+the block and its targets, over column chunks of both.
 
 ``wsgd_integral`` applies the weighted-shifted Grunwald quadrature, which
 is the causal convolution with the lambda weights, to a sampled function;
@@ -123,6 +123,21 @@ def completed_block(s: int) -> int:
     return 0 if r or not q else _LEAF * (q & -q)
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length pocketfft transforms fast
+    (``scipy.fft.next_fast_len(n, real=True)``)."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # 3^b 5^c times the least power of two that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def fold_block(kernel: np.ndarray, block: np.ndarray,
                targets: np.ndarray) -> None:
     """Add a block of b source levels to the t <= b target levels after it.
@@ -151,19 +166,14 @@ def fold_block(kernel: np.ndarray, block: np.ndarray,
             assert np.shares_memory(out, targets)
         return
 
-    # imported here, not with the module: only runs of more than
-    # 2 * _TOEPLITZ_MAX_BLOCK levels get here, and the import costs the
-    # others about 30 ms of start-up
-    import scipy.fft
-
-    n = scipy.fft.next_fast_len(b + t, real=True)
-    kernel_hat = scipy.fft.rfft(kernel[:b + t], n=n)[:, None]
+    n = _fast_len(b + t)
+    kernel_hat = np.fft.rfft(kernel[:b + t], n=n)[:, None]
     # a column's input, padded input, spectrum and output
     chunk = max(1, _SCRATCH_BYTES // (8 * b + 32 * n))
     for c in range(0, block.shape[1], chunk):
-        spec = scipy.fft.rfft(block[:, c:c + chunk], n=n, axis=0)
+        spec = np.fft.rfft(block[:, c:c + chunk], n=n, axis=0)
         spec *= kernel_hat
-        targets[:, c:c + chunk] += scipy.fft.irfft(spec, n=n, axis=0)[b:b + t]
+        targets[:, c:c + chunk] += np.fft.irfft(spec, n=n, axis=0)[b:b + t]
 
 
 def causal_convolve(kernel: np.ndarray, samples: np.ndarray) -> np.ndarray:

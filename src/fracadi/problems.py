@@ -23,6 +23,7 @@ import ast
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -35,6 +36,11 @@ from .meshops import Mesh
 # initial-data tolerance: the boundary at t=0 must match psi, and psi counts
 # as zero (``homogenize_initial``, ``adisolver.init_state``), within it
 _COMPAT_TOL = 1e-12
+
+
+def _is_real(value) -> bool:
+    """A real number of any numeric type, numpy's included; not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _zero_xy(x, y):
@@ -81,9 +87,18 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-        if len(self.domain) != 2:
-            raise ValueError("domain must be a pair (L1, L2)")
-        L1, L2 = self.domain
+        # types first: a str or None would fail the comparisons unnamed
+        try:
+            L1, L2 = self.domain
+        except (TypeError, ValueError):
+            raise ValueError(f"domain must be a pair (L1, L2), "
+                             f"got {self.domain!r}") from None
+        if not (_is_real(L1) and _is_real(L2)):
+            raise ValueError(f"domain extents must be real numbers, "
+                             f"got {self.domain!r}")
+        if not _is_real(self.T):
+            raise ValueError(f"final time T must be a real number, "
+                             f"got {self.T!r}")
         if not (L1 > 0 and L2 > 0 and math.isfinite(L1) and math.isfinite(L2)):
             raise ValueError(f"domain extents must be positive, got {self.domain}")
         if not (self.T > 0 and math.isfinite(self.T)):
@@ -649,8 +664,15 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
         if fn is not None:
             funcs["forcing_f" if key == "forcing" else key] = fn
 
+    # a null name is absent, as a null field is
+    name = data.get("name")
+    if name is None:
+        name = path.stem
+    elif not isinstance(name, str):
+        raise ValueError(f"problem file {path}: name must be a string")
+
     return ProblemSpec(
-        name=str(data.get("name", path.stem)),
+        name=name,
         alpha=alpha,
         domain=tuple(_number(v, f"problem file {path}, key 'domain'")
                      for v in domain),

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import json
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -476,9 +477,6 @@ class TestForcingTable:
         p = dataclasses.replace(make_example1(0.5), forcing_f=None)
         mesh = mesh_for(p, 16, n=2000)
         table_bytes = 8 * (mesh.N + 1) * (mesh.M1 + 1) * (mesh.M2 + 1)
-        # the table's FFT folds load scipy.fft; a process's first import of
-        # it allocates about 0.6 MB of modules, which are not the fold's
-        import scipy.fft  # noqa: F401
         tracemalloc.start()
         try:
             forcing = adisolver._wsgd_forcing_levels(p, mesh)
@@ -690,6 +688,15 @@ class TestSolve:
         assert [r.level for r in res.reports] == [1, 2, 3, 4, 5]
         assert all(r.wall_time_ns > 0 for r in res.reports)
         assert all(np.isfinite(r.rhs_norm) for r in res.reports)
+
+    def test_reports_are_slotted(self):
+        # a run keeps one report per level: no per-instance __dict__, and
+        # a report still pickles and hashes
+        p = make_example1(0.5)
+        report = solve(p, mesh_for(p, 4, n=2)).reports[-1]
+        assert not hasattr(report, "__dict__")
+        assert pickle.loads(pickle.dumps(report)) == report
+        assert hash(report) == hash(dataclasses.replace(report))
 
     def test_snapshots(self):
         # every level stays in the history; the final field is its last row

@@ -291,10 +291,18 @@ class TestFoldBlock:
         fold_block(kernel, block, rows)
         assert np.max(np.abs(rows - whole)) <= 1e-13 * np.max(np.abs(whole))
 
+    def test_fast_len_is_scipys(self):
+        # scipy.fft is the oracle of the FFT fold's length
+        import scipy.fft
+
+        got = [fracweights._fast_len(n) for n in range(1, 20_001)]
+        assert got == [scipy.fft.next_fast_len(n, real=True)
+                       for n in range(1, 20_001)]
+
     def test_short_runs_do_not_import_scipy_fft(self):
-        # only a block longer than _TOEPLITZ_MAX_BLOCK loads scipy.fft, and
-        # only a call of gamma loads scipy.special, so importing the
-        # package, a solve of 2 * _TOEPLITZ_MAX_BLOCK levels and a short
+        # only a call of gamma loads scipy.special, and nothing in the
+        # package loads scipy.fft, so importing the package, a solve of
+        # 2 * _TOEPLITZ_MAX_BLOCK levels (all Toeplitz folds) and a short
         # temporal study pay for neither
         code = (
             "import sys\n"
@@ -304,6 +312,21 @@ class TestFoldBlock:
             f"solve(p, mesh_for(p, 8, n={2 * _TMB}))\n"
             "run_study(StudyConfig(alphas=(0.5,), axis='temporal',\n"
             "                      ladder=(5, 10), fixed=8, emit=()))\n"
+            "print([m for m in ('scipy.fft', 'scipy.special')\n"
+            "       if m in sys.modules])\n"
+        )
+        assert run_fresh(code) == "[]"
+
+    def test_fft_folds_do_not_import_scipy_fft(self):
+        # past 2 * _TOEPLITZ_MAX_BLOCK levels the folds run on numpy.fft
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from fracadi import make_example1, mesh_for, solve\n"
+            "from fracadi.fracweights import wsgd_integral\n"
+            "p = make_example1(0.5)\n"
+            "solve(p, mesh_for(p, 4, n=1100))\n"
+            "wsgd_integral(np.ones((2100, 3)), 0.5, 0.01)\n"
             "print([m for m in ('scipy.fft', 'scipy.special')\n"
             "       if m in sys.modules])\n"
         )

@@ -139,6 +139,25 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError):
             ProblemSpec(**base)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(T="1.0"), "final time T must be a real number, got '1.0'"),
+        (dict(T=None), "final time T must be a real number, got None"),
+        (dict(T=True), "final time T must be a real number, got True"),
+        (dict(domain=(1.0, "2")),
+         "domain extents must be real numbers, got (1.0, '2')"),
+        (dict(domain=5), "domain must be a pair (L1, L2), got 5"),
+    ])
+    def test_scalar_types_named(self, kwargs, message):
+        # refused by name before a comparison raises an unnamed TypeError
+        with pytest.raises(ValueError) as info:
+            replace(make_example1(0.5), **kwargs)
+        assert str(info.value) == message
+
+    def test_numpy_scalars_accepted(self):
+        p = replace(make_example1(0.5), T=np.float64(0.5),
+                    domain=(np.float32(math.pi), np.int64(3)))
+        assert p.T == 0.5 and p.L2 == 3
+
 
 class TestSampling:
     def test_scalar_broadcast(self):
@@ -672,6 +691,19 @@ class TestLoadProblem:
         path = tmp_path / "mystery.json"
         path.write_text(json.dumps(data))
         assert load_problem(path).name == "mystery"
+
+    def test_null_name_is_absent(self, tmp_path):
+        path = tmp_path / "mystery.json"
+        path.write_text(json.dumps(dict(EXAMPLE_JSON, name=None)))
+        assert load_problem(path).name == "mystery"
+
+    @pytest.mark.parametrize("name", [[1, 2], 7, True, {"a": 1}])
+    def test_non_string_name_refused(self, tmp_path, name):
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(dict(EXAMPLE_JSON, name=name)))
+        with pytest.raises(ValueError) as info:
+            load_problem(path)
+        assert str(info.value) == f"problem file {path}: name must be a string"
 
 
 class TestGetProblem:
