@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .adisolver import solve
+from .fracweights import _integer
 from .heatmap import emit_heatmap
 from .meshops import GridFn, write_csv
 from .problems import (
@@ -161,11 +162,8 @@ def _alphas(args: argparse.Namespace) -> tuple:
 
 def _count(value, flag: str, least: int) -> int:
     """A count flag as an int of at least ``least``, checked before the
-    problem loads (``Mesh`` keeps its own rule for API callers)."""
-    count = _number(value, flag, int)
-    if count < least:
-        raise ValueError(f"{flag} must be an integer >= {least}, got {count}")
-    return count
+    problem loads: parsed as text, then held to the library's rule."""
+    return _integer(_number(value, flag, int), flag, least)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:

@@ -31,12 +31,17 @@ the block and its targets, over column chunks of both.
 is the causal convolution with the lambda weights, to a sampled function;
 ``rl_integral_oracle`` is a slow adaptive-quadrature reference for the same
 Riemann-Liouville integral, used to validate it.
+
+The three rules for a number a library caller hands in live here too,
+since this module imports nothing from the package: ``_real``,
+``_positive`` and ``_integer``, with ``_check_alpha`` built on ``_real``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from typing import Callable
 
 import numpy as np
@@ -56,25 +61,37 @@ _TOEPLITZ_MAX_BLOCK = 512
 _SCRATCH_BYTES = 2**18
 
 
-def _check_alpha(alpha: float) -> float:
-    """The one rule for alpha, everywhere: a float strictly in (0, 1)."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha}")
-    return alpha
+def _real(value, name: str):
+    """The one rule for a real number a caller hands in: any
+    ``numbers.Real``, numpy's scalars included, never a bool or a string;
+    returned as given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
 
 
-def _check_count(count: int) -> int:
-    if not isinstance(count, (int, np.integer)):
-        raise ValueError(f"count must be an integer, got {type(count).__name__}")
-    count = int(count)
-    if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
-    if count > MAX_WEIGHT_COUNT:
-        raise ValueError(
-            f"count {count} exceeds capacity limit {MAX_WEIGHT_COUNT}"
-        )
-    return count
+def _positive(value, name: str) -> float:
+    """A ``_real`` that is finite and > 0, as a float."""
+    if not 0.0 < _real(value, name) < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name: str, least: int) -> int:
+    """Any ``numbers.Integral`` but a bool, at least ``least``, as an int."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(f"{name} must be an integer >= {least}, "
+                         f"got {value!r}")
+    return int(value)
+
+
+def _check_alpha(alpha) -> float:
+    """The one rule for alpha, everywhere: a real number strictly in (0, 1),
+    as a float."""
+    if not 0.0 < _real(alpha, "alpha") < 1.0:
+        raise ValueError(f"alpha must lie strictly in (0, 1), got {alpha!r}")
+    return float(alpha)
 
 
 def grunwald_weights(alpha: float, count: int) -> np.ndarray:
@@ -86,7 +103,10 @@ def grunwald_weights(alpha: float, count: int) -> np.ndarray:
     weights of the fractional integral of order alpha.
     """
     alpha = _check_alpha(alpha)
-    count = _check_count(count)
+    count = _integer(count, "count", 0)
+    if count > MAX_WEIGHT_COUNT:
+        raise ValueError(f"count {count} exceeds capacity limit "
+                         f"{MAX_WEIGHT_COUNT}")
     # each step rounds the product, then the quotient: a cumulative
     # product of the ratios (k - 1 + alpha) / k rounds differently
     steps = itertools.accumulate(range(1, count + 1),
@@ -221,9 +241,7 @@ def wsgd_integral(samples: np.ndarray, alpha: float, tau: float) -> np.ndarray:
     ``causal_convolve`` of lambda with the samples.
     """
     alpha = _check_alpha(alpha)
-    tau = float(tau)
-    if not (tau > 0.0) or not math.isfinite(tau):
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    tau = _positive(tau, "tau")
     samples = np.asarray(samples, dtype=float)
     if samples.ndim == 0 or samples.shape[0] == 0:
         raise ValueError("samples must be a nonempty array of time levels")
@@ -256,11 +274,8 @@ def rl_integral_oracle(
     design; intended as a test oracle, not for production use.
     """
     alpha = _check_alpha(alpha)
-    t = float(t)
-    if not (t > 0.0) or not math.isfinite(t):
-        raise ValueError(f"t must be positive and finite, got {t}")
-    if not isinstance(panels, (int, np.integer)) or panels < 1:
-        raise ValueError(f"panels must be a positive integer, got {panels}")
+    t = _positive(t, "t")
+    panels = _integer(panels, "panels", 1)
 
     edges = t**alpha * (np.arange(panels + 1) / panels) ** 2
     mids = 0.5 * (edges[:-1] + edges[1:])

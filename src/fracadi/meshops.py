@@ -32,6 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .fracweights import _integer, _positive
+
 # Run-size limit on (N+1)(M1+1)(M2+1): the entries of a run's history, and
 # of a caputo-only problem's forcing table beside it (2 GiB each at 2**28).
 MAX_RUN_ENTRIES = 2**28
@@ -55,16 +57,9 @@ class Mesh:
 
     def __post_init__(self) -> None:
         for name in ("L1", "L2", "T"):
-            v = getattr(self, name)
-            if not np.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {v}")
-        for name in ("M1", "M2"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 2:
-                raise ValueError(f"{name} must be an integer >= 2, got {v}")
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ValueError(f"N must be an integer >= 1, got {self.N}")
-        entries = (int(self.N) + 1) * (int(self.M1) + 1) * (int(self.M2) + 1)
+            _positive(getattr(self, name), name)
+        m1, m2 = (_integer(getattr(self, k), k, 2) for k in ("M1", "M2"))
+        entries = (_integer(self.N, "N", 1) + 1) * (m1 + 1) * (m2 + 1)
         if entries > MAX_RUN_ENTRIES:
             raise ValueError(f"M1={self.M1}, M2={self.M2}, N={self.N} give "
                              f"(N+1)(M1+1)(M2+1) = {entries} entries, over "

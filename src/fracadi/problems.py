@@ -23,24 +23,20 @@ import ast
 import functools
 import json
 import math
-import numbers
+import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .fracweights import _check_alpha, rl_integral_oracle
+from .fracweights import (_check_alpha, _integer, _positive,
+                          rl_integral_oracle)
 from .meshops import Mesh
 
 # initial-data tolerance: the boundary at t=0 must match psi, and psi counts
 # as zero (``homogenize_initial``, ``adisolver.init_state``), within it
 _COMPAT_TOL = 1e-12
-
-
-def _is_real(value) -> bool:
-    """A real number of any numeric type, numpy's included; not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _zero_xy(x, y):
@@ -63,12 +59,12 @@ class ProblemSpec:
     used for error measurement and residual verification.
 
     The callables must broadcast over numpy arrays, which they must not
-    write into (the mesh's coordinates are read-only): x of shape (M1+1, 1), y
-    of shape (1, M2+1), and t a float or, for the exact solution, which is
-    sampled a block of levels per call, an array of shape (b, 1, 1).  The
-    boundary is sampled a block of levels per call on the mesh's frame
-    only: x and y hold the F = 2 (M1 + M2) frame points, shape (1, F), and
-    t has shape (b, 1).
+    write into (the mesh's coordinates are read-only): x of shape (M1+1, 1),
+    y of shape (1, M2+1), and t a float or, for the exact solution and
+    ``caputo_forcing``, which are sampled a block of levels per call, an
+    array of shape (b, 1, 1).  The boundary is sampled a block of levels
+    per call on the mesh's frame only: x and y hold the F = 2 (M1 + M2)
+    frame points, shape (1, F), and t has shape (b, 1).
     """
 
     name: str
@@ -87,22 +83,16 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-        # types first: a str or None would fail the comparisons unnamed
+        if not isinstance(self.name, str):
+            raise ValueError(f"name must be a string, got {self.name!r}")
         try:
             L1, L2 = self.domain
         except (TypeError, ValueError):
             raise ValueError(f"domain must be a pair (L1, L2), "
                              f"got {self.domain!r}") from None
-        if not (_is_real(L1) and _is_real(L2)):
-            raise ValueError(f"domain extents must be real numbers, "
-                             f"got {self.domain!r}")
-        if not _is_real(self.T):
-            raise ValueError(f"final time T must be a real number, "
-                             f"got {self.T!r}")
-        if not (L1 > 0 and L2 > 0 and math.isfinite(L1) and math.isfinite(L2)):
-            raise ValueError(f"domain extents must be positive, got {self.domain}")
-        if not (self.T > 0 and math.isfinite(self.T)):
-            raise ValueError(f"final time must be positive, got {self.T}")
+        _positive(L1, "domain extents")
+        _positive(L2, "domain extents")
+        _positive(self.T, "final time T")
         # a field declared Callable holds one when it is required (its
         # default is MISSING) or given (it is not its default, None)
         for f in fields(self):
@@ -432,6 +422,7 @@ def verify_manufactured(
         raise ValueError("verify_manufactured requires an exact solution")
     if spec.forcing_f is None:
         raise ValueError("verify_manufactured requires the transformed forcing")
+    samples = _integer(samples, "samples", 1)
 
     rng = np.random.default_rng(seed)
     L1, L2, T = spec.L1, spec.L2, spec.T
@@ -544,6 +535,9 @@ def compile_expression(source: str, *, alpha: float,
     with ``label``.  An expression nested too deeply for the parser or the
     compiler raises ValueError too.
     """
+    if not isinstance(source, str):
+        raise ValueError(f"expression must be a string, got {source!r}")
+    alpha = _check_alpha(alpha)
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
@@ -588,7 +582,7 @@ def compile_expression(source: str, *, alpha: float,
     except (RecursionError, MemoryError) as exc:
         raise ValueError(f"expression of {len(source)} characters is nested "
                          f"too deeply to compile") from exc
-    env = {"__builtins__": {}, **_EXPR_FUNCS, "pi": math.pi, "alpha": float(alpha)}
+    env = {"__builtins__": {}, **_EXPR_FUNCS, "pi": math.pi, "alpha": alpha}
 
     def f(x, y, t):
         try:
@@ -632,7 +626,7 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
         if "alpha" not in data:
             raise ValueError(f"problem file {path} has no alpha and none was given")
         alpha = _number(data["alpha"], f"problem file {path}, key 'alpha'")
-    alpha = float(alpha)
+    alpha = _check_alpha(alpha)
 
     for key in ("domain", "final_time", "phi", "psi", "boundary"):
         if key not in data:
@@ -645,8 +639,6 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
         src = data.get(key)
         if src is None:
             return None
-        if not isinstance(src, str):
-            raise ValueError(f"problem file {path}: {key} must be a string")
         try:
             return compile_expression(src, alpha=alpha, variables=variables,
                                       label=f"problem file {path}, key {key!r}")
@@ -700,9 +692,8 @@ def get_problem(ref, alpha: float | None = None) -> ProblemSpec:
         if alpha is None:
             raise ValueError(f"builtin problem {ref!r} needs an alpha value")
         return BUILTIN_PROBLEMS[ref](alpha)
-    path = Path(ref)
-    if path.exists():
-        return load_problem(path, alpha=alpha)
+    if isinstance(ref, (str, os.PathLike)) and Path(ref).exists():
+        return load_problem(ref, alpha=alpha)
     raise ValueError(
         f"unknown problem {ref!r}: not a builtin "
         f"({', '.join(sorted(BUILTIN_PROBLEMS))}) and no such file"

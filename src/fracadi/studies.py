@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .adisolver import solve
-from .fracweights import _check_alpha
+from .fracweights import _check_alpha, _integer
 from .meshops import GridFn
 from .problems import (
     ProblemSpec,
@@ -63,8 +63,8 @@ def check_ladder(ladder, axis: str) -> None:
     entry below the mesh's two cells per axis."""
     if not ladder:
         raise ValueError("ladder must be nonempty")
-    if any(int(v) != v or v < 1 for v in ladder):
-        raise ValueError(f"ladder entries must be positive integers: {ladder}")
+    for v in ladder:
+        _integer(v, "ladder entry", 1)
     if list(ladder) != sorted(set(ladder)):
         raise ValueError(f"ladder must be strictly increasing: {ladder}")
     if axis == "spatial" and ladder[0] < 2:
@@ -95,10 +95,8 @@ class StudyConfig:
         check_axis(self.axis)
         check_alphas(self.alphas)
         check_ladder(self.ladder, self.axis)
-        least = _FIXED_LEAST[self.axis]
-        if int(self.fixed) != self.fixed or self.fixed < least:
-            raise ValueError(f"fixed must be an integer >= {least} on the "
-                             f"{self.axis} axis, got {self.fixed}")
+        object.__setattr__(self, "fixed", _integer(
+            self.fixed, "fixed", _FIXED_LEAST[self.axis]))
         check_emit(self.emit, _EMIT_CHOICES)
         if isinstance(self.problem, ProblemSpec):
             if tuple(self.alphas) != (self.problem.alpha,):

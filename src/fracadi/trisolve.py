@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .fracweights import _integer, _positive
 from .meshops import D2_WEIGHTS, H_WEIGHTS
 
 
@@ -66,10 +67,8 @@ def build_sweep_operator(m: int, h: float, mu_lambda0: float) -> TridiagOperator
     c/h**2 reaches about 1e16.  A factor that fails all the same is refused
     by ``pttrf``'s ``info``.
     """
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise ValueError(f"interior size m must be a positive integer, got {m}")
-    if not (h > 0.0) or not np.isfinite(h):
-        raise ValueError(f"h must be positive and finite, got {h}")
+    _integer(m, "m", 1)
+    _positive(h, "h")
     if mu_lambda0 < 0.0 or not np.isfinite(mu_lambda0):
         raise ValueError(f"mu_lambda0 must be nonnegative, got {mu_lambda0}")
     c = mu_lambda0 / h**2

@@ -144,7 +144,7 @@ class TestProblemSpecValidation:
         (dict(T=None), "final time T must be a real number, got None"),
         (dict(T=True), "final time T must be a real number, got True"),
         (dict(domain=(1.0, "2")),
-         "domain extents must be real numbers, got (1.0, '2')"),
+         "domain extents must be a real number, got '2'"),
         (dict(domain=5), "domain must be a pair (L1, L2), got 5"),
     ])
     def test_scalar_types_named(self, kwargs, message):

@@ -46,9 +46,16 @@ class TestStudyConfig:
         # the CLI's floors: two cells on the temporal axis, one step on the
         # spatial axis
         with pytest.raises(ValueError, match=r"^fixed must be an integer "
-                           r">= 2 on the temporal axis, got 1$"):
+                           r">= 2, got 1$"):
             tiny_config(fixed=1)
         tiny_config(axis="spatial", ladder=(2, 4), fixed=1)
+
+    def test_numpy_fixed_kept_as_int(self):
+        # a numpy count is stored as an int, so the rows' h is a float
+        # whose repr the study CSV can read back
+        config = tiny_config(fixed=np.int64(6), ladder=(2,))
+        assert type(config.fixed) is int
+        assert type(run_study(config).rows[0].h) is float
 
     def test_spec_alpha_mismatch(self):
         p = make_example1(0.5)
