@@ -32,6 +32,7 @@ from .problems import (
     BUILTIN_PROBLEMS,
     _max_abs_psi,  # unused here; bench/tracer.py wraps it by name
     _number,
+    _read_object,
     get_problem,
     homogenize_initial,
     mesh_for,
@@ -126,19 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config(args: argparse.Namespace) -> None:
     if getattr(args, "config", None) is None:
         return
-    path = Path(args.config)
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"config {path} must contain a JSON object")
+    data = _read_object(args.config, "config",
+                        vars(args).keys() - {"func", "command", "config"},
+                        dashes=True)
     for key, value in data.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in ("func", "command", "config"):
-            raise ValueError(f"config {path}: unknown key {key!r}")
         if value is not None:  # read as the text its flag would carry
-            setattr(args, dest, ",".join(map(str, value))
+            setattr(args, key.replace("-", "_"), ",".join(map(str, value))
                     if isinstance(value, list) else str(value))
 
 

@@ -71,10 +71,15 @@ def _real(value, name: str):
 
 
 def _positive(value, name: str) -> float:
-    """A ``_real`` that is finite and > 0, as a float."""
-    if not 0.0 < _real(value, name) < math.inf:
+    """A ``_real`` whose float is finite and > 0 (an int past the float
+    range is refused), returned as that float."""
+    try:
+        number = float(_real(value, name))
+    except OverflowError:
+        number = math.inf
+    if not 0.0 < number < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _integer(value, name: str, least: int) -> int:

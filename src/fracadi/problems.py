@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import stat
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -208,6 +209,32 @@ def _number(value, label: str, kind: type = float):
             return kind(number)
     want = "an integer" if kind is int else "a number"
     raise ValueError(f"{label} must be {want}, got {value!r}")
+
+
+def _read_object(path, label: str, known, *, dashes: bool = False) -> dict:
+    """The JSON object in the outside file ``path``: a problem file or a
+    ``--config``.
+
+    The path must name a regular file (a device or a pipe could read
+    without end), its bytes must be UTF-8 and hold one JSON object, and
+    each key must be in ``known`` (with ``dashes``, read with ``-`` as
+    ``_``); the first unknown key, sorted, is named.  Every failure is a
+    ValueError that starts with ``label`` and the path.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ValueError(f"{label} {path} is not a regular file")
+        data = json.loads(Path(path).read_bytes().decode("utf-8"))
+    except OSError as exc:
+        raise ValueError(f"{label} {path} cannot be read: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{label} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{label} {path} must contain a JSON object")
+    for key in sorted(data):
+        if (key.replace("-", "_") if dashes else key) not in known:
+            raise ValueError(f"{label} {path}: unknown key {key!r}")
+    return data
 
 
 def mesh_for(problem: ProblemSpec, m: int, *, n: int = 1) -> Mesh:
@@ -608,19 +635,13 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
     Required keys: domain (pair), final_time, phi, psi, boundary, and at
     least one of forcing / caputo_forcing; alpha is required in the file
     unless supplied as an override here.  Space-only fields may not mention
-    t.  Malformed files and any other key raise ValueError naming the
-    offending key.
+    t.  A path that is not a regular file, bytes that are not one JSON
+    object, a malformed entry and any other key raise a ValueError naming
+    the file and, for an entry, its key.
     """
     path = Path(path)
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"problem file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"problem file {path} must contain a JSON object")
-    for key in sorted(data.keys() - {"name", "alpha", "domain", "final_time",
-                                     *_SPACE_ONLY, *_SPACE_TIME}):
-        raise ValueError(f"problem file {path}: unknown key {key!r}")
+    data = _read_object(path, "problem file", {
+        "name", "alpha", "domain", "final_time", *_SPACE_ONLY, *_SPACE_TIME})
 
     if alpha is None:
         if "alpha" not in data:
@@ -692,7 +713,7 @@ def get_problem(ref, alpha: float | None = None) -> ProblemSpec:
         if alpha is None:
             raise ValueError(f"builtin problem {ref!r} needs an alpha value")
         return BUILTIN_PROBLEMS[ref](alpha)
-    if isinstance(ref, (str, os.PathLike)) and Path(ref).exists():
+    if isinstance(ref, (str, os.PathLike)) and Path(ref).is_file():
         return load_problem(ref, alpha=alpha)
     raise ValueError(
         f"unknown problem {ref!r}: not a builtin "

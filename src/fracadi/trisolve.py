@@ -13,12 +13,14 @@ without pivoting (the Thomas algorithm, in Fortran) once per run, and
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .fracweights import _integer, _positive
+from .fracweights import _integer, _positive, _real
 from .meshops import D2_WEIGHTS, H_WEIGHTS
 
 
@@ -68,9 +70,15 @@ def build_sweep_operator(m: int, h: float, mu_lambda0: float) -> TridiagOperator
     by ``pttrf``'s ``info``.
     """
     _integer(m, "m", 1)
-    _positive(h, "h")
-    if mu_lambda0 < 0.0 or not np.isfinite(mu_lambda0):
-        raise ValueError(f"mu_lambda0 must be nonnegative, got {mu_lambda0}")
+    # h**2 is compared by its logarithm, as adisolver._check_scaling
+    # compares it, before it is formed: below the least float it is 0 and
+    # the division fails; past the largest a float's power raises
+    log_h2 = 2.0 * math.log(_positive(h, "h"))
+    if not math.log(math.ulp(0.0)) <= log_h2 <= math.log(sys.float_info.max):
+        raise ValueError(f"h**2 is outside the float range for h={h}")
+    if not 0.0 <= _real(mu_lambda0, "mu_lambda0") <= sys.float_info.max:
+        raise ValueError(f"mu_lambda0 must be nonnegative and finite, "
+                         f"got {mu_lambda0}")
     c = mu_lambda0 / h**2
     if not np.isfinite(c):
         raise ValueError(f"mu_lambda0/h**2 overflows for h={h}, "

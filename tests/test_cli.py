@@ -346,6 +346,49 @@ class TestSolveCommand:
         err = json.loads(capsys.readouterr().err)
         assert "bogus" in err["message"]
 
+    def test_config_dashed_keys(self, tmp_path, capsys):
+        # a key reads "-" as "_"; the first unknown key, sorted, is named
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"zz": 1, "snapshot-every": 2, "m-x": 3}))
+        assert run_cli("solve", "--config", str(cfg)) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["message"] == f"config {cfg}: unknown key 'm-x'"
+        cfg.write_text(json.dumps({"snapshot-every": 2, "emit": "snapshots",
+                                   "m": 4, "n": 2}))
+        assert run_cli("solve", "--config", str(cfg),
+                       "--out", str(tmp_path / "out")) == 0
+        assert "snapshot_00002.csv" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--problem", "--config"])
+    @pytest.mark.parametrize("case", ["directory", "empty", "bytes", "deep",
+                                      "missing", "array", "devnull"])
+    def test_unreadable_file_named(self, tmp_path, capsys, flag, case):
+        # a file that is not one JSON object in a regular file exits 1 with
+        # one JSON line, a ValueError naming the path; a --problem that is
+        # not a regular file reads as an unknown problem
+        path = {"directory": tmp_path, "empty": "",
+                "devnull": os.devnull}.get(case, tmp_path / f"{case}.json")
+        if case == "bytes":
+            path.write_bytes(b"\xff\xfe")
+        elif case == "deep":
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        elif case == "array":
+            path.write_text("[1, 2]")
+        code = run_cli("solve", "--m", "4", "--n", "2", flag, str(path),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "ValueError"
+        if flag == "--config":
+            start = f"config {path} "
+        elif case in ("bytes", "deep", "array"):
+            start = f"problem file {path} "
+        else:
+            start = f"unknown problem {str(path)!r}: "
+        assert err["message"].startswith(start), err["message"]
+
     def test_config_integral_numbers_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"m": 6.0, "n": "3", "alpha": "0.25"}))

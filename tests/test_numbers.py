@@ -5,6 +5,7 @@ field's name, never an unnamed TypeError; numpy's scalars are numbers."""
 
 import json
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -131,8 +132,12 @@ def test_python_and_numpy_numbers_accepted(site, tmp_path):
     call(np.float32(good) if kind == REAL else np.int64(good), tmp_path)
 
 
-# non-numbers: a problem's name, a problem reference and an expression
+# a real that float() cannot hold, then non-numbers: a problem's name, a
+# problem reference (one naming no regular file is unknown), a problem
+# path that names no regular file, and an expression
 @pytest.mark.parametrize("call, start", [
+    (lambda: Mesh(10**400, 1.0, 4, 4, 1.0, 2),
+     "L1 must be positive and finite, got 1000"),
     (lambda: replace(make_example1(0.5), name=None),
      "name must be a string, got None"),
     (lambda: replace(make_example1(0.5), name=3),
@@ -140,10 +145,18 @@ def test_python_and_numpy_numbers_accepted(site, tmp_path):
     (lambda: get_problem(3), "unknown problem 3"),
     (lambda: get_problem(None, 0.5), "unknown problem None"),
     (lambda: run_study(_study(problem=3)), "unknown problem 3"),
+    (lambda: get_problem("", 0.5), "unknown problem '': "),
+    (lambda: get_problem(os.curdir, 0.5), f"unknown problem {os.curdir!r}: "),
+    (lambda: load_problem(os.curdir),
+     f"problem file {os.curdir} is not a regular file"),
+    (lambda: load_problem(os.devnull),
+     f"problem file {os.devnull} is not a regular file"),
     (lambda: compile_expression(3, alpha=0.5),
      "expression must be a string, got 3"),
-], ids=["name-None", "name-3", "get_problem-3", "get_problem-None",
-        "StudyConfig.problem-3", "compile_expression-3"])
+], ids=["Mesh.L1-10**400", "name-None", "name-3", "get_problem-3",
+        "get_problem-None", "StudyConfig.problem-3", "get_problem-empty", "get_problem-directory",
+        "load_problem-directory", "load_problem-devnull",
+        "compile_expression-3"])
 def test_bad_reference_refused_by_name(call, start):
     with pytest.raises(ValueError) as info:
         call()

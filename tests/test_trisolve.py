@@ -97,6 +97,17 @@ class TestTridiagOperator:
         with pytest.raises(ValueError, match="overflows"):
             build_sweep_operator(4, 1e-160, 1.0)
 
+    def test_h_squared_underflow_named(self):
+        # h**2 would be 0.0, and the division a ZeroDivisionError
+        with pytest.raises(ValueError, match=r"^h\*\*2 is outside the float "
+                                             r"range for h=1e-170$"):
+            build_sweep_operator(4, 1e-170, 1.0)
+
+    def test_mu_lambda0_type_named(self):
+        with pytest.raises(ValueError, match="^mu_lambda0 must be a real "
+                                             "number, got 'x'$"):
+            build_sweep_operator(4, 0.1, "x")
+
     def test_rhs_shape_validation(self):
         op = build_sweep_operator(2, 0.5, 0.0)
         with pytest.raises(ValueError, match="first dimension"):
