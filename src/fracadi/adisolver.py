@@ -62,6 +62,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import fracweights
 from .fracweights import (
     _LEAF,
     completed_block,
@@ -84,9 +85,6 @@ from .meshops import (
 from .problems import _COMPAT_TOL, ProblemSpec, sample_xy, sample_xyt
 from .trisolve import TridiagOperator, build_sweep_operator
 
-# Bytes of one block of boundary, exact-solution or caputo-forcing samples:
-# a sample call covers as many levels as fit, and at least one
-_BLOCK_BYTES = 2**20
 # Largest magnitude a scheme coefficient may take, so that the step's sums
 # of a few weighted fields stay finite for data of ordinary size
 _COEF_LIMIT = 1e300
@@ -111,8 +109,10 @@ class StepReport:
 
 def _block_levels(mesh: Mesh) -> int:
     """Levels per block of boundary, exact-solution or caputo-forcing
-    samples."""
-    return max(1, _BLOCK_BYTES // (8 * (mesh.M1 + 1) * (mesh.M2 + 1)))
+    samples: as many as fit in ``fracweights._BLOCK_BYTES``, the one budget
+    of a chunk of per-level work, and at least one."""
+    return max(1, fracweights._BLOCK_BYTES
+               // (8 * (mesh.M1 + 1) * (mesh.M2 + 1)))
 
 
 def _sample_levels(func: Callable, mesh: Mesh, lo: int, hi: int,

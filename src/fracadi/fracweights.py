@@ -23,9 +23,11 @@ arrive in dyadic blocks of b = ``_LEAF``, 2 ``_LEAF``, ... levels, each
 folded into the t <= b levels after it.  A block of up to
 ``_TOEPLITZ_MAX_BLOCK`` levels is folded by one BLAS ``dgemm`` that adds the
 Toeplitz product into the target rows in place (beta = 1), over row chunks
-whose Toeplitz slice stays within ``_SCRATCH_BYTES``; a longer block by
+whose Toeplitz slice stays within ``_BLOCK_BYTES``; a longer block by
 ``numpy.fft`` along axis 0, at the smallest 2^a 3^b 5^c length that holds
-the block and its targets, over column chunks of both.
+the block and its targets, over column chunks of both, each chunk's
+scratch within ``_BLOCK_BYTES`` too.  That one budget also sizes the ADI
+solver's blocks of sampled levels (``adisolver._block_levels``).
 
 ``wsgd_integral`` applies the weighted-shifted Grunwald quadrature, which
 is the causal convolution with the lambda weights, to a sampled function;
@@ -57,8 +59,10 @@ _LEAF = 16
 # blocks up to this size are applied as a dense Toeplitz product, which is
 # faster than the FFT and its set-up there
 _TOEPLITZ_MAX_BLOCK = 512
-# cap on the scratch of one Toeplitz row chunk or FFT column chunk
-_SCRATCH_BYTES = 2**18
+# Bytes of the scratch of one chunk of per-level work: a sample block, a
+# Toeplitz row chunk, an FFT column chunk; a chunk covers as many levels,
+# rows or columns as fit, and at least one
+_BLOCK_BYTES = 2**20
 
 
 def _real(value, name: str):
@@ -172,13 +176,14 @@ def fold_block(kernel: np.ndarray, block: np.ndarray,
     blocks use a dense Toeplitz product, added into the target rows by
     ``dgemm``; long ones the tail of one circular convolution of length n
     >= b + t, where no term wraps around.  Both keep their scratch near
-    ``_SCRATCH_BYTES``: Toeplitz row chunks, FFT column chunks.
+    ``_BLOCK_BYTES``, the budget of the solver's sample blocks: Toeplitz
+    row chunks, FFT column chunks.
     """
     b, t = block.shape[0], targets.shape[0]
     if b <= _TOEPLITZ_MAX_BLOCK:
         # row r is target level b+r, column i is source level i: a window
         # of the kernel read backwards, copied to C order (no index table)
-        rows = min(t, max(1, _SCRATCH_BYTES // (8 * b)))
+        rows = min(t, max(1, _BLOCK_BYTES // (8 * b)))
         scratch = np.empty((rows, b))
         for r in range(0, t, rows):
             hi = min(r + rows, t)
@@ -194,7 +199,7 @@ def fold_block(kernel: np.ndarray, block: np.ndarray,
     n = _fast_len(b + t)
     kernel_hat = np.fft.rfft(kernel[:b + t], n=n)[:, None]
     # a column's input, padded input, spectrum and output
-    chunk = max(1, _SCRATCH_BYTES // (8 * b + 32 * n))
+    chunk = max(1, _BLOCK_BYTES // (8 * b + 32 * n))
     for c in range(0, block.shape[1], chunk):
         spec = np.fft.rfft(block[:, c:c + chunk], n=n, axis=0)
         spec *= kernel_hat

@@ -106,13 +106,9 @@ class ProblemSpec:
         self._check_compatibility()
 
     def _check_compatibility(self) -> None:
-        # Dirichlet data at t=0 must agree with psi along every edge: nine
-        # points per edge, the four edges' points interleaved
-        L1, L2 = self.domain
-        s = np.linspace(0.0, 1.0, 9)[:, None]
-        zero, one = np.zeros_like(s), np.ones_like(s)
-        x = np.hstack((s * L1, s * L1, zero, one * L1)).ravel()
-        y = np.hstack((zero, one * L2, s * L2, s * L2)).ravel()
+        # Dirichlet data at t=0 must agree with psi along every edge: on
+        # the boundary nodes of an 8 x 8 mesh, (0, 0) first
+        x, y, _ = Mesh(*self.domain, 8, 8, self.T, 1).frame
         diff = (_evaluate(self.boundary, "boundary", x, y, 0.0)
                 - _evaluate(self.psi, "psi", x, y))
         worst = float(np.max(np.abs(diff)))
@@ -636,8 +632,10 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
     least one of forcing / caputo_forcing; alpha is required in the file
     unless supplied as an override here.  Space-only fields may not mention
     t.  A path that is not a regular file, bytes that are not one JSON
-    object, a malformed entry and any other key raise a ValueError naming
-    the file and, for an entry, its key.
+    object, a malformed entry, any other key and data that ``ProblemSpec``
+    refuses (a domain or final time out of range, a boundary that disagrees
+    with psi at t=0) raise a ValueError naming the file and, for an entry,
+    its key.
     """
     path = Path(path)
     data = _read_object(path, "problem file", {
@@ -652,6 +650,9 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
     for key in ("domain", "final_time", "phi", "psi", "boundary"):
         if key not in data:
             raise ValueError(f"problem file {path} is missing key {key!r}")
+    if data.get("forcing") is None and data.get("caputo_forcing") is None:
+        raise ValueError(
+            f"problem file {path} needs 'forcing' or 'caputo_forcing'")
     domain = data["domain"]
     if (not isinstance(domain, (list, tuple)) or len(domain) != 2):
         raise ValueError(f"problem file {path}: domain must be a pair")
@@ -684,14 +685,17 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
     elif not isinstance(name, str):
         raise ValueError(f"problem file {path}: name must be a string")
 
-    return ProblemSpec(
-        name=name,
-        alpha=alpha,
-        domain=tuple(_number(v, f"problem file {path}, key 'domain'")
-                     for v in domain),
-        T=_number(data["final_time"], f"problem file {path}, key 'final_time'"),
-        **funcs,
-    )
+    domain = tuple(_number(v, f"problem file {path}, key 'domain'")
+                   for v in domain)
+    T = _number(data["final_time"], f"problem file {path}, key 'final_time'")
+    # the range checks and the t=0 compatibility check name the file too;
+    # an expression's own evaluation error names it and its key already
+    try:
+        return ProblemSpec(name=name, alpha=alpha, domain=domain, T=T, **funcs)
+    except ValueError as exc:
+        if str(exc).startswith(f"problem file {path}"):
+            raise
+        raise ValueError(f"problem file {path}: {exc}") from exc
 
 
 BUILTIN_PROBLEMS: dict[str, Callable[[float], ProblemSpec]] = {
@@ -713,9 +717,14 @@ def get_problem(ref, alpha: float | None = None) -> ProblemSpec:
         if alpha is None:
             raise ValueError(f"builtin problem {ref!r} needs an alpha value")
         return BUILTIN_PROBLEMS[ref](alpha)
-    if isinstance(ref, (str, os.PathLike)) and Path(ref).is_file():
-        return load_problem(ref, alpha=alpha)
+    why = "no such file"
+    if isinstance(ref, (str, os.PathLike)):
+        if Path(ref).is_file():
+            return load_problem(ref, alpha=alpha)
+        # Path("") is the current directory; os.path.exists("") is False
+        if os.path.exists(ref):
+            why = "not a regular file"
     raise ValueError(
         f"unknown problem {ref!r}: not a builtin "
-        f"({', '.join(sorted(BUILTIN_PROBLEMS))}) and no such file"
+        f"({', '.join(sorted(BUILTIN_PROBLEMS))}) and {why}"
     )

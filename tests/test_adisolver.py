@@ -308,7 +308,7 @@ class TestSamplingCounts:
         # the same levels, the boundary and exact in ceil(40 / 7) calls
         p = make_example1(0.5)
         mesh = mesh_for(p, 6, n=40)
-        monkeypatch.setattr(adisolver, "_BLOCK_BYTES", 7 * 8 * 7 * 7)
+        monkeypatch.setattr(fracweights, "_BLOCK_BYTES", 7 * 8 * 7 * 7)
         assert adisolver._block_levels(mesh) == 7
         levels, calls = _count_samples(monkeypatch)
         solve(p, mesh)
@@ -322,8 +322,8 @@ class TestSamplingCounts:
         p = dataclasses.replace(make_example1(0.5), forcing_f=None)
         mesh = mesh_for(p, 6, n=40)
         levels, calls = _count_samples(monkeypatch)
-        for block_bytes in (adisolver._BLOCK_BYTES, 7 * 8 * 7 * 7):
-            monkeypatch.setattr(adisolver, "_BLOCK_BYTES", block_bytes)
+        for block_bytes in (fracweights._BLOCK_BYTES, 7 * 8 * 7 * 7):
+            monkeypatch.setattr(fracweights, "_BLOCK_BYTES", block_bytes)
             b = adisolver._block_levels(mesh)
             levels.clear()
             calls.clear()
@@ -484,7 +484,7 @@ class TestForcingTable:
         finally:
             tracemalloc.stop()
         assert forcing.nbytes == table_bytes
-        assert peak <= 2 * table_bytes + 2 * fracweights._SCRATCH_BYTES, (
+        assert peak <= 2 * table_bytes + 2 * fracweights._BLOCK_BYTES, (
             peak / table_bytes)
 
 
@@ -543,13 +543,37 @@ class TestMemoryConvolution:
         assert np.array_equal(fast.final.values, fast.state.history[n_steps])
 
     def test_column_chunks_do_not_change_the_sum(self, monkeypatch):
-        # N = 600 reaches Toeplitz blocks up to 512: one dgemm per target
-        # row instead of a few
+        # N = 1100 reaches Toeplitz blocks up to 512 and one FFT block of
+        # 1024; with the one budget at 1 byte every sample block holds one
+        # level, every dgemm adds one target row and every FFT one column
         p = equivalence_problem(0.5)
-        mesh = _mesh(p, 5, 4, 600)
-        whole = solve(p, mesh).final.values
-        monkeypatch.setattr(fracweights, "_SCRATCH_BYTES", 1)
-        chunked = solve(p, mesh).final.values
+        mesh = _mesh(p, 5, 4, 1100)
+        assert mesh.N > 2 * fracweights._TOEPLITZ_MAX_BLOCK
+        dgemm, irfft = fracweights.dgemm, np.fft.irfft
+        widths = collections.defaultdict(list)
+
+        def counted_dgemm(*args, c, **kwargs):
+            widths["dgemm"].append(c.shape[1])
+            return dgemm(*args, c=c, **kwargs)
+
+        def counted_irfft(spec, *args, **kwargs):
+            widths["fft"].append(spec.shape[1])
+            return irfft(spec, *args, **kwargs)
+
+        monkeypatch.setattr(fracweights, "dgemm", counted_dgemm)
+        monkeypatch.setattr(np.fft, "irfft", counted_irfft)
+        chunks, finals = {}, {}
+        for budget in (fracweights._BLOCK_BYTES, 1):
+            monkeypatch.setattr(fracweights, "_BLOCK_BYTES", budget)
+            widths.clear()
+            finals[budget] = solve(p, mesh).final.values
+            chunks[budget] = (adisolver._block_levels(mesh),
+                              max(widths["dgemm"]), max(widths["fft"]))
+        # rows of a 512-level Toeplitz slice, columns of the FFT's length
+        # 1125: as many as fit in 2**20 bytes, then one each
+        assert chunks == {2**20: (2**20 // (8 * 6 * 5), 256, 23),
+                          1: (1, 1, 1)}
+        whole, chunked = finals[2**20], finals[1]
         assert np.max(np.abs(chunked - whole)) <= 1e-13 * np.max(np.abs(whole))
 
 

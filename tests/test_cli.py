@@ -214,7 +214,10 @@ class TestSolveCommand:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "ValueError"
-        assert err["message"].startswith(f"{key} is nan")
+        # a boundary or psi is refused as the file loads, by the t=0
+        # compatibility check, so the file is named first
+        loaded = f"problem file {ppath}: " if key in ("boundary", "psi") else ""
+        assert err["message"].startswith(f"{loaded}{key} is nan")
         assert point in err["message"]
 
     def test_non_finite_psi_probe_named(self, tmp_path, capsys):

@@ -286,7 +286,7 @@ class TestFoldBlock:
         whole = np.zeros((_TMB, 3))
         fold_block(kernel, block, whole)
         # one target row per dgemm call
-        monkeypatch.setattr(fracweights, "_SCRATCH_BYTES", 1)
+        monkeypatch.setattr(fracweights, "_BLOCK_BYTES", 1)
         rows = np.zeros((_TMB, 3))
         fold_block(kernel, block, rows)
         assert np.max(np.abs(rows - whole)) <= 1e-13 * np.max(np.abs(whole))

@@ -132,9 +132,14 @@ def test_python_and_numpy_numbers_accepted(site, tmp_path):
     call(np.float32(good) if kind == REAL else np.int64(good), tmp_path)
 
 
+# a path next to this file that does not exist
+_MISSING = os.path.join(os.path.dirname(__file__), "no_such_problem.json")
+
+
 # a real that float() cannot hold, then non-numbers: a problem's name, a
-# problem reference (one naming no regular file is unknown), a problem
-# path that names no regular file, and an expression
+# problem reference (one naming no regular file is unknown, and says
+# whether the path exists), a problem path that names no regular file,
+# and an expression
 @pytest.mark.parametrize("call, start", [
     (lambda: Mesh(10**400, 1.0, 4, 4, 1.0, 2),
      "L1 must be positive and finite, got 1000"),
@@ -145,8 +150,14 @@ def test_python_and_numpy_numbers_accepted(site, tmp_path):
     (lambda: get_problem(3), "unknown problem 3"),
     (lambda: get_problem(None, 0.5), "unknown problem None"),
     (lambda: run_study(_study(problem=3)), "unknown problem 3"),
-    (lambda: get_problem("", 0.5), "unknown problem '': "),
-    (lambda: get_problem(os.curdir, 0.5), f"unknown problem {os.curdir!r}: "),
+    (lambda: get_problem("", 0.5),
+     "unknown problem '': not a builtin (example1) and no such file"),
+    (lambda: get_problem(os.curdir, 0.5), f"unknown problem {os.curdir!r}: "
+     "not a builtin (example1) and not a regular file"),
+    (lambda: get_problem(os.devnull, 0.5), f"unknown problem {os.devnull!r}: "
+     "not a builtin (example1) and not a regular file"),
+    (lambda: get_problem(_MISSING, 0.5), f"unknown problem {_MISSING!r}: "
+     "not a builtin (example1) and no such file"),
     (lambda: load_problem(os.curdir),
      f"problem file {os.curdir} is not a regular file"),
     (lambda: load_problem(os.devnull),
@@ -154,7 +165,8 @@ def test_python_and_numpy_numbers_accepted(site, tmp_path):
     (lambda: compile_expression(3, alpha=0.5),
      "expression must be a string, got 3"),
 ], ids=["Mesh.L1-10**400", "name-None", "name-3", "get_problem-3",
-        "get_problem-None", "StudyConfig.problem-3", "get_problem-empty", "get_problem-directory",
+        "get_problem-None", "StudyConfig.problem-3", "get_problem-empty",
+        "get_problem-directory", "get_problem-devnull", "get_problem-missing",
         "load_problem-directory", "load_problem-devnull",
         "compile_expression-3"])
 def test_bad_reference_refused_by_name(call, start):

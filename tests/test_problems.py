@@ -619,9 +619,29 @@ class TestLoadProblem:
         data = {k: v for k, v in EXAMPLE_JSON.items() if k != "forcing"}
         path = tmp_path / "prob.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ValueError,
-                           match="either forcing_f or caputo_forcing"):
+        with pytest.raises(ValueError) as info:
             load_problem(path)
+        assert str(info.value) == (
+            f"problem file {path} needs 'forcing' or 'caputo_forcing'")
+
+    @pytest.mark.parametrize("key, value, start", [
+        ("domain", [-1.0, 1.0], "problem file {}: domain extents must be "
+                                "positive and finite, got -1.0"),
+        ("final_time", 0, "problem file {}: final time T must be positive "
+                          "and finite, got 0.0"),
+        ("boundary", "1", "problem file {}: boundary data at t=0 disagrees "
+                          "with psi by 1.000e+00 (tolerance 1e-12)"),
+        # an expression that fails as it is evaluated is named once
+        ("boundary", "x*0 + 9**9**9", "problem file {}, key 'boundary': "
+                                      "evaluating 'x*0 + 9**9**9' failed"),
+    ], ids=["domain", "final_time", "boundary", "boundary-overflow"])
+    def test_spec_refusal_names_file(self, tmp_path, key, value, start):
+        # ProblemSpec's own range and t=0 checks run as the file loads
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(dict(EXAMPLE_JSON, **{key: value})))
+        with pytest.raises(ValueError) as info:
+            load_problem(path)
+        assert str(info.value).startswith(start.format(path)), str(info.value)
 
     @pytest.mark.parametrize("key, value", [
         ("domain", ["a", 1]),
