@@ -49,6 +49,13 @@ row n+1 of the history holds the pending far field of S_n until the step
 overwrites it with u^{n+1} (see ``SolverState``), and no buffer beyond the
 history grows with N.
 
+A level pays only for the terms its data need: a block of zero Dirichlet
+data stores no edge terms and the sweeps subtract none, and a tau Hx Hy phi
+that is zero on the mesh is not added.  Skipping a zero term leaves every
+value as it was.  The step ignores numpy's overflow and invalid warnings
+(its finish decides what an overflow means); ``solve`` enters that error
+state once per solve, ``adi_step`` once per call.
+
 States are advanced in place, and a solve is deterministic: identical
 inputs give bitwise-identical trajectories.
 """
@@ -151,16 +158,20 @@ def _rhs_coefficients(c: float, mu: float, tau: float, h1: float,
                       h2: float) -> np.ndarray:
     """The fused pass's 4x3 weights: rows (P_s, Q_s, P_m, Q_m), the y
     neighbour and centre weights of P and Q (see the module docstring);
-    columns the fields (u^n, S_n, D)."""
+    columns the fields (u^n, S_n, D).  Formed in Python floats, which round
+    as numpy's float64 does."""
     (hs, hm, hscale), (ds, dm) = H_WEIGHTS, D2_WEIGHTS
-    hy = np.array([hs, hm]) / hscale   # (s, m) of Hy
-    dy = np.array([ds, dm]) / h2**2    # (s, m) of d2y
-    a = np.column_stack([hy + c * dy, mu * dy, 0.5 * tau * hy])
-    b = np.column_stack([c * (hy + c * dy), mu * hy, np.zeros(2)])
-    # x weights of Hx A + d2x B: P at the neighbours, Q at the centre
-    p = hs * a / hscale + ds * b / h1**2
-    q = hm * a / hscale + dm * b / h1**2
-    return np.vstack([p[0], q[0], p[1], q[1]])
+    rows = []
+    # y neighbour, then centre: the (s, m) weights of Hy and d2y
+    for hy, dy in ((hs / hscale, ds / h2**2), (hm / hscale, dm / h2**2)):
+        a = (hy + c * dy, mu * dy, 0.5 * tau * hy)
+        b = (c * (hy + c * dy), mu * hy, 0.0)
+        # x weights of Hx A + d2x B: P at the neighbours, Q at the centre
+        rows.append([hs * ai / hscale + ds * bi / h1**2
+                     for ai, bi in zip(a, b)])
+        rows.append([hm * ai / hscale + dm * bi / h1**2
+                     for ai, bi in zip(a, b)])
+    return np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -185,11 +196,13 @@ class StepPlan:
     y neighbours that ``centre`` adds.  The x pass writes ``rhs_mid``, rows
     1..M1-1 of plane 0, from ``p_below`` and ``p_above`` (plane 2 one row
     before and after), ``q_mid`` (plane 3) and ``phi_mid`` (of
-    ``tau_h_phi``); ``rhs`` is plane 0, the right-hand side, and ``rhs_int``
-    its interior, which the step's report reads after the sweeps.  The
-    finish takes the squares of ``rhs_int`` into ``squares``, a contiguous
-    stretch of plane 2, so that their sum is taken in the order it takes on
-    a fresh array.  ``levels`` is the history with one flat row per level.
+    ``tau_h_phi``; None when tau Hx Hy phi is zero on the mesh, and the x
+    pass adds nothing for it); ``rhs`` is plane 0, the right-hand side, and
+    ``rhs_int`` its interior, which the step's report reads after the
+    sweeps.  The finish takes |u| of the new interior, then the squares of
+    ``rhs_int``, into ``squares``, a contiguous stretch of plane 2, so that
+    each reduction runs in the order it takes on a fresh array.
+    ``levels`` is the history with one flat row per level.
     """
 
     coef: np.ndarray
@@ -211,7 +224,7 @@ class StepPlan:
     p_below: np.ndarray
     p_above: np.ndarray
     q_mid: np.ndarray
-    phi_mid: np.ndarray
+    phi_mid: np.ndarray | None
     rhs: np.ndarray
     rhs_mid: np.ndarray
     rhs_int: np.ndarray
@@ -255,7 +268,7 @@ def _step_plan(problem: ProblemSpec, mesh: Mesh, lam: np.ndarray,
         p_below=p[:-2],
         p_above=p[2:],
         q_mid=q[1:-1],
-        phi_mid=tau_h_phi[1:-1],
+        phi_mid=tau_h_phi[1:-1] if tau_h_phi.any() else None,
         rhs=rhs,
         rhs_mid=rhs[1:-1],
         rhs_int=rhs_int,
@@ -283,7 +296,8 @@ class SolverState:
     ``_block_levels``) of b levels on the F nodes of ``mesh.frame``, shape
     (b, F), which the step refills once it runs past them; ``edges`` holds
     the sweeps' four boundary terms for the same levels (see
-    ``_edge_terms``).
+    ``_edge_terms``), or None when the block's samples are all zero and the
+    sweeps have no boundary terms to subtract.
     """
 
     problem: ProblemSpec
@@ -293,7 +307,7 @@ class SolverState:
     f_current: np.ndarray = field(repr=False)
     plan: StepPlan = field(repr=False)
     boundary_rows: np.ndarray = field(repr=False)
-    edges: tuple = field(default=(), repr=False)
+    edges: tuple | None = field(default=None, repr=False)
     boundary_lo: int = 0
     current_level: int = 0
     last_report: StepReport | None = None
@@ -342,33 +356,34 @@ def _check_scaling(alpha: float, lam0: float, mesh: Mesh) -> None:
     tau**(alpha + 1) / 2, c = mu lambda_0, h**2 and 1/h**2; they are
     compared with ``_COEF_LIMIT`` by their logarithms, before any is formed.
     """
-    tau = f"tau = final_time / N = {mesh.tau:.6g}"
-    h1 = f"h1 = domain[0] / M1 = {mesh.h1:.6g}"
-    h2 = f"h2 = domain[1] / M2 = {mesh.h2:.6g}"
     log_tau, log_h1, log_h2 = (math.log(v)
                                for v in (mesh.tau, mesh.h1, mesh.h2))
     log_mu = (alpha + 1.0) * log_tau - math.log(2.0)
     log_c = log_mu + math.log(lam0)
     terms = (
-        ("h1**2", 2.0 * log_h1, (h1,)),
-        ("1 / h1**2", -2.0 * log_h1, (h1,)),
-        ("h2**2", 2.0 * log_h2, (h2,)),
-        ("1 / h2**2", -2.0 * log_h2, (h2,)),
-        ("tau", log_tau, (tau,)),
-        ("mu = tau**(alpha + 1) / 2", log_mu, (tau,)),
-        ("mu / h1**2", log_mu - 2.0 * log_h1, (tau, h1)),
-        ("mu / h2**2", log_mu - 2.0 * log_h2, (tau, h2)),
-        ("c**2 / h2**2", 2.0 * (log_c - log_h2), (tau, h2)),
+        ("h1**2", 2.0 * log_h1, ("h1",)),
+        ("1 / h1**2", -2.0 * log_h1, ("h1",)),
+        ("h2**2", 2.0 * log_h2, ("h2",)),
+        ("1 / h2**2", -2.0 * log_h2, ("h2",)),
+        ("tau", log_tau, ("tau",)),
+        ("mu = tau**(alpha + 1) / 2", log_mu, ("tau",)),
+        ("mu / h1**2", log_mu - 2.0 * log_h1, ("tau", "h1")),
+        ("mu / h2**2", log_mu - 2.0 * log_h2, ("tau", "h2")),
+        ("c**2 / h2**2", 2.0 * (log_c - log_h2), ("tau", "h2")),
         ("c**2 / (h1 h2)**2", 2.0 * (log_c - log_h1 - log_h2),
-         (tau, h1, h2)),
+         ("tau", "h1", "h2")),
     )
     for quantity, log_value, steps in terms:
         if log_value > math.log(_COEF_LIMIT):
+            # formatted only for a refusal: a solve's set-up skips it
+            step = {"tau": f"tau = final_time / N = {mesh.tau:.6g}",
+                    "h1": f"h1 = domain[0] / M1 = {mesh.h1:.6g}",
+                    "h2": f"h2 = domain[1] / M2 = {mesh.h2:.6g}"}
             raise ValueError(
                 f"{quantity} is about 10**{log_value / math.log(10.0):.0f} "
-                f"for {', '.join(steps)}, over the limit {_COEF_LIMIT:g} of "
-                "a scheme coefficient; change final_time, domain or the "
-                "step counts"
+                f"for {', '.join(step[k] for k in steps)}, over the limit "
+                f"{_COEF_LIMIT:g} of a scheme coefficient; change "
+                "final_time, domain or the step counts"
             )
 
 
@@ -397,6 +412,8 @@ def _memory_sum(state: SolverState) -> np.ndarray:
 def _fold_far_field(state: SolverState, s: int) -> None:
     """Once level s is stored, fold the block it completes (if any) into
     the pending rows of S_n for the levels n after it."""
+    if (s + 1) % _LEAF:  # no block ends at s: completed_block's test
+        return
     b = completed_block(s)
     flat = state.plan.levels
     # targets stop at S_{N-1}, stored in the last row
@@ -423,11 +440,12 @@ def _rhs_raw(state: SolverState, f_next: np.ndarray) -> np.ndarray:
     np.add(plan.centre, plan.below, out=plan.centre)
     np.add(plan.centre, plan.above, out=plan.centre)
 
-    # the x pass: P_- + P_+ + Q, plus tau Hx Hy phi
+    # the x pass: P_- + P_+ + Q, plus tau Hx Hy phi unless it is zero
     inner = plan.rhs_mid
     np.add(plan.p_below, plan.p_above, out=inner)
     np.add(inner, plan.q_mid, out=inner)
-    np.add(inner, plan.phi_mid, out=inner)
+    if plan.phi_mid is not None:
+        np.add(inner, plan.phi_mid, out=inner)
     return plan.rhs
 
 
@@ -448,31 +466,32 @@ def _edge_terms(state: SolverState, rows: np.ndarray) -> tuple:
             *np.swapaxes(sy.off * sides, 0, 1))
 
 
-def _boundary(state: SolverState, k: int) -> int:
-    """Index of level k in the state's boundary block, which is sampled on
-    the frame from level k on, with its edge terms, once k runs past it."""
-    i = k - state.boundary_lo
-    if not 0 <= i < len(state.boundary_rows):
-        mesh = state.mesh
-        hi = min(k + _block_levels(mesh), mesh.N + 1)
-        rows = _sample_levels(state.problem.boundary, mesh, k, hi,
-                              "boundary", frame=True)
-        state.boundary_rows, state.edges = rows, _edge_terms(state, rows)
-        state.boundary_lo, i = k, 0
-    return i
+def _boundary(state: SolverState, k: int) -> None:
+    """Refill the state's boundary block from level k on: one sample on the
+    frame and, unless every sample is zero, its edge terms."""
+    mesh = state.mesh
+    hi = min(k + _block_levels(mesh), mesh.N + 1)
+    rows = _sample_levels(state.problem.boundary, mesh, k, hi, "boundary",
+                          frame=True)
+    state.boundary_rows, state.boundary_lo = rows, k
+    state.edges = _edge_terms(state, rows) if rows.any() else None
 
 
 # data near the float range may overflow in a step, and overflowed terms
 # may cancel to NaN; the finish's guard and its scaled rhs norm decide what
-# that means, so the warnings are noise
-@np.errstate(over="ignore", invalid="ignore")
+# that means, so the warnings are noise.  ``_run`` enters this error state
+# once per solve, ``adi_step`` once per call.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
+
 def _step(state: SolverState,
           interior: Callable[..., np.ndarray]) -> SolverState:
     """Advance one level in place; ``interior(state, rhs_int, i)`` solves
     for the interior nodes of the next level from the right-hand side's
     interior and row i of the state's boundary block (that level's samples
     and edge terms).  The new level is written straight into its history
-    row: the block row on the frame, then the interior."""
+    row: the block row on the frame, then the interior.  The caller holds
+    the error state ``_QUIET``."""
     t0 = time.perf_counter_ns()
     mesh = state.mesh
     n = state.current_level
@@ -480,7 +499,10 @@ def _step(state: SolverState,
         raise ValueError(f"state already at the final level {mesh.N}")
 
     f_next = state.forcing(n + 1)
-    i = _boundary(state, n + 1)
+    i = n + 1 - state.boundary_lo
+    if not 0 <= i < len(state.boundary_rows):
+        _boundary(state, n + 1)
+        i = 0
     _rhs_raw(state, f_next)
     # row n+1 held the pending far field, which the memory sum has read;
     # the frame and the interior overwrite all of it
@@ -491,16 +513,16 @@ def _step(state: SolverState,
     # the frame holds boundary samples, which sampling has checked are
     # finite, so the interior's max |u| is both the overflow guard (a NaN
     # fails it) and the norm
-    peak = float(max(abs(sol.max()), abs(sol.min())))
+    squares, cell = plan.squares, plan.cell
+    peak = float(np.maximum.reduce(np.abs(sol, out=squares), axis=None))
     state.history[n + 1, 1:-1, 1:-1] = sol
     if not math.isfinite(peak):
         raise _overflow_error(state, n + 1, f_next, i)
     _fold_far_field(state, n + 1)
     state.f_current = f_next
     state.current_level = n + 1
-    squares, cell = plan.squares, plan.cell
-    rhs_norm = math.sqrt(cell * np.multiply(rhs_int, rhs_int,
-                                            out=squares).sum())
+    rhs_norm = math.sqrt(cell * np.add.reduce(
+        np.multiply(rhs_int, rhs_int, out=squares), axis=None))
     if math.isinf(rhs_norm):  # the squares overflowed: scale by the max
         top = np.abs(rhs_int).max()
         np.divide(rhs_int, top, out=squares)
@@ -535,21 +557,29 @@ def _sweeps(state: SolverState, rhs_int: np.ndarray, i: int) -> np.ndarray:
     the right-hand side's interior and the boundary terms of row i of the
     state's block."""
     sx, sy = state.plan.sweep_x, state.plan.sweep_y
-    x_lo, x_hi, y_lo, y_hi = state.edges
+    edges = state.edges  # None: zero boundary data, no terms to subtract
 
     # F order: the x sweep solves its columns in place, without a copy
     r = np.array(rhs_int, order="F")
-    r[0, :] -= x_lo[i]
-    r[-1, :] -= x_hi[i]
+    if edges is not None:
+        r[0, :] -= edges[0][i]
+        r[-1, :] -= edges[1][i]
     ustar = sx.solve(r)
 
-    ustar[:, 0] -= y_lo[i]
-    ustar[:, -1] -= y_hi[i]
+    if edges is not None:
+        ustar[:, 0] -= edges[2][i]
+        ustar[:, -1] -= edges[3][i]
     # ustar.T is C-ordered, so pttrs copies it to F order: the step's one
     # transpose
     return sy.solve(ustar.T).T
 
 
+def _sweep_step(state: SolverState) -> SolverState:
+    """``adi_step`` without its error state, for a loop that holds it."""
+    return _step(state, _sweeps)
+
+
+@np.errstate(**_QUIET)
 def adi_step(state: SolverState) -> SolverState:
     """Advance one level with the two tridiagonal sweeps (in place)."""
     return _step(state, _sweeps)
@@ -568,8 +598,8 @@ class SolveResult:
 
 
 # bench/tracer.py times each step by wrapping this table's entry, so
-# ``solve`` steps through it
-_STEPPERS: dict[str, Callable] = {"adi": adi_step}
+# ``solve`` steps through it; ``_run`` holds the step's error state
+_STEPPERS: dict[str, Callable] = {"adi": _sweep_step}
 
 
 def _run(state: SolverState,
@@ -577,27 +607,28 @@ def _run(state: SolverState,
     """Step ``state`` to level N with ``stepper``, gathering errors and
     step reports as ``solve`` describes.  The error is tracked a block of
     levels at a time (see ``_block_levels``): after the block's steps, one
-    exact-solution sample is compared with its rows of the history."""
+    exact-solution sample is compared with its rows of the history.  The
+    loop holds the steps' error state ``_QUIET``, entered once."""
     problem, mesh = state.problem, state.mesh
     reports: list[StepReport] = []
     e_inf: float | None = None
     final_error: float | None = None
     block = _block_levels(mesh)
-    for lo in range(1, mesh.N + 1, block):
-        hi = min(lo + block, mesh.N + 1)
-        for _ in range(lo, hi):
-            stepper(state)
-            reports.append(state.last_report)
-        if problem.exact is not None:
-            err = _sample_levels(problem.exact, mesh, lo, hi,
-                                 "exact")[:, 1:-1, 1:-1]
-            # finite levels near the float range may differ by more than
-            # it holds: that error is inf, not a warning
-            with np.errstate(over="ignore"):
+    with np.errstate(**_QUIET):
+        for lo in range(1, mesh.N + 1, block):
+            hi = min(lo + block, mesh.N + 1)
+            for _ in range(lo, hi):
+                stepper(state)
+                reports.append(state.last_report)
+            if problem.exact is not None:
+                err = _sample_levels(problem.exact, mesh, lo, hi,
+                                     "exact")[:, 1:-1, 1:-1]
+                # finite levels near the float range may differ by more
+                # than it holds: that error is inf, not a warning
                 np.subtract(state.history[lo:hi, 1:-1, 1:-1], err, out=err)
-            level_err = np.abs(err, out=err).max(axis=(1, 2))
-            final_error = float(level_err[-1])
-            e_inf = max(e_inf or 0.0, float(level_err.max()))
+                level_err = np.abs(err, out=err).max(axis=(1, 2))
+                final_error = float(level_err[-1])
+                e_inf = max(e_inf or 0.0, float(level_err.max()))
 
     return SolveResult(
         final=state.u_current,

@@ -133,18 +133,25 @@ def _evaluate(func: Callable, field: str, x, y, *t,
     default the shape of the points (x, y), and t, broadcast together; a
     caller that knows it passes it.
 
-    A non-finite value raises a ValueError naming ``field`` and the t and
-    (x, y) of the first offending value, in place of numpy's floating-point
-    warnings.
+    A result that does not broadcast to ``shape`` and a non-finite value
+    raise a ValueError naming ``field``, the latter with the t and (x, y) of
+    the first offending value, in place of numpy's floating-point warnings.
+    Finiteness is read from the sum, and only a non-finite sum, which
+    finite values near the float range can give too, scans the values.
     """
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        out = np.asarray(func(x, y, *t), dtype=float)
     if shape is None:
         shape = np.broadcast(x, y, *t).shape
-    if out.shape != shape:  # broadcast_to costs more than the copy
-        out = np.broadcast_to(out, shape)
-    out = out.astype(float, copy=True)
-    if not np.isfinite(out).all():
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        out = np.array(func(x, y, *t), dtype=float)
+        if out.shape != shape:  # a scalar or a smaller result: one more copy
+            try:
+                out = np.broadcast_to(out, shape).copy()
+            except ValueError:
+                raise ValueError(
+                    f"{field} returned shape {out.shape}, which does not "
+                    f"broadcast to {shape}") from None
+        total = np.add.reduce(out, axis=None)
+    if not math.isfinite(total) and not np.isfinite(out).all():
         k = tuple(np.argwhere(~np.isfinite(out))[0])
         px, py = (np.broadcast_to(v, shape)[k] for v in (x, y))
         at = f" at t={np.broadcast_to(t[0], shape)[k]:.17g}" if t else ""

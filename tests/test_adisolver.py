@@ -203,6 +203,34 @@ class TestStepping:
         r2 = solve_direct(p, mesh)
         assert np.max(np.abs(r1.final.values - r2.final.values)) < 1e-12
 
+    def test_zero_boundary_blocks_skip_edge_terms(self, monkeypatch):
+        # a boundary that is zero up to t = 1/2 and nonzero after, in blocks
+        # of three levels: a zero block stores no edge terms, a nonzero one
+        # does, and every level still equals the dense solve
+        p = ProblemSpec(
+            name="switch", alpha=0.5, domain=(1.0, 1.0), T=1.0,
+            phi=_zero_xy, psi=_zero_xy,
+            boundary=lambda x, y, t: np.maximum(0.0, t - 0.5) ** 3 * (1 + x),
+            forcing_f=lambda x, y, t: (np.sin(np.pi * x) * np.sin(np.pi * y)
+                                       * (1.0 + t)),
+        )
+        mesh = _mesh(p, 12, 12, 40)
+        monkeypatch.setattr(fracweights, "_BLOCK_BYTES", 3 * 8 * 13 * 13)
+        assert adisolver._block_levels(mesh) == 3
+        state = init_state(p, mesh)
+        no_edges = {}
+        while state.current_level < mesh.N:
+            adi_step(state)
+            no_edges[state.boundary_lo] = state.edges is None
+        want = {lo: bool(np.all(np.arange(lo, min(lo + 3, 41)) * mesh.tau
+                                <= 0.5))
+                for lo in range(1, 41, 3)}
+        assert no_edges == want
+        assert True in want.values() and False in want.values()
+        dense = solve_direct(p, mesh).state.history
+        assert np.max(np.abs(state.history - dense)) <= 1e-11
+        assert np.array_equal(solve(p, mesh).state.history, state.history)
+
     def test_adi_equals_direct_one_interior_row(self):
         # M1 = 2: the x sweep solves one row, and the frame's columns hold
         # one node each
@@ -660,6 +688,12 @@ class TestStepPlan:
         assert plan.squares.shape == (mesh.M1 - 1, mesh.M2 - 1)
         assert np.array_equal(plan.squares.ravel(),
                               planes[2, :plan.squares.size])
+
+    def test_zero_phi_keeps_no_view(self):
+        # tau Hx Hy phi is zero for example1, so the x pass adds nothing
+        p = make_example1(0.5)
+        plan = init_state(p, mesh_for(p, 6, n=4)).plan
+        assert plan.phi_mid is None and not plan.tau_h_phi.any()
 
     def test_steps_keep_the_plan(self):
         # a run steps through the same views, and gives the same bits as

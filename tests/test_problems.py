@@ -104,6 +104,22 @@ class TestProblemSpecValidation:
                         phi=_zero_xy, forcing_f=_zero_xyt, **data)
         assert str(info.value).startswith(f"{field} is nan{at}, (x, y) = (0, 0)")
 
+    def test_result_of_wrong_shape_named(self):
+        # the t=0 check samples the boundary on the 32 frame nodes of an
+        # 8 x 8 mesh; a (3, 3) result does not broadcast to them
+        with pytest.raises(ValueError,
+                           match=r"^boundary returned shape \(3, 3\), which "
+                                 r"does not broadcast to \(1, 32\)$"):
+            ProblemSpec(name="bad", alpha=0.5, domain=(1.0, 1.0), T=1.0,
+                        phi=_zero_xy, psi=_zero_xy,
+                        boundary=lambda x, y, t: np.ones((3, 3)),
+                        forcing_f=_zero_xyt)
+        mesh = Mesh(1.0, 2.0, 2, 4, 1.0, 1)
+        with pytest.raises(ValueError, match=r"^phi returned shape \(2,\), "
+                                             r"which does not broadcast to "
+                                             r"\(3, 5\)$"):
+            sample_xy(lambda x, y: np.ones(2), mesh, field="phi")
+
     def test_missing_forcing_rejected(self):
         with pytest.raises(ValueError, match="forcing"):
             ProblemSpec(
@@ -181,6 +197,24 @@ class TestSampling:
                        mesh, 0.25, field="boundary")
         with pytest.raises(ValueError, match=r"^data is nan, \(x, y\) = \(0, 0"):
             sample_xy(lambda x, y: np.log(x - 0.5), mesh)
+
+        # finite values whose sum overflows pass unchanged, without a
+        # RuntimeWarning (an error under this suite); among them, a NaN is
+        # still named at its node
+        huge = sample_xyt(lambda x, y, t: 1e308 + 0.0 * x * y, mesh, 0.25,
+                          field="boundary")
+        assert np.array_equal(huge, np.full(mesh.shape, 1e308))
+
+        def planted(x, y, t):
+            vals = np.full(np.broadcast(x, y, t).shape, 1e308)
+            vals[(x == 1.0) & (y == 1.5) & (t == 0.5)] = np.nan
+            return vals
+
+        t = np.array([0.25, 0.5])[:, None, None]
+        with pytest.raises(ValueError,
+                           match=r"^boundary is nan at t=0.5, \(x, y\) = "
+                                 r"\(1, 1.5\)"):
+            sample_xyt(planted, mesh, t, field="boundary")
 
     def test_block_of_levels(self):
         # t of shape (b, 1, 1) samples b levels in one call; a scalar
