@@ -39,13 +39,8 @@ from .problems import (
     sample_xy,
 )
 from .studies import (
-    _EMIT_CHOICES as _STUDY_EMIT,
-    _FIXED_LEAST,
     StudyConfig,
-    check_alphas,
-    check_axis,
     check_emit,
-    check_ladder,
     emit_outputs,
     emit_table,
     run_study,
@@ -143,15 +138,15 @@ def _parse_list(value: str, cast):
     return tuple(cast(v.strip()) for v in value.split(","))
 
 
-def _alphas(args: argparse.Namespace) -> tuple:
+def _alphas(args: argparse.Namespace) -> tuple | None:
     """The run's alphas.  --alpha (or the config's alpha) wins; otherwise
-    None, for a problem file's own alpha, or ``_BUILTIN_ALPHA`` for a
-    builtin problem."""
+    ``_BUILTIN_ALPHA`` for a builtin problem, or None for a problem file's
+    own alpha, which the file supplies when it loads."""
     if args.alpha is not None:
         return _parse_list(args.alpha, lambda v: _number(v, "--alpha"))
     if args.problem in BUILTIN_PROBLEMS:
         return (_BUILTIN_ALPHA,)
-    return (None,)  # get_problem reads the file's alpha
+    return None
 
 
 def _count(value, flag: str, least: int) -> int:
@@ -172,9 +167,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise ValueError("emitting snapshots requires --snapshot-every")
 
     alphas = _alphas(args)
-    if len(alphas) != 1:
+    if alphas is not None and len(alphas) != 1:
         raise ValueError(f"solve takes one alpha, got {len(alphas)}")
-    problem = get_problem(args.problem, alphas[0])
+    problem = get_problem(args.problem, alphas and alphas[0])
     mesh = mesh_for(problem, m, n=n)
 
     # the solver wants zero initial displacement; reduce, then add psi back
@@ -236,30 +231,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
-    # --axis, --alpha, --ladder, --fixed and --emit are checked by
-    # StudyConfig's own rules before the problem is loaded
-    check_axis(args.axis)
-    alphas = _alphas(args)
-    if alphas != (None,):  # a file's own alpha is checked when it loads
-        check_alphas(alphas)
-    ladder = _parse_list(args.ladder, lambda v: _number(v, "--ladder", int))
-    check_ladder(ladder, args.axis)
+    # the flags' text is parsed here; StudyConfig checks every rule before
+    # run_study loads the problem
     fixed = args.fixed
     if fixed is None:
         fixed = TEMPORAL_M if args.axis == "temporal" else SPATIAL_N
-    fixed = _count(fixed, "--fixed", _FIXED_LEAST[args.axis])
-    emit = _parse_list(args.emit, str)
-    check_emit(emit, _STUDY_EMIT)
-
-    problem = args.problem
-    if alphas == (None,):  # the file's own alpha: load the file once
-        problem = get_problem(problem)
-        alphas = (problem.alpha,)
-    config = StudyConfig(alphas=alphas, axis=args.axis, ladder=ladder,
-                         fixed=fixed, problem=problem, out_dir=args.out,
-                         emit=emit)
+    config = StudyConfig(
+        alphas=_alphas(args), axis=args.axis,
+        ladder=_parse_list(args.ladder, lambda v: _number(v, "--ladder", int)),
+        fixed=_number(fixed, "--fixed", int), problem=args.problem,
+        out_dir=args.out, emit=_parse_list(args.emit, str))
     result = run_study(config)
-    if "table" in emit or not emit:
+    if "table" in config.emit or not config.emit:
         print(emit_table(result.rows), end="")
     for path in emit_outputs(config, result):
         print(f"wrote {path}")

@@ -18,13 +18,7 @@ from pathlib import Path
 from .adisolver import solve
 from .fracweights import _check_alpha, _integer
 from .meshops import GridFn
-from .problems import (
-    ProblemSpec,
-    get_problem,
-    homogenize_initial,
-    mesh_for,
-    sample_xy,
-)
+from .problems import get_problem, homogenize_initial, mesh_for, sample_xy
 
 _EMIT_CHOICES = ("table", "csv", "svg")
 _AXES = ("temporal", "spatial")
@@ -38,12 +32,6 @@ def check_emit(emit, choices: tuple[str, ...]) -> None:
     if bad:
         raise ValueError(f"unknown emit flags {sorted(bad, key=str)}; "
                          f"choose from {choices}")
-
-
-def check_axis(axis) -> None:
-    """Reject a refinement axis other than temporal or spatial."""
-    if axis not in _AXES:
-        raise ValueError(f"axis must be temporal or spatial, got {axis!r}")
 
 
 def check_alphas(alphas) -> None:
@@ -80,10 +68,13 @@ class StudyConfig:
     over step counts N at fixed spatial resolution ``fixed``; "spatial"
     runs it over cell counts M (both axes) at fixed N.  ``ladder`` entries
     should double for the rates to be read as orders.  ``problem`` is a
-    builtin name, a JSON file path, or a ProblemSpec.
+    builtin name, a JSON file path, or a ProblemSpec.  ``alphas`` None
+    means the problem's own alpha, a ProblemSpec's or a problem file's;
+    a builtin name has none.  Every rule on these fields is checked here,
+    when the config is built; the problem is loaded by ``run_study``.
     """
 
-    alphas: tuple[float, ...]
+    alphas: tuple[float, ...] | None
     axis: str
     ladder: tuple[int, ...]
     fixed: int
@@ -92,18 +83,15 @@ class StudyConfig:
     emit: tuple[str, ...] = ("table",)
 
     def __post_init__(self) -> None:
-        check_axis(self.axis)
-        check_alphas(self.alphas)
+        if self.axis not in _AXES:
+            raise ValueError(
+                f"axis must be temporal or spatial, got {self.axis!r}")
+        if self.alphas is not None:
+            check_alphas(self.alphas)
         check_ladder(self.ladder, self.axis)
         object.__setattr__(self, "fixed", _integer(
             self.fixed, "fixed", _FIXED_LEAST[self.axis]))
         check_emit(self.emit, _EMIT_CHOICES)
-        if isinstance(self.problem, ProblemSpec):
-            if tuple(self.alphas) != (self.problem.alpha,):
-                raise ValueError(
-                    "an explicit ProblemSpec fixes alpha; the alphas list "
-                    "must be exactly (problem.alpha,)"
-                )
 
 
 @dataclass(frozen=True)
@@ -130,9 +118,11 @@ def run_study(config: StudyConfig) -> StudyResult:
     """Execute every ladder entry for every alpha, in order.
 
     Each run is an independent solve, so results do not depend on the order
-    of execution; rows appear alpha-major, coarse to fine.  Every problem is
-    loaded and every run's mesh built before the first solve, so a run that
-    breaks the mesh's size rule fails at once.  A problem with a nonzero psi
+    of execution; rows appear alpha-major, coarse to fine.  ``alphas`` None
+    runs the problem once, at its own alpha.  Every problem is loaded and
+    every run's mesh built before the first solve, so a ProblemSpec given
+    another alpha, a builtin given none and a run that breaks the mesh's
+    size rule fail at once.  A problem with a nonzero psi
     is reduced by ``homogenize_initial`` on each run's mesh, as the CLI's
     solve does; E_inf is unchanged by the shift.  The final field of the
     finest run per alpha, with psi added back, is kept for optional
@@ -144,7 +134,7 @@ def run_study(config: StudyConfig) -> StudyResult:
     sizes = [(config.fixed, int(e)) if config.axis == "temporal"
              else (int(e), config.fixed) for e in config.ladder]
     runs = []
-    for alpha in config.alphas:
+    for alpha in config.alphas or (None,):
         problem = get_problem(config.problem, alpha)
         if problem.exact is None:
             raise ValueError(

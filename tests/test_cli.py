@@ -502,9 +502,11 @@ class TestSolveCommand:
             (("solve", "--alpha", "0.3,0.4"), "solve takes one alpha, got 2"),
             (("solve", "--m", "1"), "--m must be an integer >= 2, got 1"),
             (("solve", "--n", "0"), "--n must be an integer >= 1, got 0"),
-            (("study", "--fixed", "0"), "--fixed must be an integer >= 2"),
+            (("study", "--fixed", "0"), "fixed must be an integer >= 2"),
             (("study", "--axis", "spatial", "--fixed", "0"),
-             "--fixed must be an integer >= 1"),
+             "fixed must be an integer >= 1"),
+            (("solve", "--alpha", ""), "solve takes one alpha, got 0"),
+            (("study", "--alpha", ""), "at least one alpha is required"),
         ]:
             code = run_cli(*argv, "--problem", "missing.json")
             assert code == 1

@@ -57,12 +57,6 @@ class TestStudyConfig:
         assert type(config.fixed) is int
         assert type(run_study(config).rows[0].h) is float
 
-    def test_spec_alpha_mismatch(self):
-        p = make_example1(0.5)
-        with pytest.raises(ValueError, match="alpha"):
-            tiny_config(problem=p, alphas=(0.25,))
-        tiny_config(problem=p, alphas=(0.5,))
-
 
 class TestRunStudy:
     def test_rows_and_rates(self):
@@ -115,6 +109,34 @@ class TestRunStudy:
         config = tiny_config(axis="spatial", ladder=(4, 16000), fixed=1)
         with pytest.raises(ValueError, match="run-size limit"):
             run_study(config)
+        assert calls == []
+
+    def test_spec_alpha_mismatch(self, monkeypatch):
+        # get_problem refuses the other alpha when run_study loads the
+        # problem, before the first solve
+        calls = []
+        monkeypatch.setattr(studies, "solve", lambda *args: calls.append(1))
+        config = tiny_config(problem=make_example1(0.5), alphas=(0.25,))
+        with pytest.raises(ValueError,
+                           match=r"^problem 'example1' has alpha 0.5, not 0.25"):
+            run_study(config)
+        assert calls == []
+
+    def test_problem_own_alpha(self):
+        # alphas None runs a ProblemSpec at its own alpha, as does a
+        # ProblemSpec given that alpha
+        spec = make_example1(0.25)
+        own = run_study(tiny_config(alphas=None, problem=spec)).rows
+        assert own == run_study(tiny_config(alphas=(0.25,))).rows
+        assert own == run_study(tiny_config(alphas=(0.25,), problem=spec)).rows
+
+    def test_builtin_needs_alpha(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(studies, "solve", lambda *args: calls.append(1))
+        with pytest.raises(ValueError,
+                           match=r"^builtin problem 'example1' needs an alpha "
+                                 r"value"):
+            run_study(tiny_config(alphas=None))
         assert calls == []
 
 
