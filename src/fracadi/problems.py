@@ -430,6 +430,12 @@ class ManufacturedReport:
     used_fd_space: bool
 
 
+def _second_difference(g, h: float) -> float:
+    """Fourth-order five-point second derivative at 0 of g(d), step h."""
+    return (-g(2 * h) + 16.0 * g(h) - 30.0 * g(0.0) + 16.0 * g(-h)
+            - g(-2 * h)) / (12.0 * h**2)
+
+
 def verify_manufactured(
     spec: ProblemSpec,
     samples: int = 20,
@@ -475,21 +481,9 @@ def verify_manufactured(
     def lap_at(x, y):
         if not use_fd_space:
             return lambda s: spec.exact_laplacian(x, y, s)
-
-        def fd_lap(s):
-            dxx = (
-                -exact(x + 2 * kx, y, s) + 16.0 * exact(x + kx, y, s)
-                - 30.0 * exact(x, y, s) + 16.0 * exact(x - kx, y, s)
-                - exact(x - 2 * kx, y, s)
-            ) / (12.0 * kx**2)
-            dyy = (
-                -exact(x, y + 2 * ky, s) + 16.0 * exact(x, y + ky, s)
-                - 30.0 * exact(x, y, s) + 16.0 * exact(x, y - ky, s)
-                - exact(x, y - 2 * ky, s)
-            ) / (12.0 * ky**2)
-            return dxx + dyy
-
-        return fd_lap
+        return lambda s: (
+            _second_difference(lambda d: exact(x + d, y, s), kx)
+            + _second_difference(lambda d: exact(x, y + d, s), ky))
 
     residuals = np.empty(samples)
     points = np.empty((samples, 3))
@@ -561,20 +555,25 @@ def compile_expression(source: str, *, alpha: float,
     expression mentions.
     Integer literals become floats, so a power such as ``9**9**9`` overflows
     at once instead of growing a big integer; an arithmetic error or a
-    complex value during evaluation is raised as a ValueError that starts
-    with ``label``.  An expression nested too deeply for the parser or the
-    compiler raises ValueError too.
+    complex value during evaluation is raised as a ValueError too.  An
+    expression nested too deeply for the parser or the compiler is refused.
+    Every refusal, at compile time or in evaluation, is a ValueError that
+    starts with ``label``.
     """
     if not isinstance(source, str):
-        raise ValueError(f"expression must be a string, got {source!r}")
+        raise ValueError(f"{label} must be a string, got {source!r}")
     alpha = _check_alpha(alpha)
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError as exc:
-        raise ValueError(f"cannot parse expression {source!r}: {exc}") from exc
+        raise ValueError(f"{label}: cannot parse expression {source!r}: "
+                         f"{exc}") from exc
     except (RecursionError, MemoryError) as exc:
-        raise ValueError(f"expression of {len(source)} characters is nested "
-                         f"too deeply to parse") from exc
+        raise ValueError(f"{label}: expression of {len(source)} characters "
+                         f"is nested too deeply to parse") from exc
+
+    def refused(what):
+        return ValueError(f"{label}: {what} in {source!r}")
 
     allowed_names = set(variables) | {"alpha", "pi"}
     # the walk reaches a call before its function's name, which the Call
@@ -583,35 +582,33 @@ def compile_expression(source: str, *, alpha: float,
     for node in ast.walk(tree):
         if isinstance(node, ast.Constant):
             if isinstance(node.value, bool) or not isinstance(node.value, (int, float)):
-                raise ValueError(f"disallowed literal {node.value!r} in {source!r}")
+                raise refused(f"disallowed literal {node.value!r}")
             try:
                 node.value = float(node.value)
             except OverflowError as exc:
-                raise ValueError(f"literal too large in {source!r}") from exc
+                raise refused("literal too large") from exc
         elif isinstance(node, ast.Name):
             if node not in callees and node.id not in allowed_names:
-                raise ValueError(f"unknown name {node.id!r} in {source!r}")
+                raise refused(f"unknown name {node.id!r}")
         elif isinstance(node, ast.Call):
             if (not isinstance(node.func, ast.Name)
                     or node.func.id not in _EXPR_FUNCS
                     or node.keywords):
-                raise ValueError(f"disallowed function call in {source!r}")
+                raise refused("disallowed function call")
             if len(node.args) != 1:
-                raise ValueError(f"{node.func.id} takes one argument, got "
-                                 f"{len(node.args)} in {source!r}")
+                raise refused(f"{node.func.id} takes one argument, "
+                              f"got {len(node.args)}")
             callees.add(node.func)
         elif isinstance(node, _EXPR_STRUCTURE):
             continue
         else:
-            raise ValueError(
-                f"disallowed syntax {type(node).__name__} in {source!r}"
-            )
+            raise refused(f"disallowed syntax {type(node).__name__}")
 
     try:
         code = compile(tree, "<problem-expression>", "eval")
     except (RecursionError, MemoryError) as exc:
-        raise ValueError(f"expression of {len(source)} characters is nested "
-                         f"too deeply to compile") from exc
+        raise ValueError(f"{label}: expression of {len(source)} characters "
+                         f"is nested too deeply to compile") from exc
     env = {"__builtins__": {}, **_EXPR_FUNCS, "pi": math.pi, "alpha": alpha}
 
     def f(x, y, t):
@@ -668,11 +665,8 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
         src = data.get(key)
         if src is None:
             return None
-        try:
-            return compile_expression(src, alpha=alpha, variables=variables,
-                                      label=f"problem file {path}, key {key!r}")
-        except ValueError as exc:
-            raise ValueError(f"problem file {path}, key {key!r}: {exc}") from exc
+        return compile_expression(src, alpha=alpha, variables=variables,
+                                  label=f"problem file {path}, key {key!r}")
 
     # a null phi, psi or boundary is zero (a missing one was refused above)
     funcs: dict = {"phi": _zero_xy, "psi": _zero_xy, "boundary": _zero_xyt}
@@ -689,14 +683,12 @@ def load_problem(path, *, alpha: float | None = None) -> ProblemSpec:
     name = data.get("name")
     if name is None:
         name = path.stem
-    elif not isinstance(name, str):
-        raise ValueError(f"problem file {path}: name must be a string")
 
     domain = tuple(_number(v, f"problem file {path}, key 'domain'")
                    for v in domain)
     T = _number(data["final_time"], f"problem file {path}, key 'final_time'")
-    # the range checks and the t=0 compatibility check name the file too;
-    # an expression's own evaluation error names it and its key already
+    # the name, range and t=0 compatibility checks name the file too; an
+    # expression's own evaluation error names it and its key already
     try:
         return ProblemSpec(name=name, alpha=alpha, domain=domain, T=T, **funcs)
     except ValueError as exc:

@@ -21,6 +21,7 @@ from .meshops import GridFn
 from .problems import get_problem, homogenize_initial, mesh_for, sample_xy
 
 _EMIT_CHOICES = ("table", "csv", "svg")
+_CSV_HEADER = ["alpha", "h", "tau", "e_inf", "rate"]
 _AXES = ("temporal", "spatial")
 # least fixed resolution per axis: two cells (temporal), one step (spatial)
 _FIXED_LEAST = {"temporal": 2, "spatial": 1}
@@ -153,7 +154,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         e = _round_sig(result.e_inf)
         prev = rows[-1] if rows and rows[-1].alpha == problem.alpha else None
         rate = None
-        if prev is not None and e > 0.0:
+        if prev is not None and 0.0 < e < math.inf and 0.0 < prev.e_inf < math.inf:
             rate = math.log2(prev.e_inf / e)
         rows.append(ConvergenceRow(
             alpha=problem.alpha, h=mesh.h1, tau=mesh.tau, e_inf=e, rate=rate,
@@ -182,7 +183,7 @@ def emit_csv(rows: list[ConvergenceRow], path) -> None:
     """Write rows as CSV; repr-formatted floats round-trip exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["alpha", "h", "tau", "e_inf", "rate"])
+        writer.writerow(_CSV_HEADER)
         for row in rows:
             writer.writerow([
                 repr(row.alpha), repr(row.h), repr(row.tau), repr(row.e_inf),
@@ -191,19 +192,26 @@ def emit_csv(rows: list[ConvergenceRow], path) -> None:
 
 
 def read_study_csv(path) -> list[ConvergenceRow]:
+    """Read the rows emit_csv wrote; a refusal names the file and line."""
     rows: list[ConvergenceRow] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["alpha", "h", "tau", "e_inf", "rate"]:
-            raise ValueError(f"unexpected study CSV header: {header}")
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"study CSV {path}: empty file, no header")
+        if header != _CSV_HEADER:
+            raise ValueError(f"study CSV {path}: line 1: unexpected header "
+                             f"{header}")
         for rec in reader:
-            if len(rec) != 5:
-                raise ValueError(f"malformed study CSV row: {rec}")
-            rows.append(ConvergenceRow(
-                alpha=float(rec[0]), h=float(rec[1]), tau=float(rec[2]),
-                e_inf=float(rec[3]), rate=None if rec[4] == "" else float(rec[4]),
-            ))
+            where = f"study CSV {path}: line {reader.line_num}"
+            if len(rec) != len(_CSV_HEADER):
+                raise ValueError(f"{where}: malformed row {rec}")
+            try:
+                values = [float(v) for v in rec[:4]]
+                rate = None if rec[4] == "" else float(rec[4])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            rows.append(ConvergenceRow(*values, rate=rate))
     return rows
 
 

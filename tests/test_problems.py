@@ -432,6 +432,14 @@ class TestVerifyManufactured:
         with pytest.raises(ValueError, match="exact"):
             verify_manufactured(make_random_problem(0), samples=2)
 
+    def test_requires_forcing_f(self):
+        # example1 keeps its caputo_forcing table, so the spec is valid
+        spec = replace(make_example1(0.5), forcing_f=None)
+        with pytest.raises(ValueError) as info:
+            verify_manufactured(spec)
+        assert str(info.value) == (
+            "verify_manufactured requires the transformed forcing")
+
     def test_deterministic(self):
         a = verify_manufactured(make_example1(0.3), samples=4, panels=600)
         b = verify_manufactured(make_example1(0.3), samples=4, panels=600)
@@ -458,6 +466,26 @@ def _expressions(depth: int):
         st.builds("{}({})".format, st.sampled_from("+-"), sub),
         st.builds("{}({})".format, st.sampled_from(sorted(_EXPR_FUNCS)), sub),
     )
+
+
+# sources compile_expression refuses, with what each refusal names after
+# its label
+_REFUSED_SOURCES = pytest.mark.parametrize("src, named", [
+    ("x % 2", "disallowed syntax Mod in 'x % 2'"),
+    ("x // 2", "disallowed syntax FloorDiv in 'x // 2'"),
+    ("~x", "disallowed syntax Invert in '~x'"),
+    ("not x", "disallowed syntax Not in 'not x'"),
+    ("x @ y", "disallowed syntax MatMult in 'x @ y'"),
+    ("x < y", "disallowed syntax Compare in 'x < y'"),
+    # a function's name is a value only as the function of a call
+    ("sin + x", "unknown name 'sin' in 'sin + x'"),
+    ("sin", "unknown name 'sin' in 'sin'"),
+    ("sin(sin)", "unknown name 'sin' in 'sin(sin)'"),
+    ("gamma * t", "unknown name 'gamma' in 'gamma * t'"),
+    ("x(1)", "disallowed function call in 'x(1)'"),
+], ids=["mod", "floordiv", "invert", "not", "matmul", "compare",
+        "func-in-sum", "func-alone", "func-as-argument", "func-times",
+        "call-of-variable"])
 
 
 class TestCompileExpression:
@@ -537,6 +565,20 @@ class TestCompileExpression:
                           float)
         with pytest.raises(ValueError, match="too large"):
             compile_expression("1" + "0" * 400, alpha=0.5)
+
+    @_REFUSED_SOURCES
+    def test_refusal_starts_with_label(self, src, named):
+        with pytest.raises(ValueError) as info:
+            compile_expression(src, alpha=0.5, label="forcing")
+        assert str(info.value) == f"forcing: {named}"
+
+    def test_default_label(self):
+        with pytest.raises(ValueError) as info:
+            compile_expression(3, alpha=0.5)
+        assert str(info.value) == "expression must be a string, got 3"
+        with pytest.raises(ValueError, match="^expression: cannot parse "
+                                             "expression 'x \\+': "):
+            compile_expression("x +", alpha=0.5)
 
     def test_variable_subset(self):
         with pytest.raises(ValueError, match="t"):
@@ -698,22 +740,7 @@ class TestLoadProblem:
         assert str(path) in str(info.value)
         assert f"key {key!r}" in str(info.value)
 
-    @pytest.mark.parametrize("src, named", [
-        ("x % 2", "disallowed syntax Mod in 'x % 2'"),
-        ("x // 2", "disallowed syntax FloorDiv in 'x // 2'"),
-        ("~x", "disallowed syntax Invert in '~x'"),
-        ("not x", "disallowed syntax Not in 'not x'"),
-        ("x @ y", "disallowed syntax MatMult in 'x @ y'"),
-        ("x < y", "disallowed syntax Compare in 'x < y'"),
-        # a function's name is a value only as the function of a call
-        ("sin + x", "unknown name 'sin' in 'sin + x'"),
-        ("sin", "unknown name 'sin' in 'sin'"),
-        ("sin(sin)", "unknown name 'sin' in 'sin(sin)'"),
-        ("gamma * t", "unknown name 'gamma' in 'gamma * t'"),
-        ("x(1)", "disallowed function call in 'x(1)'"),
-    ], ids=["mod", "floordiv", "invert", "not", "matmul", "compare",
-            "func-in-sum", "func-alone", "func-as-argument", "func-times",
-            "call-of-variable"])
+    @_REFUSED_SOURCES
     def test_refused_expression_named(self, tmp_path, src, named):
         # refused when the file loads, before anything is sampled, with the
         # file, the key and the refused syntax or name in the message
@@ -757,7 +784,32 @@ class TestLoadProblem:
         path.write_text(json.dumps(dict(EXAMPLE_JSON, name=name)))
         with pytest.raises(ValueError) as info:
             load_problem(path)
-        assert str(info.value) == f"problem file {path}: name must be a string"
+        assert str(info.value) == (
+            f"problem file {path}: name must be a string, got {name!r}")
+
+    def test_domain_not_a_pair(self, tmp_path):
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(dict(EXAMPLE_JSON, domain=[1.0])))
+        with pytest.raises(ValueError) as info:
+            load_problem(path)
+        assert str(info.value) == f"problem file {path}: domain must be a pair"
+
+    def test_unparsable_expression_named(self, tmp_path):
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(dict(EXAMPLE_JSON, forcing="x +")))
+        with pytest.raises(ValueError) as info:
+            load_problem(path)
+        assert str(info.value).startswith(
+            f"problem file {path}, key 'forcing': cannot parse expression "
+            f"'x +': "), str(info.value)
+
+    def test_non_string_expression_named(self, tmp_path):
+        path = tmp_path / "prob.json"
+        path.write_text(json.dumps(dict(EXAMPLE_JSON, phi=0)))
+        with pytest.raises(ValueError) as info:
+            load_problem(path)
+        assert str(info.value) == (
+            f"problem file {path}, key 'phi' must be a string, got 0")
 
 
 class TestGetProblem:

@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -130,6 +131,19 @@ class TestRunStudy:
         assert own == run_study(tiny_config(alphas=(0.25,))).rows
         assert own == run_study(tiny_config(alphas=(0.25,), problem=spec)).rows
 
+    def test_zero_error_gives_no_rate(self, monkeypatch):
+        # a rung whose rounded error is zero (an exact solution the scheme
+        # reproduces) leaves the next rung without a rate, not log2 of inf
+        errors = iter([0.0, 1e-3, 2.5e-4, math.inf, 1e-3])
+
+        def fake_solve(problem, mesh):
+            return SimpleNamespace(e_inf=next(errors),
+                                   final=SimpleNamespace(values=np.zeros(mesh.shape)))
+
+        monkeypatch.setattr(studies, "solve", fake_solve)
+        rows = run_study(tiny_config(ladder=(2, 4, 8, 16, 32))).rows
+        assert [row.rate for row in rows] == [None, None, 2.0, None, None]
+
     def test_builtin_needs_alpha(self, monkeypatch):
         calls = []
         monkeypatch.setattr(studies, "solve", lambda *args: calls.append(1))
@@ -226,6 +240,26 @@ class TestEmission:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             read_study_csv(path)
+
+    def test_read_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "study.csv"
+        path.write_text("")
+        with pytest.raises(ValueError) as info:
+            read_study_csv(path)
+        assert str(info.value) == f"study CSV {path}: empty file, no header"
+
+    @pytest.mark.parametrize("row, why", [
+        ("0.5,0.1,0.2,0.01", "malformed row ['0.5', '0.1', '0.2', '0.01']"),
+        ("0.5,0.1,x,0.01,", "could not convert string to float: 'x'"),
+        ("0.5,0.1,0.2,0.01,fast", "could not convert string to float: 'fast'"),
+    ], ids=["short", "value", "rate"])
+    def test_read_names_file_and_line(self, tmp_path, row, why):
+        path = tmp_path / "study.csv"
+        path.write_text("alpha,h,tau,e_inf,rate\n0.5,0.2,0.2,0.04,\n"
+                        + row + "\n")
+        with pytest.raises(ValueError) as info:
+            read_study_csv(path)
+        assert str(info.value) == f"study CSV {path}: line 3: {why}"
 
     def test_emit_outputs(self, tmp_path):
         cfg = tiny_config(ladder=(2, 4), emit=("table", "csv", "svg"),
